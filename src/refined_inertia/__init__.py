@@ -3,12 +3,13 @@
 The package splits into five layers:
 
 * :mod:`refined_inertia.patterns` -- sign patterns, the arrowhead families,
-  equivalence moves, irreducibility;
+  irreducibility;
 * :mod:`refined_inertia.ratpoly` -- exact polynomial arithmetic and root
   counting over the rationals;
 * :mod:`refined_inertia.engine` -- refined inertia, exact and numeric;
 * :mod:`refined_inertia.realization` -- sampling qualitative classes, the
-  arrowhead normal form, witness embedding and deflation;
+  arrowhead normal form, witness embedding and deflation, the matrix JSON
+  reader;
 * :mod:`refined_inertia.analysis` -- witness suites, falsification, lemma
   validators;
 * :mod:`refined_inertia.cli` -- the ``riq`` command-line front end.
@@ -29,7 +30,6 @@ from .analysis import (
     witness_suite,
 )
 from .engine import (
-    NumericTolerance,
     RefinedInertia,
     arrow_shift_det,
     char_poly,
@@ -39,26 +39,16 @@ from .engine import (
     refined_inertia_numeric,
 )
 from .patterns import (
-    Permutation,
-    PermSim,
     Sign,
     SignPattern,
-    Signature,
-    SigSim,
-    Transpose,
-    are_equivalent,
     family_pattern,
-    find_equivalence,
     is_irreducible,
     parse_pattern,
-    render_pattern,
     sgn_of_matrix,
-    transform,
 )
 from .ratpoly import RationalPoly
 from .realization import (
     ArrowMatrix,
-    DiagonalSimilarity,
     RealizationConfig,
     arrow_char_poly,
     deflate_repeated,
@@ -74,24 +64,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "ArrowMatrix",
-    "DiagonalSimilarity",
     "HnSet",
     "LemmaCheck",
     "LemmaSuiteReport",
-    "NumericTolerance",
-    "Permutation",
-    "PermSim",
     "RationalPoly",
     "RealizationConfig",
     "RefinedInertia",
     "Sign",
     "SignPattern",
-    "Signature",
-    "SigSim",
-    "Transpose",
     "Verdict",
     "WitnessSuite",
-    "are_equivalent",
     "arrow_char_poly",
     "arrow_shift_det",
     "char_poly",
@@ -102,7 +84,6 @@ __all__ = [
     "falsify_requires",
     "family_pattern",
     "find_4x4_witnesses",
-    "find_equivalence",
     "hn_set",
     "is_irreducible",
     "matrix_from_json",
@@ -110,12 +91,10 @@ __all__ = [
     "parse_pattern",
     "refined_inertia_exact",
     "refined_inertia_numeric",
-    "render_pattern",
     "run_lemma_suite",
     "sample_realization",
     "sgn_of_matrix",
     "to_arrow_form",
-    "transform",
     "validate_lemmas",
     "witness_suite",
 ]

@@ -12,17 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
 from .engine import (
-    DEFAULT_TOLERANCE,
     EigenSolverError,
     InternalCheckError,
-    NumericTolerance,
     RefinedInertia,
     _numeric_inertia_flagged,
     arrow_shift_det,
@@ -32,19 +30,17 @@ from .engine import (
 from .patterns import SignPattern, family_pattern, sgn_of_matrix
 from .realization import (
     ArrowMatrix,
+    MembershipError,
     RationalMatrix,
     RealizationConfig,
     arrow_char_poly,
+    embed_witness,
     family_index,
     matrix_to_json,
     sample_realization,
     to_arrow_form,
 )
 from .witness_fixtures import WITNESS_PARAMS
-
-
-class SearchBudgetError(RuntimeError):
-    """A randomized witness search ran out of attempts."""
 
 
 class WitnessCertificationError(RuntimeError):
@@ -79,84 +75,6 @@ def hn_set(n: int) -> HnSet:
 # -- 4x4 witnesses -----------------------------------------------------------
 
 
-def _simple_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 12), rng.randint(1, 4))
-
-
-_FAMILY_A_SIGNS = {1: (1, -1, -1, -1), 2: (-1, -1, 1, 1), 3: (-1, 1, 1, -1)}
-
-
-def search_4x4_witness(
-    i: int,
-    target: RefinedInertia,
-    seed: int = 0,
-    budget: int = 50_000,
-) -> ArrowMatrix:
-    """Randomized search for a 4x4 family member with the given exact inertia.
-
-    Suitable for the open-condition inertias, where a positive-measure set
-    of parameters realizes the target.  Raises SearchBudgetError if the
-    budget runs out.
-    """
-    signs = _FAMILY_A_SIGNS[i]
-    rng = random.Random(seed)
-    for _ in range(budget):
-        b1 = _simple_fraction(rng)
-        b2 = _simple_fraction(rng)
-        if b1 == b2:
-            continue
-        if i == 3:
-            b2 = -b2
-        a = tuple(s * _simple_fraction(rng) for s in signs)
-        candidate = ArrowMatrix(a, (b1, b2))
-        if refined_inertia_exact(arrow_char_poly(candidate)) == target:
-            return candidate
-    raise SearchBudgetError(f"no ({target}) witness for family {i} within {budget} draws")
-
-
-def construct_imaginary_pair_witness(
-    i: int, seed: int = 0, budget: int = 50_000
-) -> ArrowMatrix:
-    """Build a 4x4 family member with inertia (0, 2, 0, 2) by coefficient matching.
-
-    Targets char polys (x^2 + w)(x^2 + alpha*x + beta) with alpha, beta, w
-    positive rationals, whose roots are one imaginary pair plus a stable
-    quadratic.  The four spoke parameters solve the coefficient system
-    linearly once b1, b2, alpha, beta, w are drawn; draws are resampled
-    until the solution lands in the family's sign class.  This constructive
-    route is needed because the target inertia lies on a measure-zero
-    variety that random sampling cannot hit.
-    """
-    rng = random.Random(seed)
-    target = RefinedInertia(0, 2, 0, 2)
-    for _ in range(budget):
-        b1 = _simple_fraction(rng)
-        b2 = _simple_fraction(rng)
-        if i == 3:
-            b2 = -b2
-        if b1 == b2:
-            continue
-        alpha = _simple_fraction(rng)
-        beta = _simple_fraction(rng)
-        w = _simple_fraction(rng)
-        a1 = b1 + b2 - alpha
-        a2 = -beta * w / (b1 * b2)
-        spoke_sum = b1 * b2 - a1 * (b1 + b2) - a2 - (beta + w)
-        spoke_mix = -alpha * w - a1 * b1 * b2 - a2 * (b1 + b2)
-        a3 = (spoke_mix - spoke_sum * b1) / (b2 - b1)
-        a4 = (spoke_sum * b2 - spoke_mix) / (b2 - b1)
-        candidate = ArrowMatrix((a1, a2, a3, a4), (b1, b2))
-        if family_index(candidate.to_matrix()) != i:
-            continue
-        inertia = refined_inertia_exact(arrow_char_poly(candidate))
-        if inertia != target:
-            raise WitnessCertificationError(
-                f"coefficient matching produced inertia {inertia}, expected {target}"
-            )
-        return candidate
-    raise SearchBudgetError(f"no (0,2,0,2) witness for family {i} within {budget} draws")
-
-
 @dataclass(frozen=True)
 class WitnessSuite:
     """One certified realization per target inertia for a single pattern."""
@@ -169,12 +87,6 @@ class WitnessSuite:
         expected = hn_set(self.pattern.n).members
         if sorted(keys) != sorted(expected):
             raise ValueError("witness keys must be exactly the three target inertias")
-
-    def matrix_for(self, inertia: RefinedInertia) -> ArrowMatrix:
-        for ri, arrow in self.witnesses:
-            if ri == inertia:
-                return arrow
-        raise KeyError(inertia)
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,8 +146,6 @@ def witness_suite(i: int, n: int) -> WitnessSuite:
     base = find_4x4_witnesses(i)
     if n == 4:
         return base
-    from .realization import embed_witness
-
     entries = []
     for ri4, arrow4 in base.witnesses:
         lifted = embed_witness(arrow4, n, i)
@@ -275,13 +185,6 @@ class AnalysisReport:
             found = self.verdict is Verdict.COUNTEREXAMPLE
             if outside != found or found != (self.counterexample is not None):
                 raise ValueError("verdict, counterexample and histogram disagree")
-
-    @property
-    def consistent(self) -> bool:
-        return self.verdict is not Verdict.COUNTEREXAMPLE
-
-    def observed(self) -> tuple[RefinedInertia, ...]:
-        return tuple(ri for ri, _ in self.histogram)
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,22 +232,24 @@ def _exact_inertia(matrix: RationalMatrix) -> RefinedInertia:
     The diagonal similarity onto arrow form preserves the characteristic
     polynomial exactly, and the spoke expansion is quadratic instead of
     quartic in the order, which matters inside the falsifier's escalation
-    path.
+    path.  to_arrow_form classifies the sign pattern, so it is classified
+    once per call.
     """
-    if family_index(matrix) is not None:
-        arrow, _ = to_arrow_form(matrix)
-        return refined_inertia_exact(arrow_char_poly(arrow))
-    return refined_inertia_exact(char_poly(matrix))
+    try:
+        arrow = to_arrow_form(matrix)
+    except MembershipError:
+        return refined_inertia_exact(char_poly(matrix))
+    return refined_inertia_exact(arrow_char_poly(arrow))
 
 
 def _falsify_chunk(args) -> tuple[dict, tuple[int, RationalMatrix] | None]:
-    pattern, cfg, start, count, members, tol = args
+    pattern, cfg, start, count, members = args
     histogram: Counter = Counter()
     first_outside: tuple[int, RationalMatrix] | None = None
     for k in range(start, start + count):
-        sample = sample_realization(pattern, cfg.with_seed(_sample_seed(cfg.seed, k)))
+        sample = sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k)))
         try:
-            inertia, near_axis = _numeric_inertia_flagged(sample, tol)
+            inertia, near_axis = _numeric_inertia_flagged(sample)
             suspicious = near_axis or inertia not in members
         except EigenSolverError:
             inertia, suspicious = None, True
@@ -403,7 +308,6 @@ def falsify_requires(
     budget: int,
     cfg: RealizationConfig,
     jobs: int = 1,
-    tol: NumericTolerance = DEFAULT_TOLERANCE,
 ) -> AnalysisReport:
     """Sample Q(pattern) and hunt for a certified inertia outside the target set.
 
@@ -422,7 +326,7 @@ def falsify_requires(
     jobs = max(1, min(jobs, budget or 1))
     bounds = [budget * w // jobs for w in range(jobs + 1)]
     tasks = [
-        (pattern, cfg, bounds[w], bounds[w + 1] - bounds[w], members, tol)
+        (pattern, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
         for w in range(jobs)
         if bounds[w + 1] > bounds[w]
     ]
@@ -489,8 +393,6 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     not in the family's qualitative class, and never raises on a mere check
     failure: each result carries its computed quantities.
     """
-    from .realization import MembershipError
-
     matrix = arrow.to_matrix()
     if family_index(matrix) != i:
         raise MembershipError(f"arrow matrix is not in the qualitative class of family {i}")
@@ -629,9 +531,10 @@ def run_lemma_suite(
     while index < samples:
         if attempts >= attempt_cap:
             raise RuntimeError("too many resampling attempts while enforcing distinct b")
-        sample = sample_realization(pattern, cfg.with_seed(_sample_seed(cfg.seed, attempts)))
+        seed = _sample_seed(cfg.seed, attempts)
         attempts += 1
-        arrow, _ = to_arrow_form(sample)
+        sample = sample_realization(pattern, RealizationConfig(seed=seed))
+        arrow = to_arrow_form(sample)
         if len(set(arrow.b)) != len(arrow.b):
             continue
         for check in validate_lemmas(arrow, i):

@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
-    SearchBudgetError,
     Verdict,
     WitnessCertificationError,
     canonical_dumps,
@@ -28,13 +27,12 @@ from .analysis import (
 from .engine import (
     EigenSolverError,
     InternalCheckError,
-    NumericTolerance,
     char_poly,
     refined_inertia_exact,
     refined_inertia_numeric,
 )
-from .patterns import PatternParseError, family_pattern, parse_pattern
-from .realization import MembershipError, RealizationConfig
+from .patterns import family_pattern, parse_pattern
+from .realization import MembershipError, RealizationConfig, matrix_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,14 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("RI_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE) from None
 
 
 def _build_parser() -> _Parser:
@@ -103,10 +93,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _seed_of(args) -> int:
-    return args.seed if getattr(args, "seed", None) is not None else _default_seed()
-
-
 def _cmd_family(args) -> int:
     try:
         pattern = family_pattern(args.family, args.order)
@@ -120,50 +106,29 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _load_matrix(path: str):
-    """Load a matrix file; returns (rational_rows or None, float_rows)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    n = data["n"]
-    entries = data["entries"]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    rational: list[Fraction] | None = []
-    floats: list[float] = []
-    for item in entries:
-        if isinstance(item, (list, tuple)) and len(item) == 2:
-            value = Fraction(int(item[0]), int(item[1]))
-            if rational is not None:
-                rational.append(value)
-            floats.append(float(value))
-        elif isinstance(item, (int, float)):
-            rational = None
-            floats.append(float(item))
-        else:
-            raise ValueError(f"entry {item!r} is neither a [num, den] pair nor a number")
-    rows_f = [floats[r * n : (r + 1) * n] for r in range(n)]
-    rows_q = None
-    if rational is not None:
-        rows_q = [rational[r * n : (r + 1) * n] for r in range(n)]
-    return rows_q, rows_f
-
-
 def _cmd_inertia(args) -> int:
     try:
-        rows_q, rows_f = _load_matrix(args.matrix)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        with open(args.matrix, "r", encoding="utf-8") as handle:
+            matrix = matrix_from_json(json.load(handle))
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error reading matrix: {exc}", file=sys.stderr)
         return EXIT_IO
-    use_exact = args.exact or (not args.numeric and rows_q is not None)
-    if use_exact:
-        if rows_q is None:
+    rational = all(isinstance(x, Fraction) for row in matrix for x in row)
+    if args.exact or (not args.numeric and rational):
+        if not rational:
             print("error: matrix has non-rational entries; exact engine unavailable", file=sys.stderr)
             return EXIT_IO
-        inertia = refined_inertia_exact(char_poly(rows_q))
+        inertia = refined_inertia_exact(char_poly(matrix))
         method = "exact"
     else:
         try:
-            inertia = refined_inertia_numeric(rows_f, NumericTolerance(axis_eps=args.tol))
+            inertia = refined_inertia_numeric(matrix, axis_eps=args.tol)
+        except OverflowError as exc:
+            print(f"error: matrix entry out of float range: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ValueError as exc:
+            print(f"error: --tol: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except EigenSolverError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
@@ -178,7 +143,7 @@ def _cmd_witness(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (WitnessCertificationError, SearchBudgetError, InternalCheckError) as exc:
+    except (WitnessCertificationError, InternalCheckError) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     text = canonical_dumps(suite.to_json_dict())
@@ -198,14 +163,15 @@ def _cmd_falsify(args) -> int:
     try:
         with open(args.pattern, "r", encoding="utf-8") as handle:
             pattern = parse_pattern(handle.read())
-    except (OSError, PatternParseError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error reading pattern: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.budget < 0:
-        print("error: budget must be nonnegative", file=sys.stderr)
+    cfg = RealizationConfig(seed=args.seed)
+    try:
+        report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = RealizationConfig(seed=_seed_of(args))
-    report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as handle:
@@ -221,7 +187,7 @@ def _cmd_lemmas(args) -> int:
     if args.order < 4 or args.samples < 0:
         print("error: order must be >= 4 and samples nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    cfg = RealizationConfig(seed=_seed_of(args))
+    cfg = RealizationConfig(seed=args.seed)
     try:
         report = run_lemma_suite(args.family, args.order, args.samples, cfg)
     except (MembershipError, InternalCheckError) as exc:
@@ -254,18 +220,21 @@ def _cmd_analyze(args) -> int:
     if lo < 4 or hi < lo:
         print("error: order range must satisfy 4 <= A <= B", file=sys.stderr)
         return EXIT_USAGE
-    seed = _seed_of(args)
-    print(f"family {args.family}, orders {lo}..{hi}, budget {args.budget}, seed {seed}")
+    print(f"family {args.family}, orders {lo}..{hi}, budget {args.budget}, seed {args.seed}")
     print("n   samples  inside_target  all3_realized  verdict")
     worst = EXIT_OK
     for n in range(lo, hi + 1):
         pattern = family_pattern(args.family, n)
-        cfg = RealizationConfig(seed=seed + n)
-        report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
+        cfg = RealizationConfig(seed=args.seed + n)
+        try:
+            report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         try:
             witness_suite(args.family, n)
             witnesses_ok = "yes"
-        except (WitnessCertificationError, SearchBudgetError) as exc:
+        except WitnessCertificationError as exc:
             witnesses_ok = "NO"
             print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INTERNAL)
@@ -291,6 +260,13 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "seed" in args and args.seed is None:
+        raw = os.environ.get("RI_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            print(f"error: RI_SEED must be an integer, got {raw!r}", file=sys.stderr)
+            return EXIT_USAGE
     return _HANDLERS[args.command](args)
 
 

@@ -33,9 +33,10 @@ from .ratpoly import (
     poly_gcd,
     strip_zero_roots,
 )
-from .realization import ArrowMatrix
+from .realization import ArrowMatrix, to_rational_matrix
 
-CHAR_POLY_METHOD = "faddeev-leverrier"
+# Relative axis tolerance of the numeric classifier.
+_AXIS_EPS = 1e-9
 
 
 class EigenSolverError(RuntimeError):
@@ -83,35 +84,6 @@ class RefinedInertia:
             "n_zero": self.n_zero,
             "two_n_p": self.two_n_p,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RefinedInertia":
-        return cls(data["n_plus"], data["n_minus"], data["n_zero"], data["two_n_p"])
-
-
-@dataclass(frozen=True)
-class NumericTolerance:
-    """Relative threshold on |Re| and |lambda| used by the numeric classifier."""
-
-    axis_eps: float = 1e-9
-
-    def __post_init__(self):
-        if not self.axis_eps > 0:
-            raise ValueError("axis_eps must be positive")
-
-
-DEFAULT_TOLERANCE = NumericTolerance()
-
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def to_rational_matrix(matrix: Sequence[Sequence]) -> RationalMatrix:
-    """Coerce to a square tuple-of-tuples of Fractions; floats are rejected."""
-    rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square and nonempty")
-    return rows
 
 
 def _to_float_array(matrix: Sequence[Sequence]) -> np.ndarray:
@@ -238,7 +210,7 @@ def _classify_eigenvalues(
 
 
 def _numeric_inertia_flagged(
-    matrix: Sequence[Sequence], tol: NumericTolerance
+    matrix: Sequence[Sequence], axis_eps: float = _AXIS_EPS
 ) -> tuple[RefinedInertia, bool]:
     A = _to_float_array(matrix)
     n = A.shape[0]
@@ -249,19 +221,22 @@ def _numeric_inertia_flagged(
         eigvals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense eigensolver failed: {exc}") from exc
-    return _classify_eigenvalues(eigvals, scale, tol.axis_eps)
+    return _classify_eigenvalues(eigvals, scale, axis_eps)
 
 
 def refined_inertia_numeric(
-    matrix: Sequence[Sequence], tol: NumericTolerance = DEFAULT_TOLERANCE
+    matrix: Sequence[Sequence], axis_eps: float = _AXIS_EPS
 ) -> RefinedInertia:
     """Refined inertia from a dense eigensolve.
 
     Eigenvalues within axis_eps times the max row-sum norm of the axes are
-    snapped to them.  Matrices with irrational (float) entries are only
-    served by this path; the exact engine requires rational input.
+    snapped to them; axis_eps must be positive.  Matrices with irrational
+    (float) entries are only served by this path; the exact engine requires
+    rational input.
     """
-    inertia, _ = _numeric_inertia_flagged(matrix, tol)
+    if not axis_eps > 0:
+        raise ValueError(f"axis_eps must be positive, got {axis_eps}")
+    inertia, _ = _numeric_inertia_flagged(matrix, axis_eps)
     return inertia
 
 

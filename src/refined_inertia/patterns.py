@@ -1,8 +1,7 @@
 """Sign patterns over {+, -, 0} and their qualitative structure.
 
 Provides the pattern type itself, a diff-friendly text format, the three
-arrowhead pattern families studied by the analysis layer, the equivalence
-moves (transposition, permutation similarity, signature similarity), and
+arrowhead pattern families studied by the analysis layer, and
 irreducibility via strong connectivity of the associated digraph.
 
 Indices are 0-based internally; user-facing text (CLI, reports) is 1-based.
@@ -10,7 +9,6 @@ Indices are 0-based internally; user-facing text (CLI, reports) is 1-based.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -46,11 +44,6 @@ class Sign(IntEnum):
             return cls.MINUS
         return cls.ZERO
 
-    def __mul__(self, other):
-        if isinstance(other, Sign):
-            return Sign(int(self) * int(other))
-        return NotImplemented
-
 
 @dataclass(frozen=True)
 class SignPattern:
@@ -72,21 +65,11 @@ class SignPattern:
     def n(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> tuple[Sign, ...]:
-        return self.rows[i]
-
     def render(self) -> str:
         return "\n".join(" ".join(s.char for s in row) for row in self.rows)
 
-    def __str__(self) -> str:
-        return self.render()
-
     def to_json(self) -> list[list[str]]:
         return [[s.char for s in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "SignPattern":
-        return cls([[Sign.from_char(tok) for tok in row] for row in data])
 
 
 def parse_pattern(text: str) -> SignPattern:
@@ -114,10 +97,6 @@ def parse_pattern(text: str) -> SignPattern:
     if len(rows) != width:
         raise PatternParseError(f"pattern is {len(rows)}x{width}, must be square")
     return SignPattern(rows)
-
-
-def render_pattern(pattern: SignPattern) -> str:
-    return pattern.render()
 
 
 def family_pattern(i: int, n: int) -> SignPattern:
@@ -185,151 +164,3 @@ def is_irreducible(pattern: SignPattern) -> bool:
 
     return reaches_all(forward) and reaches_all(backward)
 
-
-# -- equivalence moves ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {0, ..., n-1}, stored as the image tuple."""
-
-    mapping: tuple[int, ...]
-
-    def __init__(self, mapping: Iterable[int]):
-        m = tuple(mapping)
-        if sorted(m) != list(range(len(m))):
-            raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
-        object.__setattr__(self, "mapping", m)
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, index: int) -> int:
-        return self.mapping[index]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, image in enumerate(self.mapping):
-            inv[image] = i
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(self.n)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Diagonal of +-1 scalars."""
-
-    signs: tuple[int, ...]
-
-    def __init__(self, signs: Iterable[int]):
-        s = tuple(int(x) for x in signs)
-        if any(x not in (-1, 1) for x in s):
-            raise ValueError("signature entries must be +1 or -1")
-        object.__setattr__(self, "signs", s)
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-
-@dataclass(frozen=True)
-class Transpose:
-    pass
-
-
-@dataclass(frozen=True)
-class PermSim:
-    perm: Permutation
-
-
-@dataclass(frozen=True)
-class SigSim:
-    signature: Signature
-
-
-PatternOp = Transpose | PermSim | SigSim
-
-
-def transform(pattern: SignPattern, op: PatternOp) -> SignPattern:
-    """Apply one equivalence move.
-
-    PermSim relabels indices by its permutation (entry (i, j) moves to
-    (perm(i), perm(j))), SigSim conjugates by the +-1 diagonal, Transpose
-    transposes.  Composing PermSim ops composes the permutations.
-    """
-    n = pattern.n
-    if isinstance(op, Transpose):
-        return SignPattern(tuple(zip(*pattern.rows)))
-    if isinstance(op, PermSim):
-        if op.perm.n != n:
-            raise ValueError(f"permutation length {op.perm.n} does not match order {n}")
-        inv = op.perm.inverse()
-        return SignPattern([[pattern.rows[inv(i)][inv(j)] for j in range(n)] for i in range(n)])
-    if isinstance(op, SigSim):
-        if op.signature.n != n:
-            raise ValueError(f"signature length {op.signature.n} does not match order {n}")
-        s = op.signature.signs
-        return SignPattern(
-            [[Sign(s[i] * int(pattern.rows[i][j]) * s[j]) for j in range(n)] for i in range(n)]
-        )
-    raise TypeError(f"unknown pattern operation {op!r}")
-
-
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    """A concrete (transpose?, permutation, signature) triple mapping one pattern to another."""
-
-    transposed: bool
-    perm: Permutation
-    signature: Signature
-
-    def apply(self, pattern: SignPattern) -> SignPattern:
-        out = transform(pattern, Transpose()) if self.transposed else pattern
-        out = transform(out, PermSim(self.perm))
-        return transform(out, SigSim(self.signature))
-
-
-MAX_EQUIVALENCE_ORDER = 5
-
-
-def find_equivalence(a: SignPattern, b: SignPattern) -> EquivalenceWitness | None:
-    """Search the full move group for a witness mapping a to b.
-
-    Exhaustive over n! * 2^n * 2 group elements, so restricted to order
-    <= 5; larger orders raise.  Returns None when the patterns are not
-    equivalent.
-    """
-    if a.n != b.n:
-        return None
-    n = a.n
-    if n > MAX_EQUIVALENCE_ORDER:
-        raise ValueError(
-            f"equivalence decision is exhaustive and limited to order <= {MAX_EQUIVALENCE_ORDER}"
-        )
-    for transposed in (False, True):
-        base = transform(a, Transpose()) if transposed else a
-        for mapping in itertools.permutations(range(n)):
-            perm = Permutation(mapping)
-            mid = transform(base, PermSim(perm))
-            for signs in itertools.product((1, -1), repeat=n):
-                sig = Signature(signs)
-                if transform(mid, SigSim(sig)) == b:
-                    return EquivalenceWitness(transposed, perm, sig)
-    return None
-
-
-def are_equivalent(a: SignPattern, b: SignPattern) -> bool:
-    return find_equivalence(a, b) is not None
-
-
-def in_qualitative_class(matrix: Sequence[Sequence], pattern: SignPattern) -> bool:
-    """True iff sgn(matrix) equals the pattern."""
-    return sgn_of_matrix(matrix) == pattern

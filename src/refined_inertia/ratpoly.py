@@ -140,12 +140,6 @@ class RationalPoly:
                 rem[top - dn + 1 + k] -= factor * dc[k]
         return RationalPoly(quo), RationalPoly(rem[: dn - 1])
 
-    def __floordiv__(self, divisor: "RationalPoly") -> "RationalPoly":
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: "RationalPoly") -> "RationalPoly":
-        return divmod(self, divisor)[1]
-
     def divides_exactly(self, divisor: "RationalPoly") -> "RationalPoly":
         """Quotient self / divisor, raising if the division leaves a remainder."""
         quo, rem = divmod(self, divisor)
@@ -187,26 +181,7 @@ class RationalPoly:
             acc = out
         return RationalPoly(acc)
 
-    # -- rendering -------------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            term = "x" if k == 1 else f"x^{k}" if k > 1 else ""
-            mag = "" if (abs(c) == 1 and k > 0) else str(abs(c))
-            sep = "*" if mag and term else ""
-            chunk = f"{mag}{sep}{term}" or str(abs(c))
-            parts.append(("-" if c < 0 else "+", chunk))
-        sign0, chunk0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + chunk0
-        for sign, chunk in parts[1:]:
-            text += f" {sign} {chunk}"
-        return text
+    # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
         return {"coeffs": [[c.numerator, c.denominator] for c in self.coeffs]}

@@ -4,22 +4,32 @@ Covers sampling a qualitative class Q(P) with exact rational entries, the
 diagonal-similarity normalization onto the arrowhead form (unit first row,
 dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the witness
 embedding that lifts a 4x4 realization to any larger order by replicating
-one spoke, and the deflation step that extracts the shared eigenvalue when
-two diagonal parameters coincide.
+one spoke, the deflation step that extracts the shared eigenvalue when
+two diagonal parameters coincide, and the matrix JSON wire format with its
+validating reader.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from .ratpoly import RationalPoly, as_fraction
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+def to_rational_matrix(matrix: Sequence[Sequence]) -> RationalMatrix:
+    """Coerce to a square tuple-of-tuples of Fractions; floats are rejected."""
+    rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and nonempty")
+    return rows
 
 
 class MembershipError(ValueError):
@@ -69,18 +79,11 @@ class ArrowMatrix:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def char_poly(self) -> RationalPoly:
-        return arrow_char_poly(self)
-
     def to_json(self) -> dict:
         return {
             "a": [f"{x.numerator}/{x.denominator}" for x in self.a],
             "b": [f"{x.numerator}/{x.denominator}" for x in self.b],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ArrowMatrix":
-        return cls([Fraction(x) for x in data["a"]], [Fraction(x) for x in data["b"]])
 
 
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
@@ -125,38 +128,25 @@ def family_index(matrix: Sequence[Sequence]) -> int | None:
 # -- sampling Q(P) ---------------------------------------------------------
 
 
+# Magnitudes are drawn log-uniformly over this window and rounded to
+# rationals with denominator at most DENOMINATOR_BOUND, so samples span
+# several scales while staying inside the exact engine's domain.
+MAGNITUDE_RANGE = (Fraction(1, 1000), Fraction(1000))
+DENOMINATOR_BOUND = 10_000
+_LOG_LO, _LOG_HI = (math.log(x) for x in MAGNITUDE_RANGE)
+
+
 @dataclass(frozen=True)
 class RealizationConfig:
-    """Sampling policy: magnitude window, denominator cap, and RNG seed.
+    """Sampling policy: the RNG seed."""
 
-    Magnitudes are drawn log-uniformly over the window and rounded to
-    rationals with denominator at most denominator_bound, so samples span
-    several scales while staying inside the exact engine's domain.
-    """
-
-    magnitude_range: tuple[Fraction, Fraction] = (Fraction(1, 1000), Fraction(1000))
-    denominator_bound: int = 10_000
     seed: int = 0
 
-    def __post_init__(self):
-        lo, hi = (as_fraction(x) for x in self.magnitude_range)
-        object.__setattr__(self, "magnitude_range", (lo, hi))
-        if not 0 < lo < hi:
-            raise ValueError("magnitude range must satisfy 0 < lo < hi")
-        if self.denominator_bound < 1:
-            raise ValueError("denominator bound must be positive")
-        if lo.denominator > self.denominator_bound or hi.denominator > self.denominator_bound:
-            raise ValueError("magnitude bounds must respect the denominator bound")
 
-    def with_seed(self, seed: int) -> "RealizationConfig":
-        return replace(self, seed=seed)
-
-
-def _draw_magnitude(rng: random.Random, cfg: RealizationConfig) -> Fraction:
-    lo, hi = cfg.magnitude_range
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    value = math.exp(log_lo + rng.random() * (log_hi - log_lo))
-    mag = Fraction(value).limit_denominator(cfg.denominator_bound)
+def _draw_magnitude(rng: random.Random) -> Fraction:
+    lo, hi = MAGNITUDE_RANGE
+    value = math.exp(_LOG_LO + rng.random() * (_LOG_HI - _LOG_LO))
+    mag = Fraction(value).limit_denominator(DENOMINATOR_BOUND)
     if mag < lo:
         return lo
     if mag > hi:
@@ -164,9 +154,9 @@ def _draw_magnitude(rng: random.Random, cfg: RealizationConfig) -> Fraction:
     return mag
 
 
-def _sample_with_rng(
-    pattern: SignPattern, cfg: RealizationConfig, rng: random.Random
-) -> RationalMatrix:
+def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
+    """One rational matrix in Q(pattern); deterministic for a fixed seed."""
+    rng = random.Random(cfg.seed)
     rows = []
     for row in pattern.rows:
         out = []
@@ -174,62 +164,30 @@ def _sample_with_rng(
             if s == Sign.ZERO:
                 out.append(Fraction(0))
             else:
-                mag = _draw_magnitude(rng, cfg)
+                mag = _draw_magnitude(rng)
                 out.append(mag if s == Sign.PLUS else -mag)
         rows.append(tuple(out))
     return tuple(rows)
 
 
-def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
-    """One rational matrix in Q(pattern); deterministic for a fixed seed."""
-    return _sample_with_rng(pattern, cfg, random.Random(cfg.seed))
-
-
-def sample_stream(
-    pattern: SignPattern, cfg: RealizationConfig, count: int
-) -> Iterator[RationalMatrix]:
-    """Stream of count samples from a single RNG seeded with cfg.seed."""
-    rng = random.Random(cfg.seed)
-    for _ in range(count):
-        yield _sample_with_rng(pattern, cfg, rng)
-
-
 # -- arrowhead normalization -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalSimilarity:
-    """Audit record of the positive diagonal D used to reach the arrow form."""
-
-    d: tuple[Fraction, ...]
-
-    def conjugate(self, matrix: Sequence[Sequence]) -> RationalMatrix:
-        """Return D * M * D^{-1}."""
-        M = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
-        n = len(self.d)
-        return tuple(
-            tuple(self.d[i] * M[i][j] / self.d[j] for j in range(n)) for i in range(n)
-        )
-
-    def to_json(self) -> dict:
-        return {"d": [f"{x.numerator}/{x.denominator}" for x in self.d]}
-
-
-def to_arrow_form(matrix: Sequence[Sequence]) -> tuple[ArrowMatrix, DiagonalSimilarity]:
+def to_arrow_form(matrix: Sequence[Sequence]) -> ArrowMatrix:
     """Normalize a family-class matrix onto the arrowhead form by diagonal similarity.
 
     The scaling diagonal is D = diag(1, B_12, ..., B_1n), whose entries are
     positive by pattern membership; conjugating by it makes the first row
     (a_1, 1, ..., 1) while fixing the diagonal and the spectrum exactly.
+    Raises MembershipError when the matrix is in no family's class.
     """
-    B = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
+    B = to_rational_matrix(matrix)
     n = len(B)
     if family_index(B) is None:
         raise MembershipError("matrix is not in the qualitative class of any family pattern")
-    d = (Fraction(1),) + tuple(B[0][k] for k in range(1, n))
     a = (B[0][0],) + tuple(B[0][k] * B[k][0] for k in range(1, n))
     b = tuple(-B[k][k] for k in range(2, n))
-    return ArrowMatrix(a, b), DiagonalSimilarity(d)
+    return ArrowMatrix(a, b)
 
 
 def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:
@@ -287,17 +245,49 @@ def deflate_repeated(arrow: ArrowMatrix) -> tuple[Fraction, ArrowMatrix]:
 
 
 def matrix_to_json(matrix: Sequence[Sequence]) -> dict:
-    B = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
+    B = to_rational_matrix(matrix)
     return {
         "n": len(B),
         "entries": [[x.numerator, x.denominator] for row in B for x in row],
     }
 
 
-def matrix_from_json(data: dict) -> RationalMatrix:
-    n = data["n"]
-    entries = data["entries"]
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _entry_from_json(k: int, item) -> Fraction | float:
+    if isinstance(item, list) and len(item) == 2 and all(map(_is_int, item)) and item[1] != 0:
+        return Fraction(item[0], item[1])
+    if _is_int(item) or isinstance(item, float):
+        try:
+            value = float(item)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(
+        f"entry {k + 1} is {item!r}, expected a [num, den] pair of integers with "
+        "den != 0 or a finite number"
+    )
+
+
+def matrix_from_json(data) -> tuple[tuple[Fraction | float, ...], ...]:
+    """Read the matrix wire format, {"n": n, "entries": [...]} with n*n row-major entries.
+
+    An [num, den] integer pair becomes an exact Fraction; a plain finite
+    number becomes a float, which only the numeric engine accepts.  Any
+    other shape raises a one-line ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"matrix JSON must be an object, got {type(data).__name__}")
+    n = data.get("n")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f'"n" must be an integer >= 1, got {n!r}')
+    entries = data.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError(f'"entries" must be a list, got {type(entries).__name__}')
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for order {n}, got {len(entries)}")
-    values = [Fraction(num, den) for num, den in entries]
-    return tuple(tuple(values[r * n + c] for c in range(n)) for r in range(n))
+    values = [_entry_from_json(k, item) for k, item in enumerate(entries)]
+    return tuple(tuple(values[r * n : (r + 1) * n]) for r in range(n))

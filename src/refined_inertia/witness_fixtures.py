@@ -3,15 +3,13 @@
 Keys are refined-inertia tuples (n_plus, n_minus, n_zero, two_n_p); values
 are the arrowhead parameters (a_1..a_4, b_1, b_2) as exact rational strings.
 
-Derived once and pinned here for reproducibility:
-
-* the open-condition inertias (0,4,0,0) and (2,2,0,0) came from
-  ``search_4x4_witness(i, target, seed=20240 + i, budget=200_000)``,
-* the imaginary-pair inertia (0,2,0,2) came from
-  ``construct_imaginary_pair_witness(i, seed=977 + i, budget=200_000)``,
-
-and every consumer re-certifies the exact inertia and class membership on
-load, so nothing depends on how the values were found.
+Derived once by two seeded searches and pinned here for reproducibility:
+random search for the open-condition inertias (0,4,0,0) and (2,2,0,0),
+and coefficient matching for the imaginary-pair inertia (0,2,0,2).
+``python tools/derive_witness_fixtures.py`` reruns both with the seeds
+they used and prints this table.  Every consumer re-certifies the exact
+inertia and class membership on load, so nothing depends on how the
+values were found.
 """
 
 WITNESS_PARAMS = {

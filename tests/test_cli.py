@@ -1,8 +1,14 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refined_inertia.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -164,3 +170,104 @@ def test_analyze_table(capsys):
 def test_analyze_bad_range(capsys):
     assert main(["analyze", "-i", "1", "--n-range", "8", "--budget", "10"]) == EXIT_USAGE
     assert main(["analyze", "-i", "1", "--n-range", "5..4", "--budget", "10"]) == EXIT_USAGE
+
+
+MALFORMED_MATRICES = {
+    "zero-denominator": '{"n": 1, "entries": [[1, 0]]}',
+    "n-zero": '{"n": 0, "entries": []}',
+    "n-bool": '{"n": true, "entries": [[1, 1]]}',
+    "top-level-array": "[[1, 1]]",
+    "bool-entry": '{"n": 1, "entries": [true]}',
+    "nan-entry": '{"n": 1, "entries": [NaN]}',
+    "wrong-count": '{"n": 2, "entries": [[1, 1]]}',
+    "three-element-entry": '{"n": 1, "entries": [[1, 2, 3]]}',
+    "truncated-json": '{"n": 1, "entries": [[1',
+    "deeply-nested": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+@pytest.mark.parametrize("mode", [[], ["--exact"], ["--numeric"]], ids=["auto", "exact", "numeric"])
+def test_inertia_malformed_matrix_exits_2(tmp_path, capsys, text, mode):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["inertia", "--matrix", str(path), *mode]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error reading matrix: ")
+
+
+USAGE_ERRORS = {
+    "falsify-order-2": ["falsify", "--pattern", "{order2}", "--budget", "5"],
+    "falsify-negative-budget": ["falsify", "--pattern", "{order4}", "--budget", "-1"],
+    "analyze-negative-budget": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "-1"],
+    "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],
+    "bad-RI_SEED": ["lemmas", "-i", "1", "-n", "5", "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    files = {"order2": "+ -\n- +", "order4": family_pattern(1, 4).render()}
+    files["matrix"] = json.dumps(matrix_to_json([[1, 0], [0, -1]]))
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    monkeypatch.setenv("RI_SEED", "abc" if argv[0] == "lemmas" else "0")
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# -- mangled input files -------------------------------------------------------
+
+VALID_MATRIX = json.dumps(matrix_to_json([[-1, 2, 0], [1, 0, 3], [0, -2, -1]])).encode()
+VALID_PATTERN = family_pattern(2, 4).render().encode()
+TOKENS = [b"true", b"NaN", b"0", b"-", b"[", b"]", b",", b"+", b"\n", b"1e400", b"\xff", b'"']
+
+edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.binary(min_size=1, max_size=6) | st.sampled_from(TOKENS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mangle(data: bytes, changes) -> bytes:
+    out = bytearray(data)
+    for pos, kind, chunk in changes:
+        at = pos % (len(out) + 1)
+        if kind == "insert":
+            out[at:at] = chunk
+        elif kind == "delete":
+            del out[at : at + len(chunk)]
+        else:
+            out[at : at + len(chunk)] = chunk
+    return bytes(out)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits, edits, st.sampled_from([[], ["--exact"], ["--numeric"]]))
+def test_mangled_input_files_never_raise(matrix_edits, pattern_edits, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = Path(tmp) / "m.json"
+        matrix.write_bytes(mangle(VALID_MATRIX, matrix_edits))
+        pattern = Path(tmp) / "p.sp"
+        pattern.write_bytes(mangle(VALID_PATTERN, pattern_edits))
+        for argv in (
+            ["inertia", "--matrix", str(matrix), *mode],
+            ["falsify", "--pattern", str(pattern), "--budget", "3", "--seed", "1"],
+        ):
+            code, err = run_quietly(argv)
+            assert code in (0, 1, 2, 3), (argv, code, err)
+            assert len(err.splitlines()) <= 1, (argv, err)

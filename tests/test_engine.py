@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refined_inertia.engine import (
-    NumericTolerance,
     RefinedInertia,
     arrow_shift_det,
     char_poly,
@@ -25,7 +24,13 @@ from refined_inertia.engine import (
     refined_inertia_numeric,
 )
 from refined_inertia.ratpoly import RationalPoly
-from refined_inertia.realization import ArrowMatrix, sample_realization, RealizationConfig
+from refined_inertia.realization import (
+    ArrowMatrix,
+    RealizationConfig,
+    arrow_char_poly,
+    sample_realization,
+    to_arrow_form,
+)
 from refined_inertia.patterns import family_pattern
 
 
@@ -168,8 +173,11 @@ class TestNumericInertia:
         assert refined_inertia_numeric([[-1.5, 0.0], [0.0, 2.5]]) == RefinedInertia(1, 1, 0, 0)
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            NumericTolerance(axis_eps=0.0)
+        for eps in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="axis_eps"):
+                refined_inertia_numeric([[1, 0], [0, -1]], axis_eps=eps)
+        loose = refined_inertia_numeric([[1e-3, 0], [0, -1]], axis_eps=1e-2)
+        assert loose == RefinedInertia(0, 1, 1, 0)
 
     def test_agreement_with_exact_on_integer_matrices(self):
         rng = random.Random(606)
@@ -198,14 +206,11 @@ class TestCountEigenReLeq:
 
     def test_interlacing_on_family_members(self):
         # at least one real eigenvalue between consecutive -b values
-        cfg = RealizationConfig(seed=31)
         pattern = family_pattern(1, 7)
-        from refined_inertia.realization import to_arrow_form
-
         checked = 0
         for seed in range(40):
-            sample = sample_realization(pattern, cfg.with_seed(seed))
-            arrow, _ = to_arrow_form(sample)
+            sample = sample_realization(pattern, RealizationConfig(seed=seed))
+            arrow = to_arrow_form(sample)
             b = sorted(arrow.b, reverse=True)
             if len(set(b)) != len(b):
                 continue
@@ -238,15 +243,13 @@ class TestArrowShiftDet:
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_sign_table_on_sampled_members(self, i):
-        cfg = RealizationConfig(seed=17)
         pattern = family_pattern(i, 6)
-        from refined_inertia.realization import to_arrow_form
         from refined_inertia.analysis import _sorted_descending
 
         checked = 0
         for seed in range(30):
-            sample = sample_realization(pattern, cfg.with_seed(seed))
-            arrow, _ = to_arrow_form(sample)
+            sample = sample_realization(pattern, RealizationConfig(seed=seed))
+            arrow = to_arrow_form(sample)
             if len(set(arrow.b)) != len(arrow.b):
                 continue
             arrow = _sorted_descending(arrow)
@@ -262,13 +265,10 @@ class TestArrowShiftDet:
 
 def test_exact_engine_certifies_excluded_eigenvalues():
     # char poly never vanishes at -b_j for sampled distinct-b members
-    cfg = RealizationConfig(seed=23)
     pattern = family_pattern(2, 6)
-    from refined_inertia.realization import to_arrow_form, arrow_char_poly
-
     for seed in range(25):
-        sample = sample_realization(pattern, cfg.with_seed(seed))
-        arrow, _ = to_arrow_form(sample)
+        sample = sample_realization(pattern, RealizationConfig(seed=seed))
+        arrow = to_arrow_form(sample)
         if len(set(arrow.b)) != len(arrow.b):
             continue
         p = arrow_char_poly(arrow)

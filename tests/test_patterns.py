@@ -1,4 +1,4 @@
-"""Sign pattern parsing, families, transforms, and irreducibility."""
+"""Sign pattern parsing, families, and irreducibility."""
 
 import random
 
@@ -8,21 +8,12 @@ from hypothesis import strategies as st
 
 from refined_inertia.patterns import (
     PatternParseError,
-    Permutation,
-    PermSim,
     Sign,
-    Signature,
     SignPattern,
-    SigSim,
-    Transpose,
-    are_equivalent,
     family_pattern,
-    find_equivalence,
     is_irreducible,
     parse_pattern,
-    render_pattern,
     sgn_of_matrix,
-    transform,
 )
 
 P, M, Z = Sign.PLUS, Sign.MINUS, Sign.ZERO
@@ -68,12 +59,7 @@ def test_render_parse_roundtrip(n, rng):
     # noisy but legal text: random extra spaces
     text = "\n".join(" " * rng.randint(0, 2) + ("  ".join(row)) for row in tokens)
     normalized = "\n".join(" ".join(row) for row in tokens)
-    assert render_pattern(parse_pattern(text)) == normalized
-
-
-def test_json_roundtrip():
-    pattern = family_pattern(2, 5)
-    assert SignPattern.from_json(pattern.to_json()) == pattern
+    assert parse_pattern(text).render() == normalized
 
 
 # -- the three families -------------------------------------------------------
@@ -168,94 +154,6 @@ def test_diagonal_pattern_reducible():
 
 def test_single_vertex_convention():
     assert is_irreducible(rows_of("0"))
-
-
-# -- transforms ----------------------------------------------------------------
-
-
-def test_identity_signature_is_noop():
-    pattern = family_pattern(1, 5)
-    assert transform(pattern, SigSim(Signature([1] * 5))) == pattern
-
-
-def test_transpose_involution():
-    pattern = family_pattern(2, 6)
-    assert transform(transform(pattern, Transpose()), Transpose()) == pattern
-
-
-def test_perm_sim_composition_law():
-    rng = random.Random(7)
-    pattern = family_pattern(3, 5)
-    for _ in range(25):
-        sigma = Permutation(rng.sample(range(5), 5))
-        tau = Permutation(rng.sample(range(5), 5))
-        via_two = transform(transform(pattern, PermSim(sigma)), PermSim(tau))
-        via_one = transform(pattern, PermSim(tau.compose(sigma)))
-        assert via_two == via_one
-
-
-def test_transforms_preserve_irreducibility():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        pattern = SignPattern(
-            [[rng.choice([P, M, Z, Z]) for _ in range(n)] for _ in range(n)]
-        )
-        ops = [
-            Transpose(),
-            PermSim(Permutation(rng.sample(range(n), n))),
-            SigSim(Signature([rng.choice([1, -1]) for _ in range(n)])),
-        ]
-        for op in ops:
-            assert is_irreducible(transform(pattern, op)) == is_irreducible(pattern)
-
-
-def test_dimension_mismatch_raises():
-    with pytest.raises(ValueError):
-        transform(family_pattern(1, 5), PermSim(Permutation([0, 1, 2])))
-    with pytest.raises(ValueError):
-        transform(family_pattern(1, 5), SigSim(Signature([1, -1])))
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Signature([1, 0])
-
-
-# -- equivalence search ----------------------------------------------------------
-
-
-def test_equivalence_to_flipped_arrow():
-    """The order-4 family-1 pattern is equivalent to its row/column sign flip."""
-    start = family_pattern(1, 4)
-    target_found = None
-    # search the group for an image with first column all + below the head
-    # and first row all - right of the head
-    witness = None
-    goal = None
-    n = 4
-    for sig in [Signature([-1, 1, 1, 1])]:
-        goal = transform(start, SigSim(sig))
-    assert [row[0] for row in goal.rows][1:] == [P, P, P]
-    assert list(goal.rows[0])[1:] == [M, M, M]
-    witness = find_equivalence(start, goal)
-    assert witness is not None
-    assert witness.apply(start) == goal
-
-
-def test_equivalence_of_inequivalent_patterns():
-    assert not are_equivalent(family_pattern(1, 4), family_pattern(2, 4))
-
-
-def test_equivalence_respects_order_limit():
-    with pytest.raises(ValueError):
-        find_equivalence(family_pattern(1, 6), family_pattern(1, 6))
-
-
-def test_equivalence_different_orders():
-    assert not are_equivalent(family_pattern(1, 4), family_pattern(1, 5))
 
 
 # -- sgn of matrix ---------------------------------------------------------------

@@ -1,0 +1,137 @@
+"""Re-derive the frozen 4x4 witness parameters in ``witness_fixtures.py``.
+
+Reruns the two seeded searches the fixtures came from and prints the
+resulting ``WITNESS_PARAMS`` table:
+
+* the open-condition inertias (0,4,0,0) and (2,2,0,0) by random search
+  over simple rational parameters (seed 20240 + i),
+* the imaginary-pair inertia (0,2,0,2) by coefficient matching (seed
+  977 + i),
+
+each with a budget of 200_000 draws.  Run from a checkout with
+
+    python tools/derive_witness_fixtures.py
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from refined_inertia.engine import RefinedInertia, refined_inertia_exact  # noqa: E402
+from refined_inertia.realization import (  # noqa: E402
+    ArrowMatrix,
+    arrow_char_poly,
+    family_index,
+)
+
+BUDGET = 200_000
+IMAGINARY_PAIR = RefinedInertia(0, 2, 0, 2)
+
+_FAMILY_A_SIGNS = {1: (1, -1, -1, -1), 2: (-1, -1, 1, 1), 3: (-1, 1, 1, -1)}
+
+
+def _simple_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+
+
+def search_4x4_witness(i: int, target: RefinedInertia, seed: int, budget: int) -> ArrowMatrix:
+    """Randomized search for a 4x4 family member with the given exact inertia.
+
+    Suitable for the open-condition inertias, where a positive-measure set
+    of parameters realizes the target.  Raises RuntimeError if the budget
+    runs out.
+    """
+    signs = _FAMILY_A_SIGNS[i]
+    rng = random.Random(seed)
+    for _ in range(budget):
+        b1 = _simple_fraction(rng)
+        b2 = _simple_fraction(rng)
+        if b1 == b2:
+            continue
+        if i == 3:
+            b2 = -b2
+        a = tuple(s * _simple_fraction(rng) for s in signs)
+        candidate = ArrowMatrix(a, (b1, b2))
+        if refined_inertia_exact(arrow_char_poly(candidate)) == target:
+            return candidate
+    raise RuntimeError(f"no ({target}) witness for family {i} within {budget} draws")
+
+
+def construct_imaginary_pair_witness(i: int, seed: int, budget: int) -> ArrowMatrix:
+    """Build a 4x4 family member with inertia (0, 2, 0, 2) by coefficient matching.
+
+    Targets char polys (x^2 + w)(x^2 + alpha*x + beta) with alpha, beta, w
+    positive rationals, whose roots are one imaginary pair plus a stable
+    quadratic.  The four spoke parameters solve the coefficient system
+    linearly once b1, b2, alpha, beta, w are drawn; draws are resampled
+    until the solution lands in the family's sign class.  This constructive
+    route is needed because the target inertia lies on a measure-zero
+    variety that random sampling cannot hit.
+    """
+    rng = random.Random(seed)
+    for _ in range(budget):
+        b1 = _simple_fraction(rng)
+        b2 = _simple_fraction(rng)
+        if i == 3:
+            b2 = -b2
+        if b1 == b2:
+            continue
+        alpha = _simple_fraction(rng)
+        beta = _simple_fraction(rng)
+        w = _simple_fraction(rng)
+        a1 = b1 + b2 - alpha
+        a2 = -beta * w / (b1 * b2)
+        spoke_sum = b1 * b2 - a1 * (b1 + b2) - a2 - (beta + w)
+        spoke_mix = -alpha * w - a1 * b1 * b2 - a2 * (b1 + b2)
+        a3 = (spoke_mix - spoke_sum * b1) / (b2 - b1)
+        a4 = (spoke_sum * b2 - spoke_mix) / (b2 - b1)
+        candidate = ArrowMatrix((a1, a2, a3, a4), (b1, b2))
+        if family_index(candidate.to_matrix()) != i:
+            continue
+        inertia = refined_inertia_exact(arrow_char_poly(candidate))
+        if inertia != IMAGINARY_PAIR:
+            raise RuntimeError(f"coefficient matching produced inertia {inertia}")
+        return candidate
+    raise RuntimeError(f"no (0,2,0,2) witness for family {i} within {budget} draws")
+
+
+def _as_strings(arrow: ArrowMatrix) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(str(x) for x in arrow.a), tuple(str(x) for x in arrow.b)
+
+
+def derive_witness_params() -> dict:
+    """The WITNESS_PARAMS table, recomputed from the seeds above."""
+    params = {}
+    for i in (1, 2, 3):
+        stable = search_4x4_witness(i, RefinedInertia(0, 4, 0, 0), 20240 + i, BUDGET)
+        pair = construct_imaginary_pair_witness(i, 977 + i, BUDGET)
+        unstable = search_4x4_witness(i, RefinedInertia(2, 2, 0, 0), 20240 + i, BUDGET)
+        params[i] = {
+            (0, 4, 0, 0): _as_strings(stable),
+            (0, 2, 0, 2): _as_strings(pair),
+            (2, 2, 0, 0): _as_strings(unstable),
+        }
+    return params
+
+
+def main() -> None:
+    print("WITNESS_PARAMS = {")
+    for i, table in derive_witness_params().items():
+        print(f"    {i}: {{")
+        for key, (a, b) in table.items():
+            print(f"        {key}: ({_quoted(a)}, {_quoted(b)}),")
+        print("    },")
+    print("}")
+
+
+def _quoted(values: tuple[str, ...]) -> str:
+    return "(" + ", ".join(f'"{v}"' for v in values) + ")"
+
+
+if __name__ == "__main__":
+    main()
