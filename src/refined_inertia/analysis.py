@@ -19,10 +19,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .engine import (
-    EigenSolverError,
     InternalCheckError,
     RefinedInertia,
-    _numeric_inertia_flagged,
     arrow_shift_det,
     char_poly,
     refined_inertia_exact,
@@ -229,11 +227,11 @@ def _sample_seed(base: int, index: int) -> int:
 def _exact_inertia(matrix: RationalMatrix) -> RefinedInertia:
     """Exact inertia, through the arrowhead closed form when the matrix is family-class.
 
-    The diagonal similarity onto arrow form preserves the characteristic
-    polynomial exactly, and the spoke expansion is quadratic instead of
-    quartic in the order, which matters inside the falsifier's escalation
-    path.  to_arrow_form classifies the sign pattern, so it is classified
-    once per call.
+    This is how the falsifier classifies every sample.  The diagonal
+    similarity onto arrow form preserves the characteristic polynomial
+    exactly, and the spoke expansion is quadratic instead of quartic in the
+    order; other matrices go through the generic char_poly.  to_arrow_form
+    classifies the sign pattern, so it is classified once per call.
     """
     try:
         arrow = to_arrow_form(matrix)
@@ -248,15 +246,9 @@ def _falsify_chunk(args) -> tuple[dict, tuple[int, RationalMatrix] | None]:
     first_outside: tuple[int, RationalMatrix] | None = None
     for k in range(start, start + count):
         sample = sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k)))
-        try:
-            inertia, near_axis = _numeric_inertia_flagged(sample)
-            suspicious = near_axis or inertia not in members
-        except EigenSolverError:
-            inertia, suspicious = None, True
-        if suspicious:
-            inertia = _exact_inertia(sample)
-            if inertia not in members and first_outside is None:
-                first_outside = (k, sample)
+        inertia = _exact_inertia(sample)
+        if inertia not in members and first_outside is None:
+            first_outside = (k, sample)
         histogram[inertia] += 1
     return dict(histogram), first_outside
 
@@ -311,11 +303,10 @@ def falsify_requires(
 ) -> AnalysisReport:
     """Sample Q(pattern) and hunt for a certified inertia outside the target set.
 
-    Classification is numeric-first; any sample whose tuple falls outside
-    the target set or within ten axis tolerances of an axis is re-run
-    through the exact engine, so every outside verdict is certified.  The
-    sample multiset is a pure function of (pattern, budget, seed),
-    independent of the job count.
+    Every sample is classified by the exact engine, so every histogram
+    entry, and every outside verdict, is certified.  The sample multiset is
+    a pure function of (pattern, budget, seed), independent of the job
+    count.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")

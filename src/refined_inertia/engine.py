@@ -9,9 +9,10 @@ polynomial's spectrum into four certified counts:
   over the real line (the generalized Routh-Hurwitz count, computed with
   Sturm-type remainder chains so singular cases need no epsilon shifts).
 
-The numeric path is a dense eigensolve with a relative axis tolerance and
-exists for speed and cross-validation; on any disagreement near the axis
-the exact engine is the ground truth.
+The numeric path is a dense eigensolve with a relative axis tolerance.  It
+serves matrices with float entries (``riq inertia --numeric``) and the
+exact/numeric cross-validation; the falsifier classifies every sample
+exactly, and on any disagreement the exact engine is the ground truth.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .ratpoly import (
     RationalPoly,
-    as_fraction,
+    as_ratio,
     cauchy_index_line,
     even_odd_split,
     imaginary_axis_parts,
@@ -33,7 +34,7 @@ from .ratpoly import (
     poly_gcd,
     strip_zero_roots,
 )
-from .realization import ArrowMatrix, to_rational_matrix
+from .realization import ArrowMatrix
 
 # Relative axis tolerance of the numeric classifier.
 _AXIS_EPS = 1e-9
@@ -93,43 +94,52 @@ def _to_float_array(matrix: Sequence[Sequence]) -> np.ndarray:
     return arr
 
 
+def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those lcms; floats are rejected."""
+    rows, dens = [], []
+    for row in matrix:
+        ratios = [as_ratio(x) for x in row]
+        den = math.lcm(*(d for _, d in ratios))
+        rows.append([num * (den // d) for num, d in ratios])
+        dens.append(den)
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and nonempty")
+    return rows, dens
+
+
 def char_poly(matrix: Sequence[Sequence]) -> RationalPoly:
     """Monic characteristic polynomial det(xI - B) with exact rational coefficients.
 
-    Faddeev-LeVerrier recursion; cubic-per-step cost is irrelevant at the
-    orders this library targets.
+    With B = A / L over the common denominator L, det(xI - B) is
+    L**-n * det(LxI - A), and det(yI - A) comes from Berkowitz's
+    division-free recurrence over the integers: bordering the leading
+    k x k block M by column c, row r and corner a multiplies its
+    characteristic polynomial by the lower-triangular Toeplitz matrix with
+    first column (1, -a, -r c, -r M c, ..., -r M^(k-1) c).
     """
-    B = to_rational_matrix(matrix)
-    n = len(B)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    for k in range(1, n + 1):
-        AM = tuple(
-            tuple(sum(B[i][t] * M[t][j] for t in range(n)) for j in range(n)) for i in range(n)
-        )
-        c = -Fraction(sum(AM[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-        if k < n:
-            M = tuple(
-                tuple(AM[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-            )
-    return RationalPoly(coeffs)
+    rows, dens = _integer_rows(matrix)
+    common = math.lcm(*dens)
+    A = [[x * (common // d) for x in row] for row, d in zip(rows, dens)]
+    poly = [1]  # det(yI - M) for the leading block, highest power first
+    for k in range(len(A)):
+        block = [A[i][:k] for i in range(k)]
+        col = [A[i][k] for i in range(k)]
+        toeplitz = [1, -A[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * y for x, y in zip(A[k], col)))
+            col = [sum(x * y for x, y in zip(row, col)) for row in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    n = len(A)
+    return RationalPoly.from_ints(
+        [c * common**k for k, c in enumerate(reversed(poly))], common**n
+    )
 
 
 def det_rational(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination on a scaled integer copy."""
-    B = to_rational_matrix(matrix)
-    n = len(B)
-    scale = Fraction(1)
-    rows: list[list[int]] = []
-    for row in B:
-        den_lcm = 1
-        for x in row:
-            den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
-        scale *= den_lcm
-        rows.append([int(x * den_lcm) for x in row])
-
+    """Exact determinant via fraction-free Bareiss elimination on the integer rows."""
+    rows, dens = _integer_rows(matrix)
+    n = len(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -145,7 +155,7 @@ def det_rational(matrix: Sequence[Sequence]) -> Fraction:
                 rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
             rows[i][k] = 0
         prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+    return Fraction(sign * rows[n - 1][n - 1], math.prod(dens))
 
 
 def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
@@ -214,7 +224,10 @@ def _numeric_inertia_flagged(
 ) -> tuple[RefinedInertia, bool]:
     A = _to_float_array(matrix)
     n = A.shape[0]
-    scale = float(np.abs(A).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(A).sum(axis=1).max())
+    if not math.isfinite(scale):
+        raise OverflowError("a row sum of absolute values overflows")
     if scale == 0.0:
         return RefinedInertia(0, 0, n, 0), True
     try:
@@ -243,17 +256,11 @@ def refined_inertia_numeric(
 def count_eigen_re_leq(matrix: Sequence[Sequence], r) -> int:
     """Number of eigenvalues with real part <= -r, with multiplicity, exactly.
 
-    Shifts the spectrum by r and reads the count off the exact refined
-    inertia of rI + B: everything strictly left of the new axis plus
-    everything exactly on it.
+    Shifts the spectrum by r (the characteristic polynomial of rI + B is
+    p(x - r)) and reads the count off its exact refined inertia: everything
+    strictly left of the new axis plus everything exactly on it.
     """
-    B = to_rational_matrix(matrix)
-    rf = as_fraction(r)
-    n = len(B)
-    shifted = tuple(
-        tuple(B[i][j] + (rf if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    inertia = refined_inertia_exact(char_poly(shifted))
+    inertia = refined_inertia_exact(char_poly(matrix).taylor_shift(-r))
     return inertia.n_minus + inertia.n_zero + inertia.two_n_p
 
 

@@ -1,115 +1,137 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are stored ascending, so ``coeffs[k]`` multiplies ``x**k``.
-The zero polynomial has an empty coefficient tuple.  Everything in this
-module is pure :class:`fractions.Fraction` arithmetic; floats are rejected
-so that every count and sign produced here is certifiable.
+A polynomial is stored as integer coefficients over one positive common
+denominator, ``num[k] / den`` multiplying ``x**k``, kept canonical (no
+trailing zero coefficients, gcd of den and every coefficient 1) so that
+equality and hashing are exact.  The zero polynomial is ``num == ()``,
+``den == 1``.  Every algorithm here works on the integers directly;
+:class:`fractions.Fraction` appears only where rationals cross the API
+(the constructor, ``coeffs``, ``leading``, ``constant``, ``evaluate``),
+and floats are rejected so that every count and sign is certifiable.
 
 Beyond the ring operations, this module provides the root-counting
 machinery used by the inertia engine: Sturm chains, Yun squarefree
 decomposition, and the Cauchy index of a rational function over the whole
-real line.
+real line.  Multiplying by a positive constant keeps every root and every
+sign count, so the chains and gcds run on primitive integer coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction | int
 
 
-def as_fraction(value: Rational) -> Fraction:
-    """Coerce an int or Fraction to Fraction, rejecting floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def as_ratio(value: Rational) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int or Fraction, rejecting floats."""
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value.numerator, value.denominator
     raise TypeError(f"exact arithmetic requires int or Fraction, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Univariate polynomial with exact rational coefficients, ascending order."""
+    """Univariate polynomial num / den, integer coefficients ascending."""
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        normalized = [as_fraction(c) for c in coeffs]
-        while normalized and normalized[-1] == 0:
-            normalized.pop()
-        object.__setattr__(self, "coeffs", tuple(normalized))
+        ratios = [as_ratio(c) for c in coeffs]
+        den = lcm(*(d for _, d in ratios))
+        self._set([n * (den // d) for n, d in ratios], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        _strip(num)
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num) if num else den
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def from_ints(cls, num: Iterable[int], den: int = 1) -> "RationalPoly":
+        """The polynomial sum(num[k] * x**k) / den, for integers num and den != 0."""
+        p = object.__new__(cls)
+        p._set(list(num), den)
+        return p
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     @property
     def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0] if self.num else 0, self.den)
 
     @classmethod
     def zero(cls) -> "RationalPoly":
-        return cls(())
+        return cls.from_ints(())
 
     @classmethod
     def one(cls) -> "RationalPoly":
-        return cls((1,))
+        return cls.from_ints((1,))
 
     @classmethod
     def variable(cls) -> "RationalPoly":
-        return cls((0, 1))
+        return cls.from_ints((0, 1))
 
     @classmethod
     def from_roots(cls, roots: Iterable[Rational]) -> "RationalPoly":
         """Monic polynomial with the given rational roots (with multiplicity)."""
         p = cls.one()
         for r in roots:
-            p = p * cls((-as_fraction(r), 1))
+            p = p * (cls.variable() - cls((r,)))
         return p
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.num]
+        b = [c * (den // other.den) for c in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for k, c in enumerate(b):
-            out[k] += c
-        return RationalPoly(out)
+            a[k] += c
+        return RationalPoly.from_ints(a, den)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs))
+        return RationalPoly.from_ints([-c for c in self.num], self.den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        if self.is_zero or other.is_zero:
-            return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
+        out = [0] * max(len(self.num) + len(other.num) - 1, 0)
+        for i, x in enumerate(self.num):
+            for j, y in enumerate(other.num):
+                out[i + j] += x * y
+        return RationalPoly.from_ints(out, self.den * other.den)
 
     def __pow__(self, exponent: int) -> "RationalPoly":
         if exponent < 0:
@@ -119,76 +141,115 @@ class RationalPoly:
             result = result * self
         return result
 
-    def scale(self, factor: Rational) -> "RationalPoly":
-        f = as_fraction(factor)
-        return RationalPoly(tuple(c * f for c in self.coeffs))
-
     def __divmod__(self, divisor: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        dn = len(dc)
-        lead_inv = 1 / dc[-1]
-        quo = [Fraction(0)] * max(len(rem) - dn + 1, 0)
-        for top in range(len(rem) - 1, dn - 2, -1):
-            factor = rem[top] * lead_inv
-            if factor == 0:
-                continue
-            quo[top - dn + 1] = factor
-            for k in range(dn):
-                rem[top - dn + 1 + k] -= factor * dc[k]
-        return RationalPoly(quo), RationalPoly(rem[: dn - 1])
-
-    def divides_exactly(self, divisor: "RationalPoly") -> "RationalPoly":
-        """Quotient self / divisor, raising if the division leaves a remainder."""
-        quo, rem = divmod(self, divisor)
-        if not rem.is_zero:
-            raise ValueError("division is not exact")
-        return quo
+        # m * num = q * divisor.num + r, and divisor = divisor.num / divisor.den
+        q, r, m = _pseudo_divmod(self.num, divisor.num)
+        quotient = RationalPoly.from_ints([c * divisor.den for c in q], m * self.den)
+        return quotient, RationalPoly.from_ints(r, m * self.den)
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return RationalPoly.from_ints(_derivative(self.num), self.den)
 
     def evaluate(self, x: Rational) -> Fraction:
-        xf = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * xf + c
-        return acc
+        s, t = as_ratio(x)
+        return Fraction(_homogeneous_value(self.num, s, t), self.den * t ** max(self.degree, 0))
 
     def monic(self) -> "RationalPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.leading
-        if lead == 1:
-            return self
-        return self.scale(1 / lead)
+        return RationalPoly.from_ints(self.num, self.num[-1])
 
     def taylor_shift(self, c: Rational) -> "RationalPoly":
-        """Return p(x + c), computed by Horner composition."""
-        cf = as_fraction(c)
-        acc: list[Fraction] = []
-        for a in reversed(self.coeffs):
-            # acc <- acc * (x + c) + a
-            out = [Fraction(0)] * (len(acc) + 1)
+        """Return p(x + c), by Horner composition in t * x + s for c = s / t.
+
+        The accumulator holds t**k times the partial sum, so every step stays
+        in the integers; the result is rescaled by t**degree at the end.
+        """
+        s, t = as_ratio(c)
+        acc: list[int] = []
+        tpow = 1
+        for a in reversed(self.num):
+            # acc <- acc * (t*x + s) + a * t**k
+            out = [0] * (len(acc) + 1)
             for k, v in enumerate(acc):
-                out[k + 1] += v
-                out[k] += v * cf
-            out[0] += a
+                out[k + 1] += v * t
+                out[k] += v * s
+            out[0] += a * tpow
             acc = out
-        return RationalPoly(acc)
+            tpow *= t
+        return RationalPoly.from_ints(acc, self.den * t ** max(self.degree, 0))
 
-    # -- serialization ---------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"coeffs": [[c.numerator, c.denominator] for c in self.coeffs]}
+# -- integer coefficient lists ------------------------------------------
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalPoly":
-        return cls(Fraction(num, den) for num, den in data["coeffs"])
+
+def _strip(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """Divide out the positive content; signs, roots and sign counts are kept."""
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else list(coeffs)
+
+
+def _derivative(coeffs: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(coeffs) if k > 0]
+
+
+def _homogeneous_value(coeffs: Sequence[int], s: int, t: int) -> int:
+    """t**degree * p(s / t), by Horner's rule in the integers."""
+    acc = 0
+    tpow = 1
+    for c in reversed(coeffs):
+        acc = acc * s + c * tpow
+        tpow *= t
+    return acc
+
+
+def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m * f = q * g + r, deg r < deg g and m a power of lead(g)."""
+    r = list(f)
+    lead = g[-1]
+    dg = len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    m = 1
+    while len(r) > dg:
+        top = r.pop()
+        if top == 0:
+            continue
+        k = len(r) - dg
+        if lead != 1:
+            r = [c * lead for c in r]
+            q = [c * lead for c in q]
+            m *= lead
+        q[k] = top
+        for i in range(dg):
+            r[k + i] -= top * g[i]
+    return q, _strip(r), m
+
+
+def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g for a primitive g dividing f; by Gauss's lemma the quotient is integral."""
+    q, r, m = _pseudo_divmod(f, g)
+    if r:
+        raise ValueError("division is not exact")
+    return [c // m for c in q]
+
+
+def _gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive greatest common divisor by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(f), _primitive(g)
+    while b:
+        _, rem, _ = _pseudo_divmod(a, b)
+        a, b = b, _primitive(rem)
+    return a
 
 
 # -- gcd, squarefree structure -----------------------------------------
@@ -200,14 +261,8 @@ def poly_gcd(f: RationalPoly, g: RationalPoly) -> RationalPoly:
     Computed as a primitive pseudo-remainder sequence over the integers,
     which avoids rational coefficient blowup mid-chain.
     """
-    a = _primitive_int_coeffs(f) if not f.is_zero else []
-    b = _primitive_int_coeffs(g) if not g.is_zero else []
-    while b:
-        rem, _ = _int_pseudo_rem(a, b)
-        a, b = b, _int_primitive(rem)
-    if not a:
-        return RationalPoly.zero()
-    return RationalPoly(a).monic()
+    a = _gcd(f.num, g.num)
+    return RationalPoly.from_ints(a, a[-1] if a else 1)
 
 
 def squarefree_decomposition(p: RationalPoly) -> list[tuple[RationalPoly, int]]:
@@ -215,26 +270,25 @@ def squarefree_decomposition(p: RationalPoly) -> list[tuple[RationalPoly, int]]:
 
     The product of factor**multiplicity over the result equals p up to the
     leading coefficient.  Constant polynomials decompose to an empty list.
+    Every gcd is primitive, so every division stays in the integers.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
-    if p.degree == 0:
-        return []
-    p = p.monic()
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    w = p.divides_exactly(g)
-    y = dp.divides_exactly(g)
-    z = y - w.derivative()
     factors: list[tuple[RationalPoly, int]] = []
+    if p.degree == 0:
+        return factors
+    w = _primitive(p.num)
+    g = _gcd(w, _derivative(w))
+    y = _exact_quotient(_derivative(w), g)
+    w = _exact_quotient(w, g)
     k = 1
-    while w.degree > 0:
-        gk = poly_gcd(w, z)
-        if gk.degree > 0:
-            factors.append((gk, k))
-        w = w.divides_exactly(gk)
-        y = z.divides_exactly(gk)
-        z = y - w.derivative()
+    while len(w) > 1:
+        z = _strip([a - b for a, b in zip_longest(y, _derivative(w), fillvalue=0)])
+        gk = _gcd(w, z)
+        if len(gk) > 1:
+            factors.append((RationalPoly.from_ints(gk, gk[-1]), k))
+        w = _exact_quotient(w, gk)
+        y = _exact_quotient(z, gk)
         k += 1
     return factors
 
@@ -244,87 +298,27 @@ def strip_zero_roots(p: RationalPoly) -> tuple[int, RationalPoly]:
     if p.is_zero:
         raise ValueError("zero polynomial")
     k = 0
-    while p.coeffs[k] == 0:
+    while p.num[k] == 0:
         k += 1
-    return k, RationalPoly(p.coeffs[k:])
+    return k, RationalPoly.from_ints(p.num[k:], p.den)
 
 
 def even_odd_split(p: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
     """Write p(x) = E(x**2) + x*O(x**2) and return (E, O)."""
-    return RationalPoly(p.coeffs[0::2]), RationalPoly(p.coeffs[1::2])
+    return RationalPoly.from_ints(p.num[0::2], p.den), RationalPoly.from_ints(p.num[1::2], p.den)
 
 
 def imaginary_axis_parts(p: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
     """Real and imaginary parts of w -> p(i*w) as real polynomials in w."""
-    re = [Fraction(0)] * len(p.coeffs)
-    im = [Fraction(0)] * len(p.coeffs)
-    for k, c in enumerate(p.coeffs):
-        r = k % 4
-        if r == 0:
-            re[k] = c
-        elif r == 1:
-            im[k] = c
-        elif r == 2:
-            re[k] = -c
-        else:
-            im[k] = -c
-    return RationalPoly(re), RationalPoly(im)
+    re = [c if k % 4 == 0 else -c if k % 4 == 2 else 0 for k, c in enumerate(p.num)]
+    im = [c if k % 4 == 1 else -c if k % 4 == 3 else 0 for k, c in enumerate(p.num)]
+    return RationalPoly.from_ints(re, p.den), RationalPoly.from_ints(im, p.den)
 
 
 # -- sign sequences and Sturm machinery ---------------------------------
 
 
-def _primitive_int_coeffs(p: RationalPoly) -> list[int]:
-    """Integer coefficients after dividing by the positive rational content.
-
-    Scaling by a positive constant keeps every sign evaluation intact, and
-    coprime integer coefficients keep remainder chains from accumulating
-    giant numerators and denominators.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.coeffs:
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    return [int(c * den_lcm) // num_gcd for c in p.coeffs]
-
-
-def _int_strip(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _int_primitive(coeffs: list[int]) -> list[int]:
-    content = 0
-    for c in coeffs:
-        content = _int_gcd(content, c)
-    return [c // content for c in coeffs] if content > 1 else coeffs
-
-
-def _int_pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], int]:
-    """Pseudo-remainder of integer polynomials and the sign of its multiplier.
-
-    Returns (r, s) with r = m * rem(f, g) for some constant m whose sign is
-    s, using only integer arithmetic.
-    """
-    r = list(f)
-    lead = g[-1]
-    dg = len(g) - 1
-    steps = 0
-    while r and len(r) - 1 >= dg:
-        top = r.pop()
-        if top == 0:
-            continue
-        r = [c * lead for c in r]
-        for k in range(dg):
-            r[len(r) - dg + k] -= top * g[k]
-        steps += 1
-    sign = -1 if (lead < 0 and steps % 2 == 1) else 1
-    return _int_strip(r), sign
-
-
-def remainder_chain(f0: RationalPoly, f1: RationalPoly) -> list[RationalPoly]:
+def _remainder_chain(f0: Sequence[int], f1: Sequence[int]) -> list[list[int]]:
     """Generalized Sturm chain built from negated Euclidean remainders.
 
     Each element is a positive constant multiple of the exact remainder
@@ -332,21 +326,16 @@ def remainder_chain(f0: RationalPoly, f1: RationalPoly) -> list[RationalPoly]:
     scaling leaves every sign evaluation (and hence every variation count)
     unchanged.
     """
-    if f0.is_zero:
-        raise ValueError("chain head must be nonzero")
-    chain_int = [_primitive_int_coeffs(f0)]
-    if f1.is_zero:
-        return [RationalPoly(chain_int[0])]
-    chain_int.append(_primitive_int_coeffs(f1))
-    while True:
-        rem, mult_sign = _int_pseudo_rem(chain_int[-2], chain_int[-1])
+    chain = [_primitive(f0)]
+    if f1:
+        chain.append(_primitive(f1))
+    while len(chain) > 1:
+        _, rem, m = _pseudo_divmod(chain[-2], chain[-1])
         if not rem:
             break
-        # want a positive multiple of -rem(f, g): flip by the multiplier sign
-        if mult_sign > 0:
-            rem = [-c for c in rem]
-        chain_int.append(_int_primitive(rem))
-    return [RationalPoly(c) for c in chain_int]
+        # rem = m * rem(f, g); keep a positive multiple of -rem(f, g)
+        chain.append(_primitive([-c for c in rem] if m > 0 else rem))
+    return chain
 
 
 def sign_variations(signs: Sequence[int]) -> int:
@@ -355,20 +344,15 @@ def sign_variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(filtered, filtered[1:]) if a * b < 0)
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _signs_at(chain: Sequence[RationalPoly], x: Rational) -> list[int]:
-    return [_sign(p.evaluate(x)) for p in chain]
-
-
-def _signs_at_pos_inf(chain: Sequence[RationalPoly]) -> list[int]:
-    return [_sign(p.leading) for p in chain]
-
-
-def _signs_at_neg_inf(chain: Sequence[RationalPoly]) -> list[int]:
-    return [_sign(p.leading) * (-1) ** (p.degree % 2) for p in chain]
+def _signs_at(chain: Sequence[Sequence[int]], x: tuple[int, int] | None, side: int) -> list[int]:
+    """Signs of the chain at x = (s, t) meaning s / t, or at side * infinity if x is None."""
+    if x is None:
+        return [_sign(f[-1]) * side ** (len(f) - 1) for f in chain]
+    return [_sign(_homogeneous_value(f, *x)) for f in chain]
 
 
 def count_real_roots(
@@ -384,13 +368,12 @@ def count_real_roots(
         raise ValueError("root counting needs a nonzero polynomial")
     if p.degree == 0:
         return 0
-    for bound in (lower, upper):
-        if bound is not None and p.evaluate(bound) == 0:
+    lo, hi = (None if x is None else as_ratio(x) for x in (lower, upper))
+    for bound in (lo, hi):
+        if bound is not None and _homogeneous_value(p.num, *bound) == 0:
             raise ValueError("interval endpoint is a root; shrink the interval")
-    chain = remainder_chain(p, p.derivative())
-    lo = _signs_at_neg_inf(chain) if lower is None else _signs_at(chain, lower)
-    hi = _signs_at_pos_inf(chain) if upper is None else _signs_at(chain, upper)
-    return sign_variations(lo) - sign_variations(hi)
+    chain = _remainder_chain(p.num, _derivative(p.num))
+    return sign_variations(_signs_at(chain, lo, -1)) - sign_variations(_signs_at(chain, hi, 1))
 
 
 def negative_root_count_with_multiplicity(p: RationalPoly) -> int:
@@ -417,5 +400,5 @@ def cauchy_index_line(f0: RationalPoly, f1: RationalPoly) -> int:
         raise ValueError("denominator polynomial is zero")
     if f1.is_zero:
         return 0
-    chain = remainder_chain(f0, f1)
-    return sign_variations(_signs_at_neg_inf(chain)) - sign_variations(_signs_at_pos_inf(chain))
+    chain = _remainder_chain(f0.num, f1.num)
+    return sign_variations(_signs_at(chain, None, -1)) - sign_variations(_signs_at(chain, None, 1))

@@ -18,9 +18,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
-from .ratpoly import RationalPoly, as_fraction
+from .ratpoly import Rational, RationalPoly, as_ratio
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+def as_fraction(value: Rational) -> Fraction:
+    """Coerce an int or Fraction to Fraction, rejecting floats."""
+    return value if isinstance(value, Fraction) else Fraction(*as_ratio(value))
 
 
 def to_rational_matrix(matrix: Sequence[Sequence]) -> RationalMatrix:
@@ -93,25 +98,31 @@ def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
                   - a2 * prod_j (x + b_j)
                   - sum_j a_{j+2} * x * prod_{m != j} (x + b_m)
 
-    This is an O(n^2) closed form; tests pin it against the generic
-    Faddeev-LeVerrier route.
+    With b_j = p_j / q_j, each x + b_j is (q_j x + p_j) / q_j, so the spoke
+    products are integer polynomials, and the a_k are brought over their
+    common denominator; one RationalPoly is built at the end.  This is an
+    O(n^2) closed form; tests pin it against the generic Berkowitz route.
     """
-    x = RationalPoly.variable()
-    linear = [RationalPoly((bj, 1)) for bj in arrow.b]
-    k = len(linear)
-    prefix = [RationalPoly.one()]
-    for f in linear:
-        prefix.append(prefix[-1] * f)
-    suffix = [RationalPoly.one()]
-    for f in reversed(linear):
-        suffix.append(suffix[-1] * f)
-    suffix.reverse()
-    full = prefix[k]
-    p = RationalPoly((-arrow.a[0], 1)) * x * full - full.scale(arrow.a[1])
-    for j in range(k):
-        partial = prefix[j] * suffix[j + 1]
-        p = p - (x * partial).scale(arrow.a[j + 2])
-    return p
+    spokes = [(b.numerator, b.denominator) for b in arrow.b]
+    full = [1]  # prod_j (q_j x + p_j)
+    for p, q in spokes:
+        full = [p * lo + q * hi for lo, hi in zip(full + [0], [0] + full)]
+    common = math.lcm(*(x.denominator for x in arrow.a))
+    a = [x.numerator * (common // x.denominator) for x in arrow.a]
+    # x * (common * x - a_1) * full - a_2 * full
+    num = [0] + [common * hi - a[0] * lo for lo, hi in zip(full + [0], [0] + full)]
+    for k, c in enumerate(full):
+        num[k] -= a[1] * c
+    for j, (p, q) in enumerate(spokes):
+        # full / (q x + p), the product of the other spokes, by synthetic division
+        rest = list(full)
+        partial = [0] * (len(full) - 1)
+        for k in range(len(partial) - 1, -1, -1):
+            partial[k] = rest[k + 1] // q
+            rest[k] -= p * partial[k]
+        for k, c in enumerate(partial):
+            num[k + 1] -= a[j + 2] * q * c
+    return RationalPoly.from_ints(num, common * full[-1])
 
 
 def family_index(matrix: Sequence[Sequence]) -> int | None:

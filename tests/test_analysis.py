@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from refined_inertia.analysis import (
     AnalysisReport,
     Verdict,
+    _sample_seed,
     canonical_dumps,
     falsify_requires,
     find_4x4_witnesses,
@@ -129,6 +131,23 @@ class TestFalsifier:
         hn = hn_set(5)
         assert all(ri in hn for ri, _ in report.histogram)
         assert sum(c for _, c in report.histogram) == 200
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6)] + [ALL_PLUS_4],
+        ids=[f"family-{i}-order-{n}" for i in (1, 2, 3) for n in (4, 5, 6)] + ["all-plus-4"],
+    )
+    def test_histogram_is_the_exact_classification(self, pattern):
+        # Every sample is certified: the histogram is the Counter of the exact
+        # inertias, through the generic char_poly, of the same seeded samples.
+        cfg = RealizationConfig(seed=29)
+        report = falsify_requires(pattern, 60, cfg)
+        samples = (
+            sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k)))
+            for k in range(60)
+        )
+        expected = Counter(refined_inertia_exact(char_poly(sample)) for sample in samples)
+        assert dict(report.histogram) == expected
 
     def test_all_plus_counterexample(self):
         report = falsify_requires(ALL_PLUS_4, 150, RealizationConfig(seed=41))

@@ -49,18 +49,22 @@ def test_family_json_output(capsys):
 
 def test_family_bad_order_is_usage_error(capsys):
     assert main(["family", "-i", "1", "-n", "3"]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_unknown_subcommand_exits_1():
+def test_unknown_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["not-a-command"])
     assert info.value.code == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_bad_family_choice_exits_1():
+def test_bad_family_choice_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["family", "-i", "9", "-n", "4"])
     assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["riq family: error: argument -i/--family: invalid choice: 9 (choose from 1, 2, 3)"]
 
 
 def test_inertia_exact(tmp_path, capsys):
@@ -154,6 +158,7 @@ def test_lemmas_all_pass_exit_0(capsys):
 
 def test_lemmas_usage_guard(capsys):
     assert main(["lemmas", "-i", "2", "-n", "3", "--samples", "5"]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_analyze_table(capsys):
@@ -168,8 +173,11 @@ def test_analyze_table(capsys):
 
 
 def test_analyze_bad_range(capsys):
-    assert main(["analyze", "-i", "1", "--n-range", "8", "--budget", "10"]) == EXIT_USAGE
-    assert main(["analyze", "-i", "1", "--n-range", "5..4", "--budget", "10"]) == EXIT_USAGE
+    for n_range in ("8", "5..4"):
+        assert main(["analyze", "-i", "1", "--n-range", n_range, "--budget", "10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 MALFORMED_MATRICES = {
@@ -183,9 +191,11 @@ MALFORMED_MATRICES = {
     "three-element-entry": '{"n": 1, "entries": [[1, 2, 3]]}',
     "truncated-json": '{"n": 1, "entries": [[1',
     "deeply-nested": "[" * 100_000 + "]" * 100_000,
+    "row-sum-overflow": json.dumps({"n": 3, "entries": [1e308, -1e308, 1e308] * 3}),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
 @pytest.mark.parametrize("mode", [[], ["--exact"], ["--numeric"]], ids=["auto", "exact", "numeric"])
 def test_inertia_malformed_matrix_exits_2(tmp_path, capsys, text, mode):
@@ -216,7 +226,9 @@ def test_usage_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv):
         paths[name].write_text(text)
     monkeypatch.setenv("RI_SEED", "abc" if argv[0] == "lemmas" else "0")
     assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 # -- mangled input files -------------------------------------------------------

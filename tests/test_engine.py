@@ -1,7 +1,7 @@
 """Engine tests: characteristic polynomials, exact and numeric refined inertias.
 
 The char-poly oracle here is a cofactor expansion over polynomial entries,
-computed independently of the Faddeev-LeVerrier route under test; numeric
+computed independently of the Berkowitz route under test; numeric
 expectations come from numpy eigenvalues on fixtures whose spectra are far
 from the axes.
 """
@@ -32,6 +32,11 @@ from refined_inertia.realization import (
     to_arrow_form,
 )
 from refined_inertia.patterns import family_pattern
+
+positive_rationals = st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7)
+nonzero_rationals = st.builds(
+    lambda r, negative: -r if negative else r, positive_rationals, st.booleans()
+)
 
 
 def cofactor_char_poly(matrix):
@@ -136,7 +141,7 @@ class TestExactInertia:
             refined_inertia_exact(RationalPoly.zero())
 
     def test_non_monic_normalized(self):
-        p = RationalPoly.from_roots([-1, -4]).scale(-3)
+        p = RationalPoly.from_roots([-1, -4]) * RationalPoly((-3,))
         assert refined_inertia_exact(p) == RefinedInertia(0, 2, 0, 0)
 
     def test_imaginary_pair_with_multiplicity(self):
@@ -146,6 +151,49 @@ class TestExactInertia:
     def test_symmetric_irrational_quadruple(self):
         # x^4 - 2 has one positive, one negative, one imaginary pair
         assert refined_inertia_exact(RationalPoly((-2, 0, 0, 0, 1))) == RefinedInertia(1, 1, 0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                nonzero_rationals.map(lambda r: ("real", r)),
+                st.integers(min_value=1, max_value=3).map(lambda k: ("zero", k)),
+                st.tuples(positive_rationals, st.integers(min_value=1, max_value=2)).map(
+                    lambda cm: ("axis", cm)
+                ),
+                st.tuples(nonzero_rationals, positive_rationals).map(lambda ab: ("complex", ab)),
+                positive_rationals.map(lambda c: ("plus_minus", c)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        nonzero_rationals,
+    )
+    def test_known_root_multisets(self, factors, lead):
+        # Each factor's roots are known by construction, so the expected
+        # counts do not depend on the engine under test.
+        p = RationalPoly((lead,))
+        counts = [0, 0, 0, 0]  # n_plus, n_minus, n_zero, two_n_p
+        for kind, data in factors:
+            if kind == "real":  # x - r
+                p = p * RationalPoly((-data, 1))
+                counts[0 if data > 0 else 1] += 1
+            elif kind == "zero":  # x^k
+                p = p * RationalPoly((0,) * data + (1,))
+                counts[2] += data
+            elif kind == "axis":  # (x^2 + c)^m: roots +-i*sqrt(c), m times
+                c, m = data
+                p = p * RationalPoly((c, 0, 1)) ** m
+                counts[3] += 2 * m
+            elif kind == "complex":  # x^2 - 2*alpha*x + alpha^2 + beta^2: alpha +- i*beta
+                alpha, beta = data
+                p = p * RationalPoly((alpha**2 + beta**2, -2 * alpha, 1))
+                counts[0 if alpha > 0 else 1] += 2
+            else:  # x^2 - c: roots +-sqrt(c)
+                p = p * RationalPoly((-data, 0, 1))
+                counts[0] += 1
+                counts[1] += 1
+        assert refined_inertia_exact(p).as_tuple() == tuple(counts)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -193,8 +193,3 @@ class TestCauchyIndex:
         f0 = poly(0, 1, 0, -1)  # w - w^3 = -w(w^2 - 1)
         f1 = poly(-1, 0, 1)  # w^2 - 1
         assert cauchy_index_line(f0, f1) == -1
-
-
-def test_json_roundtrip():
-    p = poly(Fraction(1, 3), -2, Fraction(7, 5))
-    assert RationalPoly.from_json(p.to_json()) == p
