@@ -103,14 +103,15 @@ class WitnessSuite:
 
 def _certified_witness(i: int, n: int, arrow: ArrowMatrix, expected: RefinedInertia) -> None:
     if sgn_of_matrix(arrow.to_matrix()) != family_pattern(i, n):
-        raise WitnessCertificationError(
-            f"witness for family {i}, order {n} is outside the qualitative class"
-        )
-    inertia = refined_inertia_exact(arrow_char_poly(arrow))
-    if inertia != expected:
-        raise WitnessCertificationError(
-            f"witness for family {i}, order {n} has inertia {inertia}, expected {expected}"
-        )
+        problem = "is outside the qualitative class"
+    else:
+        inertia = refined_inertia_exact(arrow_char_poly(arrow))
+        if inertia == expected:
+            return
+        problem = f"has inertia {inertia}, expected {expected}"
+    raise WitnessCertificationError(
+        f"witness for family {i}, order {n} {problem}; arrow {json.dumps(arrow.to_json())}"
+    )
 
 
 def find_4x4_witnesses(i: int) -> WitnessSuite:
@@ -358,7 +359,7 @@ def falsify_requires(
 @dataclass
 class LemmaCheck:
     check: str
-    status: str  # "pass", "fail" or "skipped"
+    status: str  # "pass" or "fail"
     details: dict
 
     @property
@@ -378,80 +379,59 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     """Run the exact identity checks behind the distinct-parameter analysis.
 
     The matrix is first permuted so the diagonal parameters descend, which
-    is the normalization the sign table assumes.  Checks that need distinct
-    parameters are marked skipped when there are ties; the determinant
-    parity check runs regardless.  Raises MembershipError if the matrix is
+    is the normalization the sign table assumes.  Raises ValueError when a
+    diagonal parameter repeats (the identities assume distinct ones; see
+    deflate_repeated for that case) and MembershipError if the matrix is
     not in the family's qualitative class, and never raises on a mere check
     failure: each result carries its computed quantities.
     """
     matrix = arrow.to_matrix()
     if family_index(matrix) != i:
         raise MembershipError(f"arrow matrix is not in the qualitative class of family {i}")
+    if len(set(arrow.b)) != len(arrow.b):
+        raise ValueError("lemma checks require distinct b values")
     n = arrow.n
     arrow = _sorted_descending(arrow)
     b = arrow.b
-    distinct = all(b[k] > b[k + 1] for k in range(len(b) - 1))
     p = arrow_char_poly(arrow)
     inertia = refined_inertia_exact(p)
     checks: list[LemmaCheck] = []
 
-    def skipped(name: str) -> LemmaCheck:
-        return LemmaCheck(name, "skipped", {"reason": "repeated b values"})
-
     # L-det: closed-form shift determinant equals the direct determinant.
     # The values are reused by the sign-table check below.
     shift_dets: dict[int, Fraction] = {}
-    if distinct:
-        status = "pass"
-        message = None
+    details: dict = {"det_values": shift_dets}
+    try:
         for j in range(1, n - 1):
-            try:
-                shift_dets[j] = arrow_shift_det(arrow, j)
-            except InternalCheckError as exc:
-                status = "fail"
-                message = str(exc)
-                break
-        details = {"det_values": dict(shift_dets)}
-        if message:
-            details["error"] = message
-        checks.append(LemmaCheck("L-det", status, details))
-    else:
-        checks.append(skipped("L-det"))
+            shift_dets[j] = arrow_shift_det(arrow, j)
+    except InternalCheckError as exc:
+        details["error"] = str(exc)
+    checks.append(LemmaCheck("L-det", "fail" if "error" in details else "pass", details))
 
-    # L-sign: the alternating sign table of det(b_j I + B).
-    if distinct and len(shift_dets) == n - 2:
-        top = n - 2 if i in (1, 2) else n - 3
-        expected = {j: (-1) ** (j + 1) if i == 1 else (-1) ** j for j in range(1, top + 1)}
-        actual = {}
-        for j in range(1, top + 1):
-            value = shift_dets[j]
-            actual[j] = (value > 0) - (value < 0)
-        ok = all(actual[j] == expected[j] for j in expected)
-        checks.append(
-            LemmaCheck("L-sign", "pass" if ok else "fail", {"expected": expected, "actual": actual})
+    # L-sign: the alternating sign table of det(b_j I + B); a determinant
+    # L-det could not certify is missing from actual and fails the table.
+    top = n - 2 if i in (1, 2) else n - 3
+    expected = {j: (-1) ** (j + 1) if i == 1 else (-1) ** j for j in range(1, top + 1)}
+    actual = {j: (v > 0) - (v < 0) for j, v in shift_dets.items() if j <= top}
+    checks.append(
+        LemmaCheck(
+            "L-sign",
+            "pass" if actual == expected else "fail",
+            {"expected": expected, "actual": actual},
         )
-    else:
-        checks.append(skipped("L-sign"))
+    )
 
     # L-excl: no -b_j is an eigenvalue.
-    if distinct:
-        values = {j: p.evaluate(-b[j - 1]) for j in range(1, n - 1)}
-        ok = all(v != 0 for v in values.values())
-        checks.append(LemmaCheck("L-excl", "pass" if ok else "fail", {"char_poly_values": values}))
-    else:
-        checks.append(skipped("L-excl"))
+    values = {j: p.evaluate(-b[j - 1]) for j in range(1, n - 1)}
+    ok = all(v != 0 for v in values.values())
+    checks.append(LemmaCheck("L-excl", "pass" if ok else "fail", {"char_poly_values": values}))
 
     # L-low: lower bounds on the negative count.
-    if distinct:
-        bound = n - 3 if i != 3 else n - 4
-        ok = inertia.n_minus >= bound
-        checks.append(
-            LemmaCheck(
-                "L-low", "pass" if ok else "fail", {"n_minus": inertia.n_minus, "bound": bound}
-            )
-        )
-    else:
-        checks.append(skipped("L-low"))
+    bound = n - 3 if i != 3 else n - 4
+    ok = inertia.n_minus >= bound
+    checks.append(
+        LemmaCheck("L-low", "pass" if ok else "fail", {"n_minus": inertia.n_minus, "bound": bound})
+    )
 
     # L-par: determinant sign, no zero eigenvalues, parity of the negative count.
     det = (-1) ** n * p.constant
@@ -467,26 +447,20 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
 
     # L-delta: parity agreement between the shifted negative count and the
     # closed-half-plane count.
-    if distinct:
-        rows = {}
-        ok = True
-        for j in range(1, n - 2):
-            shifted = refined_inertia_exact(p.taylor_shift(-b[j - 1]))
-            delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
-            rows[j] = (shifted.n_minus, delta)
-            ok = ok and (shifted.n_minus - delta) % 2 == 0
-        checks.append(LemmaCheck("L-delta", "pass" if ok else "fail", {"pairs": rows}))
-    else:
-        checks.append(skipped("L-delta"))
+    rows = {}
+    ok = True
+    for j in range(1, n - 2):
+        shifted = refined_inertia_exact(p.taylor_shift(-b[j - 1]))
+        delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
+        rows[j] = (shifted.n_minus, delta)
+        ok = ok and (shifted.n_minus - delta) % 2 == 0
+    checks.append(LemmaCheck("L-delta", "pass" if ok else "fail", {"pairs": rows}))
 
     # L-k: the negative count reaches n - 2.
-    if distinct:
-        ok = inertia.n_minus >= n - 2
-        checks.append(
-            LemmaCheck("L-k", "pass" if ok else "fail", {"n_minus": inertia.n_minus, "bound": n - 2})
-        )
-    else:
-        checks.append(skipped("L-k"))
+    ok = inertia.n_minus >= n - 2
+    checks.append(
+        LemmaCheck("L-k", "pass" if ok else "fail", {"n_minus": inertia.n_minus, "bound": n - 2})
+    )
 
     return checks
 
@@ -509,9 +483,9 @@ def run_lemma_suite(
 ) -> LemmaSuiteReport:
     """Validate the lemma checks over seeded samples with distinct b enforced.
 
-    Samples whose arrow form has a repeated diagonal parameter are redrawn
-    (rational sampling makes ties vanishingly rare, but the checks assume
-    distinctness).
+    Samples whose arrow form has a repeated diagonal parameter are redrawn,
+    since validate_lemmas rejects them (two draws tie with probability
+    about 1 in 80000, the number of grid magnitudes).
     """
     pattern = family_pattern(i, n)
     failures: list[tuple[int, str]] = []

@@ -17,6 +17,7 @@ exactly, and on any disagreement the exact engine is the ground truth.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,6 +159,11 @@ def det_rational(matrix: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], math.prod(dens))
 
 
+def _poly_json(p: RationalPoly) -> str:
+    """One-line JSON of p, for internal-check messages: coefficients low to high."""
+    return "polynomial " + json.dumps({"num": list(p.num), "den": p.den})
+
+
 def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
     """Refined inertia of the root multiset of p, certified over the rationals.
 
@@ -187,12 +193,12 @@ def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
         else:
             diff = cauchy_index_line(im_part, re_part)
         if (m + diff) % 2 != 0:
-            raise InternalCheckError("half-plane split has impossible parity")
+            raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p)}")
         n_minus = (m + diff) // 2
         n_plus = (m - diff) // 2
     result = RefinedInertia(n_plus, n_minus, n_zero, two_n_p)
     if result.order != n:
-        raise InternalCheckError("inertia components do not sum to the degree")
+        raise InternalCheckError(f"inertia components do not sum to the degree; {_poly_json(p)}")
     return result
 
 
@@ -283,13 +289,13 @@ def arrow_shift_det(arrow: ArrowMatrix, j: int) -> Fraction:
     for m, bm in enumerate(b, start=1):
         if m != j:
             value *= bj - bm
-    M = arrow.to_matrix()
-    shifted = tuple(
-        tuple(M[r][c] + (bj if r == c else 0) for c in range(n)) for r in range(n)
-    )
+    shifted = [list(row) for row in arrow.to_matrix()]
+    for r in range(n):
+        shifted[r][r] += bj
     direct = det_rational(shifted)
     if direct != value:
         raise InternalCheckError(
-            f"arrow shift determinant mismatch at j={j}: formula {value}, direct {direct}"
+            f"arrow shift determinant mismatch at j={j}: formula {value}, direct {direct}; "
+            f"arrow {json.dumps(arrow.to_json())}"
         )
     return value

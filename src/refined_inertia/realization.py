@@ -1,12 +1,13 @@
 """Rational realizations of sign patterns and the arrowhead normal form.
 
-Covers sampling a qualitative class Q(P) with exact rational entries, the
-diagonal-similarity normalization onto the arrowhead form (unit first row,
-dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the witness
-embedding that lifts a 4x4 realization to any larger order by replicating
-one spoke, the deflation step that extracts the shared eigenvalue when
-two diagonal parameters coincide, and the matrix JSON wire format with its
-validating reader.
+Covers sampling a qualitative class Q(P) with exact dyadic entries drawn
+from integers alone (no floating point, so a seed fixes the samples on
+every platform), the diagonal-similarity normalization onto the arrowhead
+form (unit first row, dense first column, diagonal (a1, 0, -b1, ...,
+-b_{n-2})), the witness embedding that lifts a 4x4 realization to any
+larger order by replicating one spoke, the deflation step that extracts
+the shared eigenvalue when two diagonal parameters coincide, and the
+matrix JSON wire format with its validating reader.
 """
 
 from __future__ import annotations
@@ -139,12 +140,12 @@ def family_index(matrix: Sequence[Sequence]) -> int | None:
 # -- sampling Q(P) ---------------------------------------------------------
 
 
-# Magnitudes are drawn log-uniformly over this window and rounded to
-# rationals with denominator at most DENOMINATOR_BOUND, so samples span
-# several scales while staying inside the exact engine's domain.
-MAGNITUDE_RANGE = (Fraction(1, 1000), Fraction(1000))
-DENOMINATOR_BOUND = 10_000
-_LOG_LO, _LOG_HI = (math.log(x) for x in MAGNITUDE_RANGE)
+# A magnitude is m / 2**e with the mantissa m drawn from [2**12, 2**13) and
+# the exponent e from [3, 23), both by randrange: log-uniform to within a
+# factor of two over the window [2**-10, 2**10), so samples span six decades,
+# every denominator is a power of two, and the stream depends only on the
+# seed and Python's integer Mersenne Twister, never on platform floats.
+MAGNITUDE_RANGE = (Fraction(1, 1024), Fraction(1024))
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,8 @@ class RealizationConfig:
 
 
 def _draw_magnitude(rng: random.Random) -> Fraction:
-    lo, hi = MAGNITUDE_RANGE
-    value = math.exp(_LOG_LO + rng.random() * (_LOG_HI - _LOG_LO))
-    mag = Fraction(value).limit_denominator(DENOMINATOR_BOUND)
-    if mag < lo:
-        return lo
-    if mag > hi:
-        return hi
-    return mag
+    mantissa = rng.randrange(2**12, 2**13)
+    return Fraction(mantissa, 2 ** rng.randrange(3, 23))
 
 
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:

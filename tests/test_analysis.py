@@ -234,12 +234,10 @@ class TestLemmaValidation:
         with pytest.raises(MembershipError):
             validate_lemmas(flipped, 1)
 
-    def test_repeated_b_marks_skips(self):
+    def test_repeated_b_rejected(self):
         arrow = ArrowMatrix([1, -1, -1, -1, -1], [2, 2, 5])
-        results = {r.check: r for r in validate_lemmas(arrow, 1)}
-        assert results["L-par"].status == "pass"
-        for name in ("L-det", "L-sign", "L-excl", "L-low", "L-delta", "L-k"):
-            assert results[name].status == "skipped"
+        with pytest.raises(ValueError, match="distinct b"):
+            validate_lemmas(arrow, 1)
 
     def test_delta_against_numeric_oracle(self):
         """count_eigen_re_leq vs numpy rooting, on spectra with certified separation."""

@@ -6,6 +6,7 @@ expectations come from numpy eigenvalues on fixtures whose spectra are far
 from the axes.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refined_inertia import engine
 from refined_inertia.engine import (
+    InternalCheckError,
     RefinedInertia,
     arrow_shift_det,
     char_poly,
@@ -139,6 +142,17 @@ class TestExactInertia:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             refined_inertia_exact(RationalPoly.zero())
+
+    def test_internal_check_message_carries_polynomial(self, monkeypatch):
+        p = RationalPoly.from_roots([-1, -2, 3]) * RationalPoly((Fraction(5, 3),))
+        # an index of 0 against an odd axis-free degree forces the parity check
+        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: 0)
+        with pytest.raises(InternalCheckError, match="impossible parity") as info:
+            refined_inertia_exact(p)
+        message = str(info.value)
+        assert "\n" not in message
+        data = json.loads(message[message.index("{") :])
+        assert RationalPoly.from_ints(data["num"], data["den"]) == p.monic()
 
     def test_non_monic_normalized(self):
         p = RationalPoly.from_roots([-1, -4]) * RationalPoly((-3,))
@@ -283,6 +297,16 @@ class TestArrowShiftDet:
         arrow = ArrowMatrix([1, 1, 1, 1, 1], [2, 2, 5])
         with pytest.raises(ValueError):
             arrow_shift_det(arrow, 1)
+
+    def test_mismatch_message_carries_arrow(self, monkeypatch):
+        arrow = ArrowMatrix([1, 1, 1, 1, 1], [3, 2, Fraction(1, 2)])
+        monkeypatch.setattr(engine, "det_rational", lambda matrix: Fraction(0))
+        with pytest.raises(InternalCheckError, match="mismatch") as info:
+            arrow_shift_det(arrow, 1)
+        message = str(info.value)
+        assert "\n" not in message
+        data = json.loads(message[message.index("{") :])
+        assert ArrowMatrix(map(Fraction, data["a"]), map(Fraction, data["b"])) == arrow
 
     def test_out_of_range_j(self):
         arrow = ArrowMatrix([1, 1, 1, 1], [1, 2])

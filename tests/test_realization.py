@@ -9,7 +9,6 @@ from refined_inertia.engine import char_poly, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import (
-    DENOMINATOR_BOUND,
     MAGNITUDE_RANGE,
     ArrowMatrix,
     DegenerateMergeError,
@@ -85,13 +84,25 @@ class TestSampler:
 
     def test_bounds_respected(self):
         lo, hi = MAGNITUDE_RANGE
-        assert (lo, hi) == (Fraction(1, 1000), Fraction(1000))
+        assert (lo, hi) == (Fraction(1, 2**10), Fraction(2**10))
         for sample in samples(family_pattern(1, 6), 3, 20):
             for row in sample:
                 for x in row:
                     if x != 0:
-                        assert lo <= abs(x) <= hi
-                        assert x.denominator <= DENOMINATOR_BOUND
+                        assert lo <= abs(x) < hi
+                        den = x.denominator
+                        assert den & (den - 1) == 0 and den <= 2**22
+
+    def test_golden_first_sample(self):
+        """The draw is integer-only, so this matrix is the same on every platform."""
+        F = Fraction
+        sample = sample_realization(family_pattern(1, 4), RealizationConfig(seed=0))
+        assert sample == (
+            (F(7251, 65536), F(4427, 2048), F(2019, 8192), F(1645, 65536)),
+            (F(-7029, 2097152), 0, 0, 0),
+            (F(-5885, 524288), 0, F(-1309, 1024), 0),
+            (F(-655, 8), 0, 0, F(-1537, 262144)),
+        )
 
 
 class TestToArrowForm:
