@@ -32,11 +32,11 @@ from .realization import (
     RationalMatrix,
     RealizationConfig,
     arrow_char_poly,
+    arrow_params,
     embed_witness,
     family_index,
     matrix_to_json,
     sample_realization,
-    to_arrow_form,
 )
 from .witness_fixtures import WITNESS_PARAMS
 
@@ -225,40 +225,44 @@ def _sample_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _exact_inertia(matrix: RationalMatrix) -> RefinedInertia:
-    """Exact inertia, through the arrowhead closed form when the matrix is family-class.
+def _exact_inertia(sample: ArrowMatrix | RationalMatrix) -> RefinedInertia:
+    """Exact inertia of a falsifier sample: ArrowMatrix by the closed form, matrix by char_poly.
 
-    This is how the falsifier classifies every sample.  The diagonal
-    similarity onto arrow form preserves the characteristic polynomial
-    exactly, and the spoke expansion is quadratic instead of quartic in the
-    order; other matrices go through the generic char_poly.  to_arrow_form
-    classifies the sign pattern, so it is classified once per call.
+    This is how the falsifier classifies every sample.  Its caller
+    classifies the sampled pattern once per falsify_requires call and hands
+    over the arrow form (arrow_params) of a family-class sample, whose
+    spoke expansion is quadratic instead of quartic in the order and has
+    the same characteristic polynomial, and any other sample as it is.
     """
-    try:
-        arrow = to_arrow_form(matrix)
-    except MembershipError:
-        return refined_inertia_exact(char_poly(matrix))
-    return refined_inertia_exact(arrow_char_poly(arrow))
+    if isinstance(sample, ArrowMatrix):
+        return refined_inertia_exact(arrow_char_poly(sample))
+    return refined_inertia_exact(char_poly(sample))
 
 
 def _falsify_chunk(args) -> tuple[dict, tuple[int, RationalMatrix] | None]:
-    pattern, cfg, start, count, members = args
+    pattern, family, cfg, start, count, members = args
     histogram: Counter = Counter()
     first_outside: tuple[int, RationalMatrix] | None = None
     for k in range(start, start + count):
         sample = sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k)))
-        inertia = _exact_inertia(sample)
+        inertia = _exact_inertia(arrow_params(sample) if family else sample)
         if inertia not in members and first_outside is None:
             first_outside = (k, sample)
         histogram[inertia] += 1
     return dict(histogram), first_outside
 
 
-def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
-    """Pull entries toward +-1 by bisection while the certified verdict holds."""
+def _shrink_counterexample(matrix: RationalMatrix, members, family: bool) -> RationalMatrix:
+    """Pull entries toward +-1 by bisection while the certified verdict holds.
+
+    Every move keeps each entry's sign, so every candidate stays in the
+    qualitative class of matrix; family says whether that class is a family
+    pattern's, as falsify_requires classified it.
+    """
 
     def still_outside(rows) -> bool:
-        return _exact_inertia(tuple(tuple(r) for r in rows)) not in members
+        candidate = tuple(tuple(r) for r in rows)
+        return _exact_inertia(arrow_params(candidate) if family else candidate) not in members
 
     work = [list(row) for row in matrix]
     n = len(work)
@@ -305,9 +309,10 @@ def falsify_requires(
     """Sample Q(pattern) and hunt for a certified inertia outside the target set.
 
     Every sample is classified by the exact engine, so every histogram
-    entry, and every outside verdict, is certified.  The sample multiset is
-    a pure function of (pattern, budget, seed), independent of the job
-    count.
+    entry, and every outside verdict, is certified.  Every sample has the
+    sign pattern it was drawn from, so the pattern is classified once, here,
+    and not per sample.  The sample multiset is a pure function of
+    (pattern, budget, seed), independent of the job count.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")
@@ -315,10 +320,11 @@ def falsify_requires(
         raise ValueError("budget must be nonnegative")
     hn = hn_set(pattern.n)
     members = frozenset(hn.members)
+    family = family_index(pattern.rows) is not None
     jobs = max(1, min(jobs, budget or 1))
     bounds = [budget * w // jobs for w in range(jobs + 1)]
     tasks = [
-        (pattern, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
+        (pattern, family, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
         for w in range(jobs)
         if bounds[w + 1] > bounds[w]
     ]
@@ -337,7 +343,7 @@ def falsify_requires(
 
     counterexample = None
     if first_outside is not None:
-        counterexample = _shrink_counterexample(first_outside[1], members)
+        counterexample = _shrink_counterexample(first_outside[1], members, family)
         verdict = Verdict.COUNTEREXAMPLE
     elif set(histogram) >= members and budget > 0:
         verdict = Verdict.ALLOWS
@@ -485,7 +491,9 @@ def run_lemma_suite(
 
     Samples whose arrow form has a repeated diagonal parameter are redrawn,
     since validate_lemmas rejects them (two draws tie with probability
-    about 1 in 80000, the number of grid magnitudes).
+    about 1 in 80000, the number of grid magnitudes).  Every sample is
+    drawn from family i's pattern, so its arrow form is read without a
+    membership check; validate_lemmas makes the one check per sample.
     """
     pattern = family_pattern(i, n)
     failures: list[tuple[int, str]] = []
@@ -499,7 +507,7 @@ def run_lemma_suite(
         seed = _sample_seed(cfg.seed, attempts)
         attempts += 1
         sample = sample_realization(pattern, RealizationConfig(seed=seed))
-        arrow = to_arrow_form(sample)
+        arrow = arrow_params(sample)
         if len(set(arrow.b)) != len(arrow.b):
             continue
         for check in validate_lemmas(arrow, i):

@@ -171,6 +171,9 @@ def _cmd_falsify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalCheckError as exc:
+        print(f"internal check failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as handle:
@@ -228,11 +231,15 @@ def _cmd_analyze(args) -> int:
     for n in range(lo, hi + 1):
         pattern = family_pattern(args.family, n)
         cfg = RealizationConfig(seed=args.seed + n)
-        report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
+        try:
+            report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
+        except InternalCheckError as exc:
+            print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         try:
             witness_suite(args.family, n)
             witnesses_ok = "yes"
-        except WitnessCertificationError as exc:
+        except (WitnessCertificationError, InternalCheckError) as exc:
             witnesses_ok = "NO"
             print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INTERNAL)

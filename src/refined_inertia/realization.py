@@ -146,6 +146,7 @@ def family_index(matrix: Sequence[Sequence]) -> int | None:
 # every denominator is a power of two, and the stream depends only on the
 # seed and Python's integer Mersenne Twister, never on platform floats.
 MAGNITUDE_RANGE = (Fraction(1, 1024), Fraction(1024))
+_ZERO = Fraction(0)  # shared by every zero entry; Fractions are immutable
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
         out = []
         for s in row:
             if s == Sign.ZERO:
-                out.append(Fraction(0))
+                out.append(_ZERO)
             else:
                 mag = _draw_magnitude(rng)
                 out.append(mag if s == Sign.PLUS else -mag)
@@ -179,21 +180,31 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
 # -- arrowhead normalization -------------------------------------------------
 
 
-def to_arrow_form(matrix: Sequence[Sequence]) -> ArrowMatrix:
-    """Normalize a family-class matrix onto the arrowhead form by diagonal similarity.
+def arrow_params(matrix: RationalMatrix) -> ArrowMatrix:
+    """Read the arrowhead parameters of a matrix already known to be family-class.
 
     The scaling diagonal is D = diag(1, B_12, ..., B_1n), whose entries are
     positive by pattern membership; conjugating by it makes the first row
     (a_1, 1, ..., 1) while fixing the diagonal and the spectrum exactly.
-    Raises MembershipError when the matrix is in no family's class.
+    Nothing is checked: a caller that sampled a family pattern, or kept
+    every entry's sign, knows the class; any other caller uses to_arrow_form.
+    """
+    n = len(matrix)
+    a = (matrix[0][0],) + tuple(matrix[0][k] * matrix[k][0] for k in range(1, n))
+    b = tuple(-matrix[k][k] for k in range(2, n))
+    return ArrowMatrix(a, b)
+
+
+def to_arrow_form(matrix: Sequence[Sequence]) -> ArrowMatrix:
+    """Normalize a family-class matrix onto the arrowhead form by diagonal similarity.
+
+    The membership check (family_index) followed by arrow_params.  Raises
+    MembershipError when the matrix is in no family's class.
     """
     B = to_rational_matrix(matrix)
-    n = len(B)
     if family_index(B) is None:
         raise MembershipError("matrix is not in the qualitative class of any family pattern")
-    a = (B[0][0],) + tuple(B[0][k] * B[k][0] for k in range(1, n))
-    b = tuple(-B[k][k] for k in range(2, n))
-    return ArrowMatrix(a, b)
+    return arrow_params(B)
 
 
 def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refined_inertia import analysis, realization
 from refined_inertia.analysis import (
     AnalysisReport,
     Verdict,
@@ -33,6 +34,7 @@ from refined_inertia.realization import (
     ArrowMatrix,
     MembershipError,
     RealizationConfig,
+    family_index,
     sample_realization,
     to_arrow_form,
 )
@@ -134,12 +136,14 @@ class TestFalsifier:
 
     @pytest.mark.parametrize(
         "pattern",
-        [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6)] + [ALL_PLUS_4],
-        ids=[f"family-{i}-order-{n}" for i in (1, 2, 3) for n in (4, 5, 6)] + ["all-plus-4"],
+        [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6, 10)] + [ALL_PLUS_4],
+        ids=[f"family-{i}-order-{n}" for i in (1, 2, 3) for n in (4, 5, 6, 10)] + ["all-plus-4"],
     )
     def test_histogram_is_the_exact_classification(self, pattern):
         # Every sample is certified: the histogram is the Counter of the exact
         # inertias, through the generic char_poly, of the same seeded samples.
+        # The falsifier reads family samples' arrow form straight from their
+        # entries; order 10 pins that path at the largest benchmarked order.
         cfg = RealizationConfig(seed=29)
         report = falsify_requires(pattern, 60, cfg)
         samples = (
@@ -157,6 +161,24 @@ class TestFalsifier:
         inertia = refined_inertia_exact(char_poly(report.counterexample))
         assert inertia not in hn_set(4)
         assert sgn_of_matrix(report.counterexample) == ALL_PLUS_4
+
+    @pytest.mark.parametrize(
+        "pattern", [family_pattern(3, 6), ALL_PLUS_4], ids=["family-3-order-6", "all-plus-4"]
+    )
+    def test_pattern_classified_once_per_call(self, pattern, monkeypatch):
+        # Every sample, and every shrinking candidate, has the sampled sign
+        # pattern, so the falsifier classifies it once and not per sample.
+        calls = []
+
+        def counting(matrix):
+            calls.append(1)
+            return family_index(matrix)
+
+        monkeypatch.setattr(analysis, "family_index", counting)
+        monkeypatch.setattr(realization, "family_index", counting)
+        report = falsify_requires(pattern, 80, RealizationConfig(seed=5))
+        assert (report.counterexample is not None) == (pattern == ALL_PLUS_4)
+        assert len(calls) <= 1
 
     def test_budget_zero_vacuous(self):
         report = falsify_requires(family_pattern(1, 5), 0, RealizationConfig(seed=1))

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refined_inertia import cli, engine
 from refined_inertia.cli import (
     EXIT_COUNTEREXAMPLE,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
 from refined_inertia.realization import matrix_to_json
 
@@ -170,6 +173,40 @@ def test_analyze_table(capsys):
     assert len(lines) == 4  # header line, column line, two order rows
     for row in lines[2:]:
         assert "yes" in row
+
+
+def test_falsify_internal_check_failure_exits_4(all_plus_file, capsys, monkeypatch):
+    # A Cauchy index off by one breaks the half-plane parity identity.
+    monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: 1)
+    argv = ["falsify", "--pattern", all_plus_file, "--budget", "10", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal check failure: ")
+
+
+def test_analyze_internal_check_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: 1)
+    argv = ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "10", "--seed", "0"]
+    argv += ["--jobs", "1"]
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal check failure at order 4: ")
+
+
+def test_analyze_witness_internal_check_marks_row(capsys, monkeypatch):
+    def broken(i, n):
+        raise InternalCheckError(f"forced failure at order {n}")
+
+    monkeypatch.setattr(cli, "witness_suite", broken)
+    argv = ["analyze", "-i", "2", "--n-range", "4..4", "--budget", "10", "--seed", "0"]
+    argv += ["--jobs", "1"]
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2].split()[:4] == ["4", "10", "yes", "NO"]
+    assert captured.err == "internal check failure at order 4: forced failure at order 4\n"
 
 
 def test_analyze_bad_range(capsys):

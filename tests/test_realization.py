@@ -15,6 +15,7 @@ from refined_inertia.realization import (
     MembershipError,
     RealizationConfig,
     arrow_char_poly,
+    arrow_params,
     deflate_repeated,
     embed_witness,
     matrix_from_json,
@@ -127,6 +128,15 @@ class TestToArrowForm:
         for k, sample in enumerate(samples(pattern, 123, 100)):
             arrow = to_arrow_form(sample)
             assert char_poly(arrow.to_matrix()) == char_poly(sample), f"sample {k}"
+
+    def test_params_read_without_membership_check(self):
+        # arrow_params is to_arrow_form minus the check: equal on the class,
+        # and it reads any matrix's entries, member or not.
+        for i in (1, 2, 3):
+            for sample in samples(family_pattern(i, 6), i, 5):
+                assert arrow_params(sample) == to_arrow_form(sample)
+        bad = [[1, 1, 1, 1], [1, 0, 0, 0], [-1, 0, -1, 0], [-1, 0, 0, -1]]
+        assert arrow_params(bad) == ArrowMatrix([1, 1, -1, -1], [1, 1])
 
     def test_membership_required(self):
         with pytest.raises(MembershipError):
