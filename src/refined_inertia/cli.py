@@ -117,7 +117,11 @@ def _cmd_inertia(args) -> int:
         if not rational:
             print("error reading matrix: non-rational entries; exact engine unavailable", file=sys.stderr)
             return EXIT_IO
-        inertia = refined_inertia_exact(char_poly(matrix))
+        try:
+            inertia = refined_inertia_exact(char_poly(matrix))
+        except InternalCheckError as exc:
+            print(f"internal check failure: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         method = "exact"
     else:
         try:

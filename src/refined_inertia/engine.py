@@ -1,13 +1,14 @@
 """Refined inertia of real matrices: exact over rationals, numeric via LAPACK.
 
 The exact path never touches floating point.  It factors the characteristic
-polynomial's spectrum into four certified counts:
+polynomial's spectrum into four certified counts from one remainder chain:
 
 * zero eigenvalues from trailing coefficients,
-* nonzero imaginary-axis pairs from the gcd of the even/odd split,
-* the open half-plane counts from the Cauchy index of Im/Re of p(i*w)
+* the open half-plane counts from the Cauchy index of Im/Re of q(i*w)
   over the real line (the generalized Routh-Hurwitz count, computed with
-  Sturm-type remainder chains so singular cases need no epsilon shifts).
+  a Sturm-type remainder chain so singular cases need no epsilon shifts),
+* nonzero imaginary-axis pairs from the real roots of that chain's tail,
+  gcd(Re, Im), counted with multiplicity (Routh's singular case).
 
 The numeric path is a dense eigensolve with a relative axis tolerance.  It
 serves matrices with float entries (``riq inertia --numeric``) and the
@@ -29,10 +30,8 @@ from .ratpoly import (
     RationalPoly,
     as_ratio,
     cauchy_index_line,
-    even_odd_split,
+    count_real_roots,
     imaginary_axis_parts,
-    negative_root_count_with_multiplicity,
-    poly_gcd,
     strip_zero_roots,
 )
 from .realization import ArrowMatrix
@@ -42,7 +41,7 @@ _AXIS_EPS = 1e-9
 
 
 class EigenSolverError(RuntimeError):
-    """Dense eigensolver failed to converge; callers fall back to the exact path."""
+    """Dense eigensolver failed to converge or broke conjugate pairing."""
 
 
 class InternalCheckError(RuntimeError):
@@ -167,39 +166,34 @@ def _poly_json(p: RationalPoly) -> str:
 def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
     """Refined inertia of the root multiset of p, certified over the rationals.
 
-    Zero roots come off the trailing coefficients.  Writing the remainder q
-    as E(x^2) + x*O(x^2), the negative real roots of gcd(E, O) (with
-    multiplicity) are exactly the conjugate imaginary pairs of q.  The
-    surviving axis-free part is split between the open half-planes by the
-    Cauchy index of the real/imaginary parts of q(i*w); whether Re or Im
-    sits in the denominator depends only on the parity of the axis-free
-    degree.
+    Zero roots come off the trailing coefficients, leaving q with q(0) != 0.
+    One remainder chain of the real and imaginary parts of q(i*w) gives the
+    Cauchy index that splits the axis-free roots between the open
+    half-planes, and ends in gcd(Re, Im).  A real root w of that tail is an
+    imaginary root i*w of q, with the same multiplicity, and w != 0 because
+    q(0) != 0; so its real roots count the imaginary pairs.  The axis-free
+    degree m has the parity of deg q, which therefore decides whether Re or
+    Im sits in the denominator.
     """
     if p.is_zero:
         raise ValueError("refined inertia of the zero polynomial is undefined")
     p = p.monic()
-    n = p.degree
     n_zero, q = strip_zero_roots(p)
-    even, odd = even_odd_split(q)
-    g = poly_gcd(even, odd)
-    two_n_p = 2 * negative_root_count_with_multiplicity(g) if g.degree > 0 else 0
-    m = q.degree - two_n_p
-    if m == 0:
-        n_plus = n_minus = 0
+    re_part, im_part = imaginary_axis_parts(q)
+    if q.degree % 2 == 0:
+        index, tail = cauchy_index_line(re_part, im_part)
+        diff = -index
     else:
-        re_part, im_part = imaginary_axis_parts(q)
-        if m % 2 == 0:
-            diff = -cauchy_index_line(re_part, im_part)
-        else:
-            diff = cauchy_index_line(im_part, re_part)
-        if (m + diff) % 2 != 0:
-            raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p)}")
-        n_minus = (m + diff) // 2
-        n_plus = (m - diff) // 2
-    result = RefinedInertia(n_plus, n_minus, n_zero, two_n_p)
-    if result.order != n:
-        raise InternalCheckError(f"inertia components do not sum to the degree; {_poly_json(p)}")
-    return result
+        diff, tail = cauchy_index_line(im_part, re_part)
+    two_n_p = count_real_roots(tail)
+    m = q.degree - two_n_p
+    if (m + diff) % 2 != 0:
+        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p)}")
+    if abs(diff) > m:
+        raise InternalCheckError(
+            f"half-plane difference {diff} exceeds the axis-free degree {m}; {_poly_json(p)}"
+        )
+    return RefinedInertia((m - diff) // 2, (m + diff) // 2, n_zero, two_n_p)
 
 
 def _classify_eigenvalues(

@@ -21,6 +21,7 @@ from refined_inertia.cli import (
 )
 from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
+from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import matrix_to_json
 
 
@@ -175,9 +176,14 @@ def test_analyze_table(capsys):
         assert "yes" in row
 
 
+def _fake_cauchy_index(index):
+    """A stand-in for the Cauchy-index chain: a fixed index and a constant tail."""
+    return lambda *args: (index, RationalPoly.one())
+
+
 def test_falsify_internal_check_failure_exits_4(all_plus_file, capsys, monkeypatch):
     # A Cauchy index off by one breaks the half-plane parity identity.
-    monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: 1)
+    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(1))
     argv = ["falsify", "--pattern", all_plus_file, "--budget", "10", "--seed", "0", "--jobs", "1"]
     assert main(argv) == EXIT_INTERNAL
     captured = capsys.readouterr()
@@ -186,8 +192,32 @@ def test_falsify_internal_check_failure_exits_4(all_plus_file, capsys, monkeypat
     assert captured.err.startswith("internal check failure: ")
 
 
+def test_falsify_index_beyond_degree_exits_4(tmp_path, capsys, monkeypatch):
+    # An index of the right parity but larger than the axis-free degree 4.
+    path = tmp_path / "a1_4.sp"
+    path.write_text(family_pattern(1, 4).render())
+    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(6))
+    argv = ["falsify", "--pattern", str(path), "--budget", "5", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal check failure: half-plane difference -6 exceeds ")
+
+
+def test_inertia_exact_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "diag.json"
+    path.write_text('{"n": 2, "entries": [[-1, 1], [0, 1], [0, 1], [-2, 1]]}')
+    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(1))
+    assert main(["inertia", "--matrix", str(path), "--exact"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal check failure: half-plane split has impossible parity")
+
+
 def test_analyze_internal_check_failure_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: 1)
+    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(1))
     argv = ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "10", "--seed", "0"]
     argv += ["--jobs", "1"]
     assert main(argv) == EXIT_INTERNAL

@@ -74,7 +74,7 @@ def test_char_poly_identity_2x2():
 
 def test_char_poly_monic_and_degree():
     p = char_poly([[Fraction(1, 2), 3], [4, Fraction(-5, 7)]])
-    assert p.degree == 2 and p.leading == 1
+    assert p.degree == 2 and p.num[-1] == p.den
 
 
 def test_char_poly_rejects_floats_and_nonsquare():
@@ -146,13 +146,25 @@ class TestExactInertia:
     def test_internal_check_message_carries_polynomial(self, monkeypatch):
         p = RationalPoly.from_roots([-1, -2, 3]) * RationalPoly((Fraction(5, 3),))
         # an index of 0 against an odd axis-free degree forces the parity check
-        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: 0)
+        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (0, RationalPoly.one()))
         with pytest.raises(InternalCheckError, match="impossible parity") as info:
             refined_inertia_exact(p)
+        assert self._reported_polynomial(info) == p.monic()
+
+    def test_index_beyond_axis_free_degree(self, monkeypatch):
+        p = RationalPoly.from_roots([-1, -2, 3])
+        # an index of 5 has the parity of m = 3 but no split of 3 roots gives it
+        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (5, RationalPoly.one()))
+        with pytest.raises(InternalCheckError, match="exceeds the axis-free degree 3") as info:
+            refined_inertia_exact(p)
+        assert self._reported_polynomial(info) == p
+
+    @staticmethod
+    def _reported_polynomial(info):
         message = str(info.value)
         assert "\n" not in message
         data = json.loads(message[message.index("{") :])
-        assert RationalPoly.from_ints(data["num"], data["den"]) == p.monic()
+        return RationalPoly.from_ints(data["num"], data["den"])
 
     def test_non_monic_normalized(self):
         p = RationalPoly.from_roots([-1, -4]) * RationalPoly((-3,))
@@ -177,6 +189,9 @@ class TestExactInertia:
                 ),
                 st.tuples(nonzero_rationals, positive_rationals).map(lambda ab: ("complex", ab)),
                 positive_rationals.map(lambda c: ("plus_minus", c)),
+                st.tuples(positive_rationals, positive_rationals).map(
+                    lambda ab: ("opposite_quadruple", ab)
+                ),
             ),
             min_size=1,
             max_size=5,
@@ -203,6 +218,14 @@ class TestExactInertia:
                 alpha, beta = data
                 p = p * RationalPoly((alpha**2 + beta**2, -2 * alpha, 1))
                 counts[0 if alpha > 0 else 1] += 2
+            elif kind == "opposite_quadruple":  # roots +-alpha +- i*beta
+                # gcd(Re, Im) of q(i*w) keeps this factor's image, which has
+                # no real roots: a nonconstant chain tail with no axis pair
+                alpha, beta = data
+                norm = alpha**2 + beta**2
+                p = p * RationalPoly((norm, -2 * alpha, 1)) * RationalPoly((norm, 2 * alpha, 1))
+                counts[0] += 2
+                counts[1] += 2
             else:  # x^2 - c: roots +-sqrt(c)
                 p = p * RationalPoly((-data, 0, 1))
                 counts[0] += 1

@@ -14,9 +14,7 @@ from refined_inertia.ratpoly import (
     RationalPoly,
     cauchy_index_line,
     count_real_roots,
-    even_odd_split,
     imaginary_axis_parts,
-    negative_root_count_with_multiplicity,
     poly_gcd,
     squarefree_decomposition,
     strip_zero_roots,
@@ -108,13 +106,6 @@ def test_strip_zero_roots():
     assert rest == poly(3, 1)
 
 
-def test_even_odd_split_identity():
-    p = poly(1, 2, 3, 4, 5)
-    e, o = even_odd_split(p)
-    assert e == poly(1, 3, 5)
-    assert o == poly(2, 4)
-
-
 def test_imaginary_axis_parts():
     # p(x) = x^4 + x^3 + x^2 + x + 1 at x = i*w
     p = poly(1, 1, 1, 1, 1)
@@ -127,26 +118,37 @@ class TestSturmCounting:
     def test_distinct_rational_roots(self):
         p = RationalPoly.from_roots([-5, -1, Fraction(1, 3), 2])
         assert count_real_roots(p) == 4
-        assert count_real_roots(p, None, 0) == 2
-        assert count_real_roots(p, 0, None) == 2
-        assert count_real_roots(p, -2, 1) == 2  # roots -1 and 1/3
 
     def test_no_real_roots(self):
         assert count_real_roots(poly(1, 0, 1)) == 0
+        assert count_real_roots(poly(7)) == 0
 
     def test_irrational_roots(self):
         # x^2 - 2: one root on each side of zero
-        p = poly(-2, 0, 1)
-        assert count_real_roots(p) == 2
-        assert count_real_roots(p, None, 0) == 1
+        assert count_real_roots(poly(-2, 0, 1)) == 2
 
-    def test_endpoint_root_rejected(self):
-        with pytest.raises(ValueError):
-            count_real_roots(RationalPoly.from_roots([1]), 0, 1)
-
-    def test_distinct_count_for_repeated_roots(self):
+    def test_repeated_roots_counted_with_multiplicity(self):
         p = RationalPoly.from_roots([2, 2, 2, -1])
-        assert count_real_roots(p) == 2
+        assert count_real_roots(p) == 4
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            count_real_roots(RationalPoly.zero())
+
+
+def negative_root_count(g):
+    """Negative roots of g with multiplicity, as half the real roots of g(-w^2).
+
+    Each negative root -c of g gives the two real roots +-sqrt(c) of g(-w^2),
+    with its multiplicity, and nothing else is real once the root 0 is gone.
+    This is how the engine reads the imaginary pairs off gcd(Re, Im).
+    """
+    _, g = strip_zero_roots(g)
+    composed = [0] * (2 * len(g.num) - 1)
+    composed[0::2] = [-c if k % 2 else c for k, c in enumerate(g.num)]
+    real = count_real_roots(RationalPoly.from_ints(composed, g.den))
+    assert real % 2 == 0
+    return real // 2
 
 
 class TestNegativeRootCount:
@@ -163,33 +165,37 @@ class TestNegativeRootCount:
     def test_constructed_fixtures(self, factors, expected):
         roots, extra = factors
         p = RationalPoly.from_roots(roots) * extra
-        assert negative_root_count_with_multiplicity(p) == expected
+        assert negative_root_count(p) == expected
+        assert count_real_roots(p) == len(roots)
 
     def test_irrational_negative_roots(self):
         # (t^2 - 2) has one negative root; (t + 1)^2 contributes two more
         p = poly(-2, 0, 1) * RationalPoly.from_roots([-1, -1])
-        assert negative_root_count_with_multiplicity(p) == 3
+        assert negative_root_count(p) == 3
+        assert count_real_roots(p) == 4
 
     def test_degree_bound_fixture(self):
         # degree 8 with mixed multiplicities
         p = RationalPoly.from_roots([-1, -1, -1, -4, 2, 2]) * poly(3, 0, 1)
-        assert negative_root_count_with_multiplicity(p) == 4
+        assert negative_root_count(p) == 4
+        assert count_real_roots(p) == 6
 
 
 class TestCauchyIndex:
     def test_simple_pole(self):
         # 1/w jumps -inf -> +inf at 0
-        assert cauchy_index_line(poly(0, 1), poly(1)) == 1
-        assert cauchy_index_line(poly(0, 1), poly(-1)) == -1
+        assert cauchy_index_line(poly(0, 1), poly(1)) == (1, RationalPoly.one())
+        assert cauchy_index_line(poly(0, 1), poly(-1)) == (-1, RationalPoly.one())
 
     def test_no_real_poles(self):
-        assert cauchy_index_line(poly(1, 0, 1), poly(0, 1)) == 0
+        assert cauchy_index_line(poly(1, 0, 1), poly(0, 1)) == (0, RationalPoly.one())
 
     def test_zero_numerator(self):
-        assert cauchy_index_line(poly(1, 2, 3), RationalPoly.zero()) == 0
+        # gcd(f0, 0) is f0 made monic
+        assert cauchy_index_line(poly(1, 2, 3), RationalPoly.zero()) == (0, poly(1, 2, 3).monic())
 
     def test_gcd_laden_chain(self):
         # (w^2 - 1) cancels; reduced fraction is -1/w
         f0 = poly(0, 1, 0, -1)  # w - w^3 = -w(w^2 - 1)
         f1 = poly(-1, 0, 1)  # w^2 - 1
-        assert cauchy_index_line(f0, f1) == -1
+        assert cauchy_index_line(f0, f1) == (-1, poly(-1, 0, 1))
