@@ -26,6 +26,7 @@ from .engine import (
     refined_inertia_exact,
 )
 from .patterns import SignPattern, family_pattern, sgn_of_matrix
+from .ratpoly import RationalPoly
 from .realization import (
     ArrowMatrix,
     MembershipError,
@@ -35,6 +36,7 @@ from .realization import (
     arrow_params,
     embed_witness,
     family_index,
+    family_sample_char_poly,
     matrix_to_json,
     sample_realization,
 )
@@ -225,29 +227,33 @@ def _sample_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _exact_inertia(sample: ArrowMatrix | RationalMatrix) -> RefinedInertia:
-    """Exact inertia of a falsifier sample: ArrowMatrix by the closed form, matrix by char_poly.
+def _exact_inertia(sample: RationalPoly | ArrowMatrix | RationalMatrix) -> RefinedInertia:
+    """Exact inertia of a falsifier sample; this is how the falsifier classifies every one.
 
-    This is how the falsifier classifies every sample.  Its caller
-    classifies the sampled pattern once per falsify_requires call and hands
-    over the arrow form (arrow_params) of a family-class sample, whose
-    spoke expansion is quadratic instead of quartic in the order and has
-    the same characteristic polynomial, and any other sample as it is.
+    Its caller classifies the sampled pattern once per falsify_requires
+    call.  A family sample arrives as its characteristic polynomial, built
+    from the integer draws by family_sample_char_poly; a shrink candidate of
+    a family sample as its arrow form (arrow_params), whose spoke expansion
+    is quadratic instead of quartic in the order; any other sample as a
+    matrix, for char_poly.
     """
     if isinstance(sample, ArrowMatrix):
-        return refined_inertia_exact(arrow_char_poly(sample))
-    return refined_inertia_exact(char_poly(sample))
+        sample = arrow_char_poly(sample)
+    elif not isinstance(sample, RationalPoly):
+        sample = char_poly(sample)
+    return refined_inertia_exact(sample)
 
 
-def _falsify_chunk(args) -> tuple[dict, tuple[int, RationalMatrix] | None]:
+def _falsify_chunk(args) -> tuple[dict, int | None]:
+    """Histogram of samples start..start+count-1 and the index of the first outside one."""
     pattern, family, cfg, start, count, members = args
+    draw = family_sample_char_poly if family else sample_realization
     histogram: Counter = Counter()
-    first_outside: tuple[int, RationalMatrix] | None = None
+    first_outside: int | None = None
     for k in range(start, start + count):
-        sample = sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k)))
-        inertia = _exact_inertia(arrow_params(sample) if family else sample)
+        inertia = _exact_inertia(draw(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k))))
         if inertia not in members and first_outside is None:
-            first_outside = (k, sample)
+            first_outside = k
         histogram[inertia] += 1
     return dict(histogram), first_outside
 
@@ -311,8 +317,13 @@ def falsify_requires(
     Every sample is classified by the exact engine, so every histogram
     entry, and every outside verdict, is certified.  Every sample has the
     sign pattern it was drawn from, so the pattern is classified once, here,
-    and not per sample.  The sample multiset is a pure function of
-    (pattern, budget, seed), independent of the job count.
+    and not per sample.  A family pattern's samples go from their integer
+    draws straight to the characteristic polynomial
+    (family_sample_char_poly) and never become Fractions; the chunks report
+    only the index of their first outside sample, and that one sample is
+    rebuilt as a matrix by sample_realization and shrunk.  The sample
+    multiset is a pure function of (pattern, budget, seed), independent of
+    the job count.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")
@@ -335,15 +346,16 @@ def falsify_requires(
         results = [_falsify_chunk(task) for task in tasks]
 
     histogram: Counter = Counter()
-    first_outside: tuple[int, RationalMatrix] | None = None
-    for hist, outside in results:
+    for hist, _ in results:
         histogram.update(hist)
-        if outside is not None and (first_outside is None or outside[0] < first_outside[0]):
-            first_outside = outside
+    outside = [k for _, k in results if k is not None]
 
     counterexample = None
-    if first_outside is not None:
-        counterexample = _shrink_counterexample(first_outside[1], members, family)
+    if outside:
+        sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, min(outside)))
+        counterexample = _shrink_counterexample(
+            sample_realization(pattern, sample_cfg), members, family
+        )
         verdict = Verdict.COUNTEREXAMPLE
     elif set(histogram) >= members and budget > 0:
         verdict = Verdict.ALLOWS

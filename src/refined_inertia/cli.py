@@ -1,8 +1,9 @@
 """Command-line front end: pattern fixtures, inertia computation, analysis pipelines.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 a certified
-counterexample was found, 4 an internal identity check failed (which the
-underlying theory rules out, so it signals an engine bug).
+counterexample was found, 4 an internal identity check failed or the
+pipeline raised on valid input (which the underlying theory rules out, so
+either signals an engine bug).
 
 JSON output is canonical (sorted keys, fixed layout) and every command is
 bit-reproducible for a fixed --seed; RI_SEED supplies the default seed.
@@ -141,13 +142,16 @@ def _cmd_inertia(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.order < 4:
+        print(f"error: witness suites start at order 4, got {args.order}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         suite = witness_suite(args.family, args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (WitnessCertificationError, InternalCheckError) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     text = canonical_dumps(suite.to_json_dict())
     if args.out:
@@ -169,14 +173,20 @@ def _cmd_falsify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error reading pattern: {exc}", file=sys.stderr)
         return EXIT_IO
+    if pattern.n < 3:
+        print("error: falsification needs order >= 3", file=sys.stderr)
+        return EXIT_USAGE
+    if args.budget < 0:
+        print("error: budget must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
     try:
         report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.csv:
         try:

@@ -95,21 +95,29 @@ class ArrowMatrix:
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     """Characteristic polynomial of the arrowhead form, by the spoke expansion.
 
+    The a_k are brought over their common denominator and each b_j is split
+    into numerator and denominator for _spoke_char_poly, the one copy of
+    the expansion; tests pin it against the generic Berkowitz route.
+    """
+    common = math.lcm(*(x.denominator for x in arrow.a))
+    a = [x.numerator * (common // x.denominator) for x in arrow.a]
+    return _spoke_char_poly(a, common, [(b.numerator, b.denominator) for b in arrow.b])
+
+
+def _spoke_char_poly(a: Sequence[int], common: int, spokes: Sequence[tuple[int, int]]) -> RationalPoly:
+    """det(xI - B) of the arrowhead form with a_k = a[k] / common and b_j = p_j / q_j.
+
     det(xI - B) = (x - a1) * x * prod_j (x + b_j)
                   - a2 * prod_j (x + b_j)
                   - sum_j a_{j+2} * x * prod_{m != j} (x + b_m)
 
-    With b_j = p_j / q_j, each x + b_j is (q_j x + p_j) / q_j, so the spoke
-    products are integer polynomials, and the a_k are brought over their
-    common denominator; one RationalPoly is built at the end.  This is an
-    O(n^2) closed form; tests pin it against the generic Berkowitz route.
+    Each x + b_j is (q_j x + p_j) / q_j, so the spoke products are integer
+    polynomials and one RationalPoly is built at the end.  The integers
+    need not be in lowest terms.  This is an O(n^2) closed form.
     """
-    spokes = [(b.numerator, b.denominator) for b in arrow.b]
     full = [1]  # prod_j (q_j x + p_j)
     for p, q in spokes:
         full = [p * lo + q * hi for lo, hi in zip(full + [0], [0] + full)]
-    common = math.lcm(*(x.denominator for x in arrow.a))
-    a = [x.numerator * (common // x.denominator) for x in arrow.a]
     # x * (common * x - a_1) * full - a_2 * full
     num = [0] + [common * hi - a[0] * lo for lo, hi in zip(full + [0], [0] + full)]
     for k, c in enumerate(full):
@@ -121,8 +129,9 @@ def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
         for k in range(len(partial) - 1, -1, -1):
             partial[k] = rest[k + 1] // q
             rest[k] -= p * partial[k]
+        weight = a[j + 2] * q
         for k, c in enumerate(partial):
-            num[k + 1] -= a[j + 2] * q * c
+            num[k + 1] -= weight * c
     return RationalPoly.from_ints(num, common * full[-1])
 
 
@@ -156,9 +165,9 @@ class RealizationConfig:
     seed: int = 0
 
 
-def _draw_magnitude(rng: random.Random) -> Fraction:
-    mantissa = rng.randrange(2**12, 2**13)
-    return Fraction(mantissa, 2 ** rng.randrange(3, 23))
+def _draw_magnitude(rng: random.Random) -> tuple[int, int]:
+    """(mantissa, exponent) of one magnitude m / 2**e, drawn in that order."""
+    return rng.randrange(2**12, 2**13), rng.randrange(3, 23)
 
 
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
@@ -171,10 +180,39 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
             if s == Sign.ZERO:
                 out.append(_ZERO)
             else:
-                mag = _draw_magnitude(rng)
-                out.append(mag if s == Sign.PLUS else -mag)
+                m, e = _draw_magnitude(rng)
+                out.append(Fraction(m if s == Sign.PLUS else -m, 1 << e))
         rows.append(tuple(out))
     return tuple(rows)
+
+
+def family_sample_char_poly(pattern: SignPattern, cfg: RealizationConfig) -> RationalPoly:
+    """arrow_char_poly(arrow_params(sample_realization(pattern, cfg))), from integers alone.
+
+    pattern must be a family pattern; nothing is checked.  The draws are
+    sample_realization's, (m, e) per nonzero entry in row-major order: the
+    first row, then B_k1 and, from k = 3 on, B_kk.  Each arrow parameter
+    stays a signed integer over a power of two (a_1 = B_11,
+    a_k = B_1k * B_k1, b_j = -B_{j+2,j+2}), and the a_k reach their common
+    power-of-two denominator by shifts, so no Fraction is built.
+    """
+    rng = random.Random(cfg.seed)
+    rows = pattern.rows
+    head = []
+    for s in rows[0]:
+        m, e = _draw_magnitude(rng)
+        head.append((s * m, e))
+    a = [head[0]]
+    spokes = []
+    for k in range(1, len(rows)):
+        m, e = _draw_magnitude(rng)
+        p, f = head[k]
+        a.append((rows[k][0] * p * m, f + e))
+        if k >= 2:
+            m, e = _draw_magnitude(rng)
+            spokes.append((-rows[k][k] * m, 1 << e))
+    top = max(e for _, e in a)
+    return _spoke_char_poly([p << (top - e) for p, e in a], 1 << top, spokes)
 
 
 # -- arrowhead normalization -------------------------------------------------
@@ -188,6 +226,8 @@ def arrow_params(matrix: RationalMatrix) -> ArrowMatrix:
     (a_1, 1, ..., 1) while fixing the diagonal and the spectrum exactly.
     Nothing is checked: a caller that sampled a family pattern, or kept
     every entry's sign, knows the class; any other caller uses to_arrow_form.
+    The falsifier's sample loop does not come here: family_sample_char_poly
+    reads the same parameters from the integer draws.
     """
     n = len(matrix)
     a = (matrix[0][0],) + tuple(matrix[0][k] * matrix[k][0] for k in range(1, n))

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import random
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,57 @@ class TestFalsifier:
                 counterexample=None,
                 seed=0,
             )
+
+    def test_family_counterexample_is_the_shrunk_first_outside_sample(self, monkeypatch):
+        # Samples 13 and 27 are forced outside the target set by their trace,
+        # which a shrink move keeps exactly when it leaves the diagonal alone.
+        pattern, n, budget = family_pattern(2, 6), 6, 40
+        cfg = RealizationConfig(seed=17)
+        drawn = [
+            sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k)))
+            for k in range(budget)
+        ]
+        traces = [sum(sample[r][r] for r in range(n)) for sample in drawn]
+        forced = {traces[13], traces[27]}
+        assert sum(t in forced for t in traces) == 2
+        exact = analysis.refined_inertia_exact
+
+        def classify(p):
+            c = p.coeffs
+            return RefinedInertia(n, 0, 0, 0) if -c[-2] / c[-1] in forced else exact(p)
+
+        monkeypatch.setattr(analysis, "refined_inertia_exact", classify)
+        # Threads share the patched classifier on every platform.
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
+        serial, parallel = (falsify_requires(pattern, budget, cfg, jobs=j) for j in (1, 2))
+        assert dict(serial.histogram)[RefinedInertia(n, 0, 0, 0)] == 2
+        members = frozenset(hn_set(n).members)
+        ce = serial.counterexample
+        assert ce == analysis._shrink_counterexample(drawn[13], members, True)
+        assert sgn_of_matrix(ce) == pattern
+        for r in range(n):
+            for c in range(n):
+                expected = drawn[13][r][r] if r == c else Sign.from_value(drawn[13][r][c])
+                assert ce[r][c] == expected, (r, c)
+        assert canonical_dumps(serial.to_json_dict()) == canonical_dumps(parallel.to_json_dict())
+
+
+FIXTURES = Path(__file__).parent / "fixtures" / "falsify"
+FIXTURE_PATTERNS = {
+    **{f"family-{i}-order-{n}": family_pattern(i, n) for i in (1, 2, 3) for n in (4, 10)},
+    "all-plus-4": ALL_PLUS_4,
+}
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("name", FIXTURE_PATTERNS)
+def test_report_bytes_match_fixture(name, jobs):
+    # The fixtures were written by the Fraction-only sampler, before family
+    # samples were drawn as integers: the sample stream, the counterexample
+    # and its shrinking must not move by a byte, for any job count.
+    report = falsify_requires(FIXTURE_PATTERNS[name], 50, RealizationConfig(seed=7075), jobs=jobs)
+    expected = (FIXTURES / f"{name}.json").read_bytes()
+    assert canonical_dumps(report.to_json_dict()).encode("utf-8") == expected
 
 
 class TestLemmaValidation:

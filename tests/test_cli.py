@@ -239,6 +239,28 @@ def test_analyze_witness_internal_check_marks_row(capsys, monkeypatch):
     assert captured.err == "internal check failure at order 4: forced failure at order 4\n"
 
 
+def _deep_value_error(*args):
+    raise ValueError("forced failure inside the exact engine")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["falsify", "--pattern", "{pattern}", "--budget", "5", "--seed", "0", "--jobs", "1"],
+        ["witness", "-i", "1", "-n", "4"],
+    ],
+    ids=["falsify", "witness"],
+)
+def test_value_error_inside_pipeline_exits_4(pattern_file, capsys, monkeypatch, argv):
+    # Usage is checked before the pipeline runs, so a ValueError raised
+    # inside refined_inertia_exact is an internal failure, not bad usage.
+    monkeypatch.setattr(engine, "cauchy_index_line", _deep_value_error)
+    assert main([arg.format(pattern=pattern_file) for arg in argv]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: forced failure inside the exact engine\n"
+
+
 def test_analyze_bad_range(capsys):
     for n_range in ("8", "5..4"):
         assert main(["analyze", "-i", "1", "--n-range", n_range, "--budget", "10"]) == EXIT_USAGE
@@ -278,6 +300,7 @@ USAGE_ERRORS = {
     "falsify-order-2": ["falsify", "--pattern", "{order2}", "--budget", "5"],
     "falsify-negative-budget": ["falsify", "--pattern", "{order4}", "--budget", "-1"],
     "analyze-negative-budget": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "-1"],
+    "witness-order-3": ["witness", "-i", "1", "-n", "3"],
     "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],
     "bad-RI_SEED": ["lemmas", "-i", "1", "-n", "5", "--samples", "1"],
 }

@@ -18,6 +18,7 @@ from refined_inertia.realization import (
     arrow_params,
     deflate_repeated,
     embed_witness,
+    family_sample_char_poly,
     matrix_from_json,
     matrix_to_json,
     sample_realization,
@@ -58,6 +59,18 @@ def test_arrow_char_poly_matches_generic_engine():
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n - 2)]
         arrow = ArrowMatrix(a, b)
         assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix())
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("i", (1, 2, 3))
+def test_family_sample_char_poly_is_the_rational_route(i, n):
+    # The integer draw path reads the same stream as sample_realization and
+    # builds the same RationalPoly as its matrix's arrow form, term for term.
+    pattern = family_pattern(i, n)
+    for k in range(60):
+        cfg = RealizationConfig(seed=(10 * i + n) * 1000 + k)
+        expected = arrow_char_poly(arrow_params(sample_realization(pattern, cfg)))
+        assert family_sample_char_poly(pattern, cfg) == expected, f"seed {cfg.seed}"
 
 
 class TestSampler:
