@@ -397,11 +397,15 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     """Run the exact identity checks behind the distinct-parameter analysis.
 
     The matrix is first permuted so the diagonal parameters descend, which
-    is the normalization the sign table assumes.  Raises ValueError when a
-    diagonal parameter repeats (the identities assume distinct ones; see
-    deflate_repeated for that case) and MembershipError if the matrix is
-    not in the family's qualitative class, and never raises on a mere check
-    failure: each result carries its computed quantities.
+    is the normalization the sign table assumes.  Its characteristic
+    polynomial comes once from Berkowitz's char_poly (a permutation
+    similarity keeps it), and L-det requires it to equal the spoke
+    expansion arrow_char_poly and to give every closed-form shift
+    determinant; L-sign and L-excl read those certified values.  Raises
+    ValueError when a diagonal parameter repeats (the identities assume
+    distinct ones; see deflate_repeated for that case) and MembershipError
+    if the matrix is not in the family's qualitative class, and never raises
+    on a mere check failure: each result carries its computed quantities.
     """
     matrix = arrow.to_matrix()
     if family_index(matrix) != i:
@@ -411,17 +415,23 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     n = arrow.n
     arrow = _sorted_descending(arrow)
     b = arrow.b
-    p = arrow_char_poly(arrow)
+    p = char_poly(matrix)
     inertia = refined_inertia_exact(p)
     checks: list[LemmaCheck] = []
 
-    # L-det: closed-form shift determinant equals the direct determinant.
-    # The values are reused by the sign-table check below.
+    # L-det: the spoke expansion and every closed-form shift determinant
+    # agree with the Berkowitz polynomial p, det(b_j I + B) = (-1)^n p(-b_j).
+    # The values are reused by the sign-table and exclusion checks below.
     shift_dets: dict[int, Fraction] = {}
     details: dict = {"det_values": shift_dets}
     try:
+        if arrow_char_poly(arrow) != p:
+            raise InternalCheckError(
+                "spoke expansion differs from the Berkowitz characteristic polynomial; "
+                f"arrow {json.dumps(arrow.to_json())}"
+            )
         for j in range(1, n - 1):
-            shift_dets[j] = arrow_shift_det(arrow, j)
+            shift_dets[j] = arrow_shift_det(arrow, j, p)
     except InternalCheckError as exc:
         details["error"] = str(exc)
     checks.append(LemmaCheck("L-det", "fail" if "error" in details else "pass", details))
@@ -439,9 +449,10 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
         )
     )
 
-    # L-excl: no -b_j is an eigenvalue.
-    values = {j: p.evaluate(-b[j - 1]) for j in range(1, n - 1)}
-    ok = all(v != 0 for v in values.values())
+    # L-excl: no -b_j is an eigenvalue, p(-b_j) = (-1)^n det(b_j I + B) != 0;
+    # a value L-det could not certify is missing and fails the check.
+    values = {j: (-1) ** n * v for j, v in shift_dets.items()}
+    ok = len(values) == n - 2 and all(v != 0 for v in values.values())
     checks.append(LemmaCheck("L-excl", "pass" if ok else "fail", {"char_poly_values": values}))
 
     # L-low: lower bounds on the negative count.

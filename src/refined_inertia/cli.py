@@ -209,6 +209,9 @@ def _cmd_lemmas(args) -> int:
     except (MembershipError, InternalCheckError) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"family {args.family}, order {args.order}, samples {report.samples}")
     for label, count in report.check_counts:
         print(f"  {label}: {count}")
@@ -250,6 +253,9 @@ def _cmd_analyze(args) -> int:
         except InternalCheckError as exc:
             print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
+        except ValueError as exc:
+            print(f"internal error at order {n}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         try:
             witness_suite(args.family, n)
             witnesses_ok = "yes"
@@ -257,6 +263,9 @@ def _cmd_analyze(args) -> int:
             witnesses_ok = "NO"
             print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INTERNAL)
+        except ValueError as exc:
+            print(f"internal error at order {n}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         inside = "yes" if report.verdict is not Verdict.COUNTEREXAMPLE else "NO"
         if report.verdict is Verdict.COUNTEREXAMPLE:
             worst = max(worst, EXIT_COUNTEREXAMPLE)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cache
 from typing import Iterable, Sequence
 
 
@@ -99,13 +100,15 @@ def parse_pattern(text: str) -> SignPattern:
     return SignPattern(rows)
 
 
+@cache
 def family_pattern(i: int, n: int) -> SignPattern:
     """The i-th arrowhead family pattern of order n (i in {1, 2, 3}, n >= 4).
 
     All three share the shape: dense first row and first column, diagonal
     (d, 0, -, ..., -), and zeros elsewhere.  They differ in the sign d of
     the (1,1) entry, the signs down the first column, and (for i = 3) a +
-    in the trailing diagonal position.
+    in the trailing diagonal position.  Patterns are immutable, so each
+    (i, n) is built once and then served from a cache.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"family index must be 1, 2 or 3, got {i}")

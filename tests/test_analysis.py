@@ -31,10 +31,12 @@ from refined_inertia.engine import (
     refined_inertia_exact,
 )
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
+from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import (
     ArrowMatrix,
     MembershipError,
     RealizationConfig,
+    arrow_char_poly,
     family_index,
     sample_realization,
     to_arrow_form,
@@ -350,6 +352,39 @@ class TestLemmaValidation:
                 assert delta % 2 == j % 2
             checked += 1
         assert checked >= 30
+
+    def test_spoke_expansion_mismatch_fails_l_det(self, monkeypatch):
+        spoke = analysis.arrow_char_poly
+        monkeypatch.setattr(
+            analysis, "arrow_char_poly", lambda arrow: spoke(arrow) + RationalPoly([Fraction(1, 5)])
+        )
+        arrow = self.sampled_arrow(2, 6, 11)
+        results = {r.check: r for r in validate_lemmas(arrow, 2)}
+        message = results["L-det"].details["error"]
+        assert results["L-det"].failed
+        assert "\n" not in message
+        data = json.loads(message[message.index("{") :])
+        assert ArrowMatrix(map(Fraction, data["a"]), map(Fraction, data["b"])) == (
+            analysis._sorted_descending(arrow)
+        )
+        # Nothing was certified, so the checks that read L-det's values fail
+        # too; the rest run on the Berkowitz polynomial and still pass.
+        assert {c for c, r in results.items() if r.failed} == {"L-det", "L-sign", "L-excl"}
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_excl_values_are_char_poly_at_minus_b(self, i):
+        checked = 0
+        for seed in range(12):
+            arrow = self.sampled_arrow(i, 4 + seed % 4, seed)
+            if len(set(arrow.b)) != len(arrow.b):
+                continue
+            results = {r.check: r for r in validate_lemmas(arrow, i)}
+            p = arrow_char_poly(arrow)
+            b = analysis._sorted_descending(arrow).b
+            expected = {j: p.evaluate(-bj) for j, bj in enumerate(b, start=1)}
+            assert results["L-excl"].details["char_poly_values"] == expected
+            checked += 1
+        assert checked >= 10
 
     def test_suite_runner(self):
         report = run_lemma_suite(3, 5, 25, RealizationConfig(seed=6))

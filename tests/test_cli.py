@@ -243,22 +243,44 @@ def _deep_value_error(*args):
     raise ValueError("forced failure inside the exact engine")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["falsify", "--pattern", "{pattern}", "--budget", "5", "--seed", "0", "--jobs", "1"],
-        ["witness", "-i", "1", "-n", "4"],
-    ],
-    ids=["falsify", "witness"],
+_ANALYZE_HEADER = (
+    "family 1, orders 4..4, budget 5, seed 0\n"
+    "n   samples  inside_target  all3_realized  verdict\n"
 )
-def test_value_error_inside_pipeline_exits_4(pattern_file, capsys, monkeypatch, argv):
+
+
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (
+            ["falsify", "--pattern", "{pattern}", "--budget", "5", "--seed", "0", "--jobs", "1"],
+            "",
+            "internal error: ",
+        ),
+        (["witness", "-i", "1", "-n", "4"], "", "internal error: "),
+        (["lemmas", "-i", "1", "-n", "5", "--samples", "2", "--seed", "0"], "", "internal error: "),
+        (
+            ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "5", "--seed", "0"],
+            _ANALYZE_HEADER,
+            "internal error at order 4: ",
+        ),
+        (
+            # With no samples drawn, the witness certification is the first to fail.
+            ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "0", "--seed", "0"],
+            _ANALYZE_HEADER.replace("budget 5", "budget 0"),
+            "internal error at order 4: ",
+        ),
+    ],
+    ids=["falsify", "witness", "lemmas", "analyze", "analyze-witness"],
+)
+def test_value_error_inside_pipeline_exits_4(pattern_file, capsys, monkeypatch, argv, out, err):
     # Usage is checked before the pipeline runs, so a ValueError raised
     # inside refined_inertia_exact is an internal failure, not bad usage.
     monkeypatch.setattr(engine, "cauchy_index_line", _deep_value_error)
     assert main([arg.format(pattern=pattern_file) for arg in argv]) == EXIT_INTERNAL
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: forced failure inside the exact engine\n"
+    assert captured.out == out
+    assert captured.err == err + "forced failure inside the exact engine\n"
 
 
 def test_analyze_bad_range(capsys):
