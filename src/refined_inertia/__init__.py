@@ -17,13 +17,11 @@ The package splits into five layers:
 
 from .analysis import (
     AnalysisReport,
-    HnSet,
     LemmaCheck,
     LemmaSuiteReport,
     Verdict,
     WitnessSuite,
     falsify_requires,
-    find_4x4_witnesses,
     hn_set,
     run_lemma_suite,
     validate_lemmas,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "ArrowMatrix",
-    "HnSet",
     "LemmaCheck",
     "LemmaSuiteReport",
     "RationalPoly",
@@ -83,7 +80,6 @@ __all__ = [
     "embed_witness",
     "falsify_requires",
     "family_pattern",
-    "find_4x4_witnesses",
     "hn_set",
     "is_irreducible",
     "matrix_from_json",

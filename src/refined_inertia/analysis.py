@@ -47,32 +47,20 @@ class WitnessCertificationError(RuntimeError):
     """A stored or constructed witness failed its exact certification."""
 
 
-@dataclass(frozen=True)
-class HnSet:
-    """The three-element target set of refined inertias for a given order."""
-
-    n: int
-    members: tuple[RefinedInertia, RefinedInertia, RefinedInertia]
-
-    def __contains__(self, inertia: RefinedInertia) -> bool:
-        return inertia in self.members
-
-
-def hn_set(n: int) -> HnSet:
+def hn_set(n: int) -> frozenset[RefinedInertia]:
     """Target set {(0,n,0,0), (0,n-2,0,2), (2,n-2,0,0)}; defined for n >= 3."""
     if n < 3:
         raise ValueError(f"the target inertia set needs order >= 3, got {n}")
-    return HnSet(
-        n,
+    return frozenset(
         (
             RefinedInertia(0, n, 0, 0),
             RefinedInertia(0, n - 2, 0, 2),
             RefinedInertia(2, n - 2, 0, 0),
-        ),
+        )
     )
 
 
-# -- 4x4 witnesses -----------------------------------------------------------
+# -- witnesses -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -83,9 +71,8 @@ class WitnessSuite:
     witnesses: tuple[tuple[RefinedInertia, ArrowMatrix], ...]
 
     def __post_init__(self):
-        keys = tuple(ri for ri, _ in self.witnesses)
-        expected = hn_set(self.pattern.n).members
-        if sorted(keys) != sorted(expected):
+        keys = [ri for ri, _ in self.witnesses]
+        if sorted(keys) != sorted(hn_set(self.pattern.n)):
             raise ValueError("witness keys must be exactly the three target inertias")
 
     def to_json_dict(self) -> dict:
@@ -116,43 +103,29 @@ def _certified_witness(i: int, n: int, arrow: ArrowMatrix, expected: RefinedIner
     )
 
 
-def find_4x4_witnesses(i: int) -> WitnessSuite:
-    """The stored 4x4 witness triple for family i, re-certified exactly.
-
-    The parameter values are frozen fixtures derived once by seeded search
-    (open-condition inertias) and coefficient matching (the imaginary
-    pair); every call re-runs the exact certification.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError(f"family index must be 1, 2 or 3, got {i}")
-    entries = []
-    for key, (a, b) in WITNESS_PARAMS[i].items():
-        inertia = RefinedInertia(*key)
-        arrow = ArrowMatrix([Fraction(x) for x in a], [Fraction(x) for x in b])
-        _certified_witness(i, 4, arrow, inertia)
-        entries.append((inertia, arrow))
-    entries.sort(key=lambda pair: pair[0])
-    return WitnessSuite(family_pattern(i, 4), tuple(entries))
-
-
 def witness_suite(i: int, n: int) -> WitnessSuite:
     """Certified witnesses for all three target inertias at order n >= 4.
 
-    For n >= 5 each stored 4x4 witness is lifted by the spoke-replication
-    embedding, which adds n-4 to the negative count and changes nothing
-    else; every lifted witness is re-certified exactly.
+    The parameter values are frozen 4x4 fixtures, derived once by seeded
+    search (open-condition inertias) and coefficient matching (the
+    imaginary pair).  For n >= 5 each is lifted by the spoke-replication
+    embedding, whose characteristic polynomial is (x + b_1)^(n-4) times the
+    base one: n-4 is added to the negative count and nothing else changes.
+    Each witness is certified once, exactly, at order n; embed_witness
+    checks the base's class.
     """
     if n < 4:
         raise ValueError(f"witness suites start at order 4, got {n}")
-    base = find_4x4_witnesses(i)
-    if n == 4:
-        return base
+    if i not in (1, 2, 3):
+        raise ValueError(f"family index must be 1, 2 or 3, got {i}")
     entries = []
-    for ri4, arrow4 in base.witnesses:
-        lifted = embed_witness(arrow4, n, i)
-        expected = RefinedInertia(ri4.n_plus, ri4.n_minus + (n - 4), ri4.n_zero, ri4.two_n_p)
-        _certified_witness(i, n, lifted, expected)
-        entries.append((expected, lifted))
+    for (n_plus, n_minus, n_zero, two_n_p), (a, b) in WITNESS_PARAMS[i].items():
+        arrow = ArrowMatrix([Fraction(x) for x in a], [Fraction(x) for x in b])
+        if n > 4:
+            arrow = embed_witness(arrow, n, i)
+        inertia = RefinedInertia(n_plus, n_minus + (n - 4), n_zero, two_n_p)
+        _certified_witness(i, n, arrow, inertia)
+        entries.append((inertia, arrow))
     entries.sort(key=lambda pair: pair[0])
     return WitnessSuite(family_pattern(i, n), tuple(entries))
 
@@ -227,27 +200,21 @@ def _sample_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _exact_inertia(sample: RationalPoly | ArrowMatrix | RationalMatrix) -> RefinedInertia:
+def _exact_inertia(sample: RationalPoly | RationalMatrix) -> RefinedInertia:
     """Exact inertia of a falsifier sample; this is how the falsifier classifies every one.
 
-    Its caller classifies the sampled pattern once per falsify_requires
-    call.  A family sample arrives as its characteristic polynomial, built
-    from the integer draws by family_sample_char_poly; a shrink candidate of
-    a family sample as its arrow form (arrow_params), whose spoke expansion
-    is quadratic instead of quartic in the order; any other sample as a
-    matrix, for char_poly.
+    A family sample arrives as its characteristic polynomial, built from
+    the integer draws by family_sample_char_poly; any other sample, and
+    every shrink candidate, arrives as a matrix, for char_poly.
     """
-    if isinstance(sample, ArrowMatrix):
-        sample = arrow_char_poly(sample)
-    elif not isinstance(sample, RationalPoly):
+    if not isinstance(sample, RationalPoly):
         sample = char_poly(sample)
     return refined_inertia_exact(sample)
 
 
 def _falsify_chunk(args) -> tuple[dict, int | None]:
     """Histogram of samples start..start+count-1 and the index of the first outside one."""
-    pattern, family, cfg, start, count, members = args
-    draw = family_sample_char_poly if family else sample_realization
+    pattern, draw, cfg, start, count, members = args
     histogram: Counter = Counter()
     first_outside: int | None = None
     for k in range(start, start + count):
@@ -258,17 +225,16 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
     return dict(histogram), first_outside
 
 
-def _shrink_counterexample(matrix: RationalMatrix, members, family: bool) -> RationalMatrix:
+def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
     """Pull entries toward +-1 by bisection while the certified verdict holds.
 
     Every move keeps each entry's sign, so every candidate stays in the
-    qualitative class of matrix; family says whether that class is a family
-    pattern's, as falsify_requires classified it.
+    qualitative class of matrix.  Each candidate is classified as a matrix,
+    through char_poly, whatever its pattern.
     """
 
     def still_outside(rows) -> bool:
-        candidate = tuple(tuple(r) for r in rows)
-        return _exact_inertia(arrow_params(candidate) if family else candidate) not in members
+        return _exact_inertia(tuple(tuple(r) for r in rows)) not in members
 
     work = [list(row) for row in matrix]
     n = len(work)
@@ -317,11 +283,12 @@ def falsify_requires(
     Every sample is classified by the exact engine, so every histogram
     entry, and every outside verdict, is certified.  Every sample has the
     sign pattern it was drawn from, so the pattern is classified once, here,
-    and not per sample.  A family pattern's samples go from their integer
-    draws straight to the characteristic polynomial
-    (family_sample_char_poly) and never become Fractions; the chunks report
-    only the index of their first outside sample, and that one sample is
-    rebuilt as a matrix by sample_realization and shrunk.  The sample
+    to pick the draw function: a family pattern's samples go from their
+    integer draws straight to the characteristic polynomial
+    (family_sample_char_poly) and never become Fractions, any other
+    pattern's are matrices from sample_realization.  The chunks report only
+    the index of their first outside sample; that one sample is rebuilt as
+    a matrix by sample_realization and shrunk as a matrix.  The sample
     multiset is a pure function of (pattern, budget, seed), independent of
     the job count.
     """
@@ -329,13 +296,12 @@ def falsify_requires(
         raise ValueError("falsification needs order >= 3")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    hn = hn_set(pattern.n)
-    members = frozenset(hn.members)
-    family = family_index(pattern.rows) is not None
+    members = hn_set(pattern.n)
+    draw = family_sample_char_poly if family_index(pattern.rows) is not None else sample_realization
     jobs = max(1, min(jobs, budget or 1))
     bounds = [budget * w // jobs for w in range(jobs + 1)]
     tasks = [
-        (pattern, family, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
+        (pattern, draw, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
         for w in range(jobs)
         if bounds[w + 1] > bounds[w]
     ]
@@ -353,9 +319,7 @@ def falsify_requires(
     counterexample = None
     if outside:
         sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, min(outside)))
-        counterexample = _shrink_counterexample(
-            sample_realization(pattern, sample_cfg), members, family
-        )
+        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), members)
         verdict = Verdict.COUNTEREXAMPLE
     elif set(histogram) >= members and budget > 0:
         verdict = Verdict.ALLOWS

@@ -118,11 +118,7 @@ def _cmd_inertia(args) -> int:
         if not rational:
             print("error reading matrix: non-rational entries; exact engine unavailable", file=sys.stderr)
             return EXIT_IO
-        try:
-            inertia = refined_inertia_exact(char_poly(matrix))
-        except InternalCheckError as exc:
-            print(f"internal check failure: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+        inertia = refined_inertia_exact(char_poly(matrix))
         method = "exact"
     else:
         try:
@@ -145,15 +141,7 @@ def _cmd_witness(args) -> int:
     if args.order < 4:
         print(f"error: witness suites start at order 4, got {args.order}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        suite = witness_suite(args.family, args.order)
-    except (WitnessCertificationError, InternalCheckError) as exc:
-        print(f"internal check failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    text = canonical_dumps(suite.to_json_dict())
+    text = canonical_dumps(witness_suite(args.family, args.order).to_json_dict())
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -180,14 +168,7 @@ def _cmd_falsify(args) -> int:
         print("error: budget must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
-    try:
-        report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
-    except InternalCheckError as exc:
-        print(f"internal check failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as handle:
@@ -204,14 +185,7 @@ def _cmd_lemmas(args) -> int:
         print("error: order must be >= 4 and samples nonnegative", file=sys.stderr)
         return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
-    try:
-        report = run_lemma_suite(args.family, args.order, args.samples, cfg)
-    except (MembershipError, InternalCheckError) as exc:
-        print(f"internal check failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    report = run_lemma_suite(args.family, args.order, args.samples, cfg)
     print(f"family {args.family}, order {args.order}, samples {report.samples}")
     for label, count in report.check_counts:
         print(f"  {label}: {count}")
@@ -259,7 +233,7 @@ def _cmd_analyze(args) -> int:
         try:
             witness_suite(args.family, n)
             witnesses_ok = "yes"
-        except (WitnessCertificationError, InternalCheckError) as exc:
+        except (WitnessCertificationError, InternalCheckError, MembershipError) as exc:
             witnesses_ok = "NO"
             print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INTERNAL)
@@ -295,7 +269,15 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print(f"error: RI_SEED must be an integer, got {raw!r}", file=sys.stderr)
             return EXIT_USAGE
-    return _HANDLERS[args.command](args)
+    # The pipelines check their usage before they run, so anything they
+    # raise past their command's own handlers is an engine fault.
+    try:
+        return _HANDLERS[args.command](args)
+    except (InternalCheckError, WitnessCertificationError, MembershipError) as exc:
+        print(f"internal check failure: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

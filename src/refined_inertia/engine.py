@@ -68,10 +68,6 @@ class RefinedInertia:
         if self.two_n_p % 2 != 0:
             raise ValueError("nonzero imaginary eigenvalues come in conjugate pairs")
 
-    @property
-    def order(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero + self.two_n_p
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero, self.two_n_p)
 

@@ -85,10 +85,6 @@ class RationalPoly:
         return Fraction(self.num[0] if self.num else 0, self.den)
 
     @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls.from_ints(())
-
-    @classmethod
     def one(cls) -> "RationalPoly":
         return cls.from_ints((1,))
 
@@ -137,18 +133,7 @@ class RationalPoly:
             result = result * self
         return result
 
-    def __divmod__(self, divisor: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        # m * num = q * divisor.num + r, and divisor = divisor.num / divisor.den
-        q, r, m = _pseudo_divmod(self.num, divisor.num)
-        quotient = RationalPoly.from_ints([c * divisor.den for c in q], m * self.den)
-        return quotient, RationalPoly.from_ints(r, m * self.den)
-
-    # -- calculus and evaluation ----------------------------------------
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly.from_ints(_derivative(self.num), self.den)
+    # -- evaluation -------------------------------------------------------
 
     def evaluate(self, x: Rational) -> Fraction:
         s, t = as_ratio(x)

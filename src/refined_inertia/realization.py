@@ -12,6 +12,7 @@ matrix JSON wire format with its validating reader.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -224,8 +225,8 @@ def arrow_params(matrix: RationalMatrix) -> ArrowMatrix:
     The scaling diagonal is D = diag(1, B_12, ..., B_1n), whose entries are
     positive by pattern membership; conjugating by it makes the first row
     (a_1, 1, ..., 1) while fixing the diagonal and the spectrum exactly.
-    Nothing is checked: a caller that sampled a family pattern, or kept
-    every entry's sign, knows the class; any other caller uses to_arrow_form.
+    Nothing is checked: a caller that sampled a family pattern knows the
+    class; any other caller uses to_arrow_form.
     The falsifier's sample loop does not come here: family_sample_char_poly
     reads the same parameters from the integer draws.
     """
@@ -260,7 +261,10 @@ def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:
     if n < 5:
         raise ValueError(f"embedding target order must be >= 5, got {n}")
     if family_index(base.to_matrix()) != i:
-        raise MembershipError(f"base matrix is not in the order-4 class of family {i}")
+        raise MembershipError(
+            f"base matrix is not in the order-4 class of family {i}; "
+            f"arrow {json.dumps(base.to_json())}"
+        )
     share = base.a[2] / (n - 3)
     a = (base.a[0], base.a[1]) + (share,) * (n - 3) + (base.a[3],)
     b = (base.b[0],) * (n - 3) + (base.b[1],)

@@ -17,7 +17,6 @@ from refined_inertia.analysis import (
     Verdict,
     canonical_dumps,
     falsify_requires,
-    find_4x4_witnesses,
     hn_set,
     witness_suite,
 )
@@ -98,7 +97,7 @@ def test_criterion_2_allows_property():
         for i in (1, 2, 3):
             for n in FAMILY_ORDERS:
                 suite = witness_suite(i, n)
-                expected = {ri.as_tuple() for ri in hn_set(n).members}
+                expected = {ri.as_tuple() for ri in hn_set(n)}
                 got = set()
                 pattern = family_pattern(i, n)
                 for inertia, arrow in suite.witnesses:
@@ -113,7 +112,7 @@ def test_criterion_2_allows_property():
 def test_criterion_3_embedding_identity():
     with criterion("criterion 3: embedding char-poly identity, nine fixtures, orders 5..10"):
         for i in (1, 2, 3):
-            for base_inertia, base in find_4x4_witnesses(i).witnesses:
+            for base_inertia, base in witness_suite(i, 4).witnesses:
                 base_poly = char_poly(base.to_matrix())
                 for n in range(5, 11):
                     lifted = embed_witness(base, n, i)

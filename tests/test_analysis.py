@@ -18,7 +18,6 @@ from refined_inertia.analysis import (
     _sample_seed,
     canonical_dumps,
     falsify_requires,
-    find_4x4_witnesses,
     hn_set,
     run_lemma_suite,
     validate_lemmas,
@@ -57,11 +56,11 @@ def _load_derive_tool():
 
 class TestHnSet:
     def test_order_4(self):
-        got = {ri.as_tuple() for ri in hn_set(4).members}
+        got = {ri.as_tuple() for ri in hn_set(4)}
         assert got == {(0, 4, 0, 0), (0, 2, 0, 2), (2, 2, 0, 0)}
 
     def test_order_5(self):
-        got = {ri.as_tuple() for ri in hn_set(5).members}
+        got = {ri.as_tuple() for ri in hn_set(5)}
         assert got == {(0, 5, 0, 0), (0, 3, 0, 2), (2, 3, 0, 0)}
 
     def test_too_small(self):
@@ -77,7 +76,7 @@ class TestHnSet:
 class TestWitnesses:
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_stored_4x4_triples_certified(self, i):
-        suite = find_4x4_witnesses(i)
+        suite = witness_suite(i, 4)
         pattern = family_pattern(i, 4)
         keys = set()
         for inertia, arrow in suite.witnesses:
@@ -99,11 +98,25 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_embedding_preserves_all_but_n_minus(self, i):
-        base = {ri.as_tuple(): arrow for ri, arrow in find_4x4_witnesses(i).witnesses}
+        base = {ri.as_tuple(): arrow for ri, arrow in witness_suite(i, 4).witnesses}
         lifted = witness_suite(i, 6)
         for inertia, _ in lifted.witnesses:
             source = (inertia.n_plus, inertia.n_minus - 2, inertia.n_zero, inertia.two_n_p)
             assert source in base
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_each_witness_certified_once(self, i, n, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return refined_inertia_exact(p)
+
+        monkeypatch.setattr(analysis, "refined_inertia_exact", counting)
+        witness_suite(i, n)
+        assert len(calls) == 3
+        assert all(p.degree == n for p in calls)
 
     def test_imaginary_pair_constructive_route(self):
         derive = _load_derive_tool()
@@ -122,7 +135,7 @@ class TestWitnesses:
 
     def test_bad_family_index(self):
         with pytest.raises(ValueError):
-            find_4x4_witnesses(4)
+            witness_suite(4, 4)
         with pytest.raises(ValueError):
             witness_suite(1, 3)
 
@@ -252,9 +265,8 @@ class TestFalsifier:
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
         serial, parallel = (falsify_requires(pattern, budget, cfg, jobs=j) for j in (1, 2))
         assert dict(serial.histogram)[RefinedInertia(n, 0, 0, 0)] == 2
-        members = frozenset(hn_set(n).members)
         ce = serial.counterexample
-        assert ce == analysis._shrink_counterexample(drawn[13], members, True)
+        assert ce == analysis._shrink_counterexample(drawn[13], hn_set(n))
         assert sgn_of_matrix(ce) == pattern
         for r in range(n):
             for c in range(n):

@@ -23,6 +23,7 @@ from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
 from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import matrix_to_json
+from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 
 @pytest.fixture
@@ -237,6 +238,35 @@ def test_analyze_witness_internal_check_marks_row(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[2].split()[:4] == ["4", "10", "yes", "NO"]
     assert captured.err == "internal check failure at order 4: forced failure at order 4\n"
+
+
+def _break_witness_fixture(monkeypatch):
+    """Flip the sign of a_2 in family 1's (0, 4, 0, 0) fixture, out of the class."""
+    a, b = WITNESS_PARAMS[1][(0, 4, 0, 0)]
+    monkeypatch.setitem(WITNESS_PARAMS[1], (0, 4, 0, 0), ((a[0], a[1].lstrip("-")) + a[2:], b))
+
+
+@pytest.mark.parametrize("order", ["4", "6"])
+def test_witness_outside_class_exits_4(capsys, monkeypatch, order):
+    # Order 4 certifies the fixture itself; order 6 meets it in embed_witness.
+    _break_witness_fixture(monkeypatch)
+    assert main(["witness", "-i", "1", "-n", order]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal check failure: ")
+    assert 'arrow {"a": ["2/3", "2/1", ' in captured.err
+
+
+def test_analyze_witness_outside_class_marks_row(capsys, monkeypatch):
+    _break_witness_fixture(monkeypatch)
+    argv = ["analyze", "-i", "1", "--n-range", "6..6", "--budget", "10", "--seed", "0"]
+    argv += ["--jobs", "1"]
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2].split()[:4] == ["6", "10", "yes", "NO"]
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal check failure at order 6: ")
 
 
 def _deep_value_error(*args):

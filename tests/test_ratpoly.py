@@ -49,27 +49,14 @@ def test_product_of_linear_factors():
     assert RationalPoly.from_roots([2, 3]) == poly(6, -5, 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys)
-def test_divmod_roundtrip(f, g):
-    if g.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            divmod(f, g)
-        return
-    q, r = divmod(f, g)
-    assert q * g + r == f
-    assert r.is_zero or r.degree < g.degree
-
-
 @settings(max_examples=40, deadline=None)
 @given(small_polys, rationals, rationals)
 def test_taylor_shift_matches_pointwise(f, c, t):
     assert f.taylor_shift(c).evaluate(t) == f.evaluate(t + c)
 
 
-def test_derivative_and_evaluate():
+def test_evaluate():
     p = poly(1, -3, 0, 2)  # 2x^3 - 3x + 1
-    assert p.derivative() == poly(-3, 0, 6)
     assert p.evaluate(Fraction(1, 2)) == Fraction(-1, 4)
 
 
@@ -82,8 +69,8 @@ def test_gcd_of_constructed_common_factor():
 
 def test_gcd_zero_conventions():
     p = poly(2, 4)
-    assert poly_gcd(p, RationalPoly.zero()) == p.monic()
-    assert poly_gcd(RationalPoly.zero(), RationalPoly.zero()).is_zero
+    assert poly_gcd(p, RationalPoly()) == p.monic()
+    assert poly_gcd(RationalPoly(), RationalPoly()).is_zero
 
 
 def test_squarefree_decomposition_recovers_multiplicities():
@@ -133,7 +120,7 @@ class TestSturmCounting:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            count_real_roots(RationalPoly.zero())
+            count_real_roots(RationalPoly())
 
 
 def negative_root_count(g):
@@ -192,7 +179,7 @@ class TestCauchyIndex:
 
     def test_zero_numerator(self):
         # gcd(f0, 0) is f0 made monic
-        assert cauchy_index_line(poly(1, 2, 3), RationalPoly.zero()) == (0, poly(1, 2, 3).monic())
+        assert cauchy_index_line(poly(1, 2, 3), RationalPoly()) == (0, poly(1, 2, 3).monic())
 
     def test_gcd_laden_chain(self):
         # (w^2 - 1) cancels; reduced fraction is -1/w

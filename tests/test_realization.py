@@ -7,7 +7,7 @@ import pytest
 
 from refined_inertia.engine import char_poly, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
-from refined_inertia.ratpoly import RationalPoly
+from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
 from refined_inertia.realization import (
     MAGNITUDE_RANGE,
     ArrowMatrix,
@@ -168,9 +168,7 @@ class TestEmbedWitness:
             lifted = embed_witness(self.base, n, 1)
             p_big = char_poly(lifted.to_matrix())
             p_base = char_poly(self.base.to_matrix())
-            quotient, remainder = divmod(p_big, p_base)
-            assert remainder.is_zero
-            assert quotient == RationalPoly((self.base.b[0], 1)) ** (n - 4)
+            assert p_big == RationalPoly((self.base.b[0], 1)) ** (n - 4) * p_base
 
     def test_membership_of_result(self):
         for i, params in ((1, ([1, -1, -1, -1], [1, 2])), (2, ([-1, -1, 1, 1], [1, 2])), (3, ([-1, 1, 1, -1], [1, -2]))):
@@ -191,8 +189,9 @@ class TestEmbedWitness:
         base = ArrowMatrix([1, -1, -2, -3], [1, 4])  # family 1, b1 = 1
         lifted = embed_witness(base, 6, 1)
         p = char_poly(lifted.to_matrix())
-        assert p.evaluate(-1) == 0
-        assert p.derivative().evaluate(-1) == 0
+        # the base polynomial is -6 at -1, so the two replicated spokes give
+        # -1 multiplicity exactly 2
+        assert (RationalPoly.from_roots([-1]), 2) in squarefree_decomposition(p)
 
     def test_errors(self):
         with pytest.raises(ValueError):
