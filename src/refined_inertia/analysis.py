@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -272,25 +274,16 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
     return tuple(tuple(row) for row in work)
 
 
-def falsify_requires(
-    pattern: SignPattern,
-    budget: int,
-    cfg: RealizationConfig,
-    jobs: int = 1,
-) -> AnalysisReport:
-    """Sample Q(pattern) and hunt for a certified inertia outside the target set.
+def _falsify_tasks(
+    pattern: SignPattern, budget: int, cfg: RealizationConfig, jobs: int
+) -> list[tuple]:
+    """One request's _falsify_chunk tasks: jobs contiguous runs of the sample indices.
 
-    Every sample is classified by the exact engine, so every histogram
-    entry, and every outside verdict, is certified.  Every sample has the
-    sign pattern it was drawn from, so the pattern is classified once, here,
-    to pick the draw function: a family pattern's samples go from their
-    integer draws straight to the characteristic polynomial
-    (family_sample_char_poly) and never become Fractions, any other
-    pattern's are matrices from sample_realization.  The chunks report only
-    the index of their first outside sample; that one sample is rebuilt as
-    a matrix by sample_realization and shrunk as a matrix.  The sample
-    multiset is a pure function of (pattern, budget, seed), independent of
-    the job count.
+    Every sample has the sign pattern it was drawn from, so the pattern is
+    classified once, here, to pick the draw function: a family pattern's
+    samples go from their integer draws straight to the characteristic
+    polynomial (family_sample_char_poly) and never become Fractions, any
+    other pattern's are matrices from sample_realization.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")
@@ -298,19 +291,19 @@ def falsify_requires(
         raise ValueError("budget must be nonnegative")
     members = hn_set(pattern.n)
     draw = family_sample_char_poly if family_index(pattern.rows) is not None else sample_realization
-    jobs = max(1, min(jobs, budget or 1))
     bounds = [budget * w // jobs for w in range(jobs + 1)]
-    tasks = [
+    return [
         (pattern, draw, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
         for w in range(jobs)
         if bounds[w + 1] > bounds[w]
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_falsify_chunk, tasks))
-    else:
-        results = [_falsify_chunk(task) for task in tasks]
 
+
+def _falsify_report(
+    pattern: SignPattern, budget: int, cfg: RealizationConfig, results: list[tuple[dict, int | None]]
+) -> AnalysisReport:
+    """Merge one request's chunk results, shrink its first outside sample, pick the verdict."""
+    members = hn_set(pattern.n)
     histogram: Counter = Counter()
     for hist, _ in results:
         histogram.update(hist)
@@ -333,6 +326,55 @@ def falsify_requires(
         counterexample=counterexample,
         seed=cfg.seed,
     )
+
+
+def falsify_each(
+    requests: Iterable[tuple[SignPattern, RealizationConfig]], budget: int, jobs: int = 1
+) -> Iterator[AnalysisReport]:
+    """Yield falsify_requires(pattern, budget, cfg, jobs) for each (pattern, cfg), in order.
+
+    The worker count is clamped to [1, min(budget, CPU count)].  With one
+    worker every request is sampled in this process, lazily, when its
+    report is asked for.  With more, every request is planned at the first
+    report and its chunks go up front to one process pool, so the caller
+    can work on report k while the workers sample the later requests.  Closing the generator early cancels the
+    chunks still queued and waits for the running ones: no worker outlives
+    it, so a caller that may stop early closes it explicitly.
+    """
+    jobs = max(1, min(jobs, budget, os.cpu_count() or 1))
+    if jobs == 1:
+        for pattern, cfg in requests:
+            results = [_falsify_chunk(task) for task in _falsify_tasks(pattern, budget, cfg, 1)]
+            yield _falsify_report(pattern, budget, cfg, results)
+        return
+    planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        pending = [[pool.submit(_falsify_chunk, task) for task in tasks] for _, _, tasks in planned]
+        for (pattern, cfg, _), futures in zip(planned, pending):
+            yield _falsify_report(pattern, budget, cfg, [future.result() for future in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def falsify_requires(
+    pattern: SignPattern,
+    budget: int,
+    cfg: RealizationConfig,
+    jobs: int = 1,
+) -> AnalysisReport:
+    """Sample Q(pattern) and hunt for a certified inertia outside the target set.
+
+    Every sample is classified by the exact engine, so every histogram
+    entry, and every outside verdict, is certified.  The samples are split
+    into at most jobs chunks (falsify_each clamps the count), which report
+    only the index of their first outside sample; that one sample is
+    rebuilt as a matrix by sample_realization and shrunk as a matrix.  The
+    sample multiset is a pure function of (pattern, budget, seed),
+    independent of the job count.  This is falsify_each's one-request case.
+    """
+    [report] = falsify_each([(pattern, cfg)], budget, jobs)
+    return report
 
 
 # -- lemma validators ----------------------------------------------------------

@@ -12,6 +12,7 @@ bit-reproducible for a fixed --seed; RI_SEED supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .analysis import (
     Verdict,
     WitnessCertificationError,
     canonical_dumps,
+    falsify_each,
     falsify_requires,
     run_lemma_suite,
     witness_suite,
@@ -167,6 +169,9 @@ def _cmd_falsify(args) -> int:
     if args.budget < 0:
         print("error: budget must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
     report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
     if args.csv:
@@ -205,6 +210,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_analyze(args) -> int:
+    """Falsifier report and witness suite per order, one row each.
+
+    The reports come from one falsify_each generator, so with --jobs > 1
+    one process pool samples every order, and this process certifies the
+    witnesses of order n while the workers sample the later orders.  An
+    early exit closes the generator, which cancels the queued chunks.
+    """
     try:
         lo, hi = _parse_range(args.n_range)
     except ValueError as exc:
@@ -216,36 +228,42 @@ def _cmd_analyze(args) -> int:
     if args.budget < 0:
         print("error: budget must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     print(f"family {args.family}, orders {lo}..{hi}, budget {args.budget}, seed {args.seed}")
     print("n   samples  inside_target  all3_realized  verdict")
+    orders = range(lo, hi + 1)
+    requests = [
+        (family_pattern(args.family, n), RealizationConfig(seed=args.seed + n)) for n in orders
+    ]
     worst = EXIT_OK
-    for n in range(lo, hi + 1):
-        pattern = family_pattern(args.family, n)
-        cfg = RealizationConfig(seed=args.seed + n)
-        try:
-            report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
-        except InternalCheckError as exc:
-            print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        except ValueError as exc:
-            print(f"internal error at order {n}: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        try:
-            witness_suite(args.family, n)
-            witnesses_ok = "yes"
-        except (WitnessCertificationError, InternalCheckError, MembershipError) as exc:
-            witnesses_ok = "NO"
-            print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_INTERNAL)
-        except ValueError as exc:
-            print(f"internal error at order {n}: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        inside = "yes" if report.verdict is not Verdict.COUNTEREXAMPLE else "NO"
-        if report.verdict is Verdict.COUNTEREXAMPLE:
-            worst = max(worst, EXIT_COUNTEREXAMPLE)
-        print(
-            f"{n:<3} {report.samples:<8} {inside:<14} {witnesses_ok:<14} {report.verdict.value}"
-        )
+    with contextlib.closing(falsify_each(requests, args.budget, args.jobs)) as reports:
+        for n in orders:
+            try:
+                report = next(reports)
+            except InternalCheckError as exc:
+                print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
+                return EXIT_INTERNAL
+            except ValueError as exc:
+                print(f"internal error at order {n}: {exc}", file=sys.stderr)
+                return EXIT_INTERNAL
+            try:
+                witness_suite(args.family, n)
+                witnesses_ok = "yes"
+            except (WitnessCertificationError, InternalCheckError, MembershipError) as exc:
+                witnesses_ok = "NO"
+                print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
+                worst = max(worst, EXIT_INTERNAL)
+            except ValueError as exc:
+                print(f"internal error at order {n}: {exc}", file=sys.stderr)
+                return EXIT_INTERNAL
+            inside = "yes" if report.verdict is not Verdict.COUNTEREXAMPLE else "NO"
+            if report.verdict is Verdict.COUNTEREXAMPLE:
+                worst = max(worst, EXIT_COUNTEREXAMPLE)
+            print(
+                f"{n:<3} {report.samples:<8} {inside:<14} {witnesses_ok:<14} {report.verdict.value}"
+            )
     return worst
 
 

@@ -3,14 +3,16 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refined_inertia import cli, engine
+from refined_inertia import analysis, cli, engine
 from refined_inertia.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INTERNAL,
@@ -321,6 +323,106 @@ def test_analyze_bad_range(capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+# -- worker pools --------------------------------------------------------------
+
+
+class _InlineExecutor(Executor):
+    """Runs each task when it is submitted, in the calling thread; starts no worker."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.mark.parametrize(
+    "budget, jobs, cpus, workers",
+    [(500, 5000, 3, [3]), (2, 5000, 3, [2]), (500, 2, 3, [2]), (500, 5000, None, [])],
+)
+def test_falsify_workers_capped(pattern_file, capsys, monkeypatch, budget, jobs, cpus, workers):
+    # The cap is min(--jobs, --budget, CPU count); one worker needs no pool.
+    asked = []
+
+    def inline_pool(max_workers):
+        asked.append(max_workers)
+        return _InlineExecutor()
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", inline_pool)
+    argv = ["falsify", "--pattern", pattern_file, "--budget", str(budget), "--seed", "2"]
+    assert main(argv + ["--jobs", "1"]) == EXIT_OK
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(argv + ["--jobs", str(jobs)]) == EXIT_OK
+    assert asked == workers
+    assert capsys.readouterr().out == serial
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """Swap the falsifier's process pool for threads; the list of pools opened."""
+    opened = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.shutdowns = []
+            opened.append(self)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shutdowns.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return opened
+
+
+def test_analyze_opens_one_pool(capsys, thread_pools):
+    argv = ["analyze", "-i", "3", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
+    assert main(argv + ["--jobs", "2"]) == EXIT_OK
+    assert len(thread_pools) == 1
+    assert thread_pools[0].shutdowns == [True]
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thread_pools):
+    exact = analysis.refined_inertia_exact
+
+    def broken_at_order_5(p):
+        if p.degree == 5:
+            raise InternalCheckError("forced failure at degree 5")
+        return exact(p)
+
+    monkeypatch.setattr(analysis, "refined_inertia_exact", broken_at_order_5)
+    argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
+    assert main(argv + ["--jobs", "2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]
+    assert [row.split()[:4] for row in rows] == [["4", "20", "yes", "yes"]]
+    assert captured.err == "internal check failure at order 5: forced failure at degree 5\n"
+    assert len(thread_pools) == 1
+    assert thread_pools[0].shutdowns == [True]
+
+
+@pytest.mark.parametrize("budget", ["40", "1", "0"])
+@pytest.mark.parametrize("family", ["1", "2", "3"])
+def test_analyze_stdout_does_not_depend_on_jobs(capsys, monkeypatch, family, budget):
+    # A real process pool, so a spawn start method runs it too.  Three CPUs
+    # are claimed so that --jobs 3 splits the budget three ways anywhere.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["analyze", "-i", family, "--n-range", "4..7", "--budget", budget, "--seed", "9"]
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        assert main(argv + ["--jobs", jobs]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == ""
+    assert len(outputs[0].out.splitlines()) == 6
+    assert outputs[1:] == outputs[:1] * 2
+
+
 MALFORMED_MATRICES = {
     "zero-denominator": '{"n": 1, "entries": [[1, 0]]}',
     "n-zero": '{"n": 0, "entries": []}',
@@ -352,6 +454,8 @@ USAGE_ERRORS = {
     "falsify-order-2": ["falsify", "--pattern", "{order2}", "--budget", "5"],
     "falsify-negative-budget": ["falsify", "--pattern", "{order4}", "--budget", "-1"],
     "analyze-negative-budget": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "-1"],
+    "falsify-jobs-0": ["falsify", "--pattern", "{order4}", "--budget", "5", "--jobs", "0"],
+    "analyze-jobs-0": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "5", "--jobs", "0"],
     "witness-order-3": ["witness", "-i", "1", "-n", "3"],
     "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],
     "bad-RI_SEED": ["lemmas", "-i", "1", "-n", "5", "--samples", "1"],
