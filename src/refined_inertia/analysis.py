@@ -35,9 +35,9 @@ from .realization import (
     RationalMatrix,
     RealizationConfig,
     arrow_char_poly,
-    arrow_params,
     embed_witness,
     family_index,
+    family_sample_arrow,
     family_sample_char_poly,
     matrix_to_json,
     sample_realization,
@@ -283,7 +283,10 @@ def _falsify_tasks(
     classified once, here, to pick the draw function: a family pattern's
     samples go from their integer draws straight to the characteristic
     polynomial (family_sample_char_poly) and never become Fractions, any
-    other pattern's are matrices from sample_realization.
+    other pattern's are matrices from sample_realization.  Both read the one
+    draw stream of realization._signed_draws, so the matrix that
+    _falsify_report rebuilds for an outside sample is the sample that was
+    classified.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")
@@ -480,15 +483,18 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
         )
     )
 
-    # L-delta: parity agreement between the shifted negative count and the
-    # closed-half-plane count.
+    # L-delta: for j <= n - 3, Delta_j, the number of eigenvalues with
+    # Re <= -b_j read off the shifted polynomial, has the table's parity, and
+    # (-1)^Delta_j is the sign of L-det's det(b_j I + B) = prod (lambda + b_j),
+    # since each non-real pair contributes |lambda + b_j|^2 > 0; a value L-det
+    # could not certify is missing from actual and fails the check.
     rows = {}
     ok = True
     for j in range(1, n - 2):
         shifted = refined_inertia_exact(p.taylor_shift(-b[j - 1]))
         delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
         rows[j] = (shifted.n_minus, delta)
-        ok = ok and (shifted.n_minus - delta) % 2 == 0
+        ok = ok and expected[j] == actual.get(j) == (-1) ** delta
     checks.append(LemmaCheck("L-delta", "pass" if ok else "fail", {"pairs": rows}))
 
     # L-k: the negative count reaches n - 2.
@@ -521,9 +527,13 @@ def run_lemma_suite(
     Samples whose arrow form has a repeated diagonal parameter are redrawn,
     since validate_lemmas rejects them (two draws tie with probability
     about 1 in 80000, the number of grid magnitudes).  Every sample is
-    drawn from family i's pattern, so its arrow form is read without a
-    membership check; validate_lemmas makes the one check per sample.
+    drawn from family i's pattern, so its arrow form is read from the
+    integer draws (family_sample_arrow) without a membership check, and
+    becomes Fractions once, in its ArrowMatrix; validate_lemmas makes the
+    one check per sample.  Raises ValueError for a negative sample count.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     pattern = family_pattern(i, n)
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()
@@ -535,8 +545,8 @@ def run_lemma_suite(
             raise RuntimeError("too many resampling attempts while enforcing distinct b")
         seed = _sample_seed(cfg.seed, attempts)
         attempts += 1
-        sample = sample_realization(pattern, RealizationConfig(seed=seed))
-        arrow = arrow_params(sample)
+        a, common, spokes = family_sample_arrow(pattern, RealizationConfig(seed=seed))
+        arrow = ArrowMatrix([Fraction(x, common) for x in a], [Fraction(p, q) for p, q in spokes])
         if len(set(arrow.b)) != len(arrow.b):
             continue
         for check in validate_lemmas(arrow, i):

@@ -241,12 +241,14 @@ def refined_inertia_numeric(
     """Refined inertia from a dense eigensolve.
 
     Eigenvalues within axis_eps times the max row-sum norm of the axes are
-    snapped to them; axis_eps must be positive.  Matrices with irrational
-    (float) entries are only served by this path; the exact engine requires
-    rational input.
+    snapped to them; axis_eps must be positive and finite.  Matrices with
+    irrational (float) entries are only served by this path; the exact
+    engine requires rational input.
     """
     if not axis_eps > 0:
         raise ValueError(f"axis_eps must be positive, got {axis_eps}")
+    if axis_eps == math.inf:
+        raise ValueError(f"axis_eps must be finite, got {axis_eps}")
     inertia, _ = _numeric_inertia_flagged(matrix, axis_eps)
     return inertia
 

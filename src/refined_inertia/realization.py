@@ -2,12 +2,14 @@
 
 Covers sampling a qualitative class Q(P) with exact dyadic entries drawn
 from integers alone (no floating point, so a seed fixes the samples on
-every platform), the diagonal-similarity normalization onto the arrowhead
-form (unit first row, dense first column, diagonal (a1, 0, -b1, ...,
--b_{n-2})), the witness embedding that lifts a 4x4 realization to any
-larger order by replicating one spoke, the deflation step that extracts
-the shared eigenvalue when two diagonal parameters coincide, and the
-matrix JSON wire format with its validating reader.
+every platform) by one draw generator, which feeds both the matrix sampler
+and the integer arrowhead reading of a family sample; the
+diagonal-similarity normalization onto the arrowhead form (unit first
+row, dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the
+witness embedding that lifts a 4x4 realization to any larger order by
+replicating one spoke, the deflation step that extracts the shared
+eigenvalue when two diagonal parameters coincide, and the matrix JSON
+wire format with its validating reader.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
+from .patterns import SignPattern, family_pattern, sgn_of_matrix
 from .ratpoly import Rational, RationalPoly, as_ratio
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
@@ -150,12 +152,6 @@ def family_index(matrix: Sequence[Sequence]) -> int | None:
 # -- sampling Q(P) ---------------------------------------------------------
 
 
-# A magnitude is m / 2**e with the mantissa m drawn from [2**12, 2**13) and
-# the exponent e from [3, 23), both by randrange: log-uniform to within a
-# factor of two over the window [2**-10, 2**10), so samples span six decades,
-# every denominator is a power of two, and the stream depends only on the
-# seed and Python's integer Mersenne Twister, never on platform floats.
-MAGNITUDE_RANGE = (Fraction(1, 1024), Fraction(1024))
 _ZERO = Fraction(0)  # shared by every zero entry; Fractions are immutable
 
 
@@ -166,86 +162,75 @@ class RealizationConfig:
     seed: int = 0
 
 
-def _draw_magnitude(rng: random.Random) -> tuple[int, int]:
-    """(mantissa, exponent) of one magnitude m / 2**e, drawn in that order."""
-    return rng.randrange(2**12, 2**13), rng.randrange(3, 23)
+def _signed_draws(pattern: SignPattern, cfg: RealizationConfig) -> Iterator[tuple[int, int]]:
+    """(+-m, e) for each nonzero entry of pattern, row-major: the entry is +-m / 2**e.
+
+    This is the one place a sample is drawn.  The mantissa m comes from
+    [2**12, 2**13) and then the exponent e from [3, 23), both by randrange:
+    log-uniform to within a factor of two over [2**-10, 2**10), so samples
+    span six decades, every denominator is a power of two, and the stream
+    depends only on the seed and Python's integer Mersenne Twister, never
+    on platform floats.
+    """
+    rng = random.Random(cfg.seed)
+    for row in pattern.rows:
+        for s in row:
+            if s:
+                yield s * rng.randrange(2**12, 2**13), rng.randrange(3, 23)
 
 
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
     """One rational matrix in Q(pattern); deterministic for a fixed seed."""
-    rng = random.Random(cfg.seed)
-    rows = []
-    for row in pattern.rows:
-        out = []
-        for s in row:
-            if s == Sign.ZERO:
-                out.append(_ZERO)
-            else:
-                m, e = _draw_magnitude(rng)
-                out.append(Fraction(m if s == Sign.PLUS else -m, 1 << e))
-        rows.append(tuple(out))
-    return tuple(rows)
+    entries = (Fraction(m, 1 << e) for m, e in _signed_draws(pattern, cfg))
+    return tuple(tuple(next(entries) if s else _ZERO for s in row) for row in pattern.rows)
+
+
+def family_sample_arrow(
+    pattern: SignPattern, cfg: RealizationConfig
+) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """The arrowhead parameters of sample_realization(pattern, cfg), as integers.
+
+    pattern must be a family pattern; nothing is checked.  Its draws come
+    row-major: the first row, then B_k1 and, from k = 3 on, B_kk.  Returns
+    (a, common, spokes) with a_k = a[k] / common and b_j = p_j / q_j for
+    spokes[j] = (p_j, q_j), where a_1 = B_11, a_k = B_1k * B_k1 and
+    b_j = -B_{j+2,j+2}; the a_k reach their common power-of-two
+    denominator by shifts, so no Fraction is built.
+    """
+    draws = list(_signed_draws(pattern, cfg))
+    head, rest = draws[: pattern.n], draws[pattern.n :]  # rest: B_21, B_31, B_33, B_41, B_44, ...
+    column, diagonal = rest[:1] + rest[1::2], rest[2::2]
+    a = head[:1] + [(p * m, f + e) for (p, f), (m, e) in zip(head[1:], column)]
+    top = max(e for _, e in a)
+    return [p << (top - e) for p, e in a], 1 << top, [(-m, 1 << e) for m, e in diagonal]
 
 
 def family_sample_char_poly(pattern: SignPattern, cfg: RealizationConfig) -> RationalPoly:
-    """arrow_char_poly(arrow_params(sample_realization(pattern, cfg))), from integers alone.
+    """arrow_char_poly of the arrow form of sample_realization(pattern, cfg), from integers alone.
 
-    pattern must be a family pattern; nothing is checked.  The draws are
-    sample_realization's, (m, e) per nonzero entry in row-major order: the
-    first row, then B_k1 and, from k = 3 on, B_kk.  Each arrow parameter
-    stays a signed integer over a power of two (a_1 = B_11,
-    a_k = B_1k * B_k1, b_j = -B_{j+2,j+2}), and the a_k reach their common
-    power-of-two denominator by shifts, so no Fraction is built.
+    pattern must be a family pattern; nothing is checked.  The falsifier's
+    draw for a family pattern: family_sample_arrow's integers go straight
+    into the spoke expansion.
     """
-    rng = random.Random(cfg.seed)
-    rows = pattern.rows
-    head = []
-    for s in rows[0]:
-        m, e = _draw_magnitude(rng)
-        head.append((s * m, e))
-    a = [head[0]]
-    spokes = []
-    for k in range(1, len(rows)):
-        m, e = _draw_magnitude(rng)
-        p, f = head[k]
-        a.append((rows[k][0] * p * m, f + e))
-        if k >= 2:
-            m, e = _draw_magnitude(rng)
-            spokes.append((-rows[k][k] * m, 1 << e))
-    top = max(e for _, e in a)
-    return _spoke_char_poly([p << (top - e) for p, e in a], 1 << top, spokes)
+    return _spoke_char_poly(*family_sample_arrow(pattern, cfg))
 
 
 # -- arrowhead normalization -------------------------------------------------
 
 
-def arrow_params(matrix: RationalMatrix) -> ArrowMatrix:
-    """Read the arrowhead parameters of a matrix already known to be family-class.
+def to_arrow_form(matrix: Sequence[Sequence]) -> ArrowMatrix:
+    """Normalize a family-class matrix onto the arrowhead form by diagonal similarity.
 
     The scaling diagonal is D = diag(1, B_12, ..., B_1n), whose entries are
     positive by pattern membership; conjugating by it makes the first row
     (a_1, 1, ..., 1) while fixing the diagonal and the spectrum exactly.
-    Nothing is checked: a caller that sampled a family pattern knows the
-    class; any other caller uses to_arrow_form.
-    The falsifier's sample loop does not come here: family_sample_char_poly
-    reads the same parameters from the integer draws.
-    """
-    n = len(matrix)
-    a = (matrix[0][0],) + tuple(matrix[0][k] * matrix[k][0] for k in range(1, n))
-    b = tuple(-matrix[k][k] for k in range(2, n))
-    return ArrowMatrix(a, b)
-
-
-def to_arrow_form(matrix: Sequence[Sequence]) -> ArrowMatrix:
-    """Normalize a family-class matrix onto the arrowhead form by diagonal similarity.
-
-    The membership check (family_index) followed by arrow_params.  Raises
-    MembershipError when the matrix is in no family's class.
+    Raises MembershipError when the matrix is in no family's class.
     """
     B = to_rational_matrix(matrix)
     if family_index(B) is None:
         raise MembershipError("matrix is not in the qualitative class of any family pattern")
-    return arrow_params(B)
+    a = (B[0][0],) + tuple(B[0][k] * B[k][0] for k in range(1, len(B)))
+    return ArrowMatrix(a, [-B[k][k] for k in range(2, len(B))])
 
 
 def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:

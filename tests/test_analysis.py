@@ -381,7 +381,7 @@ class TestLemmaValidation:
         )
         # Nothing was certified, so the checks that read L-det's values fail
         # too; the rest run on the Berkowitz polynomial and still pass.
-        assert {c for c, r in results.items() if r.failed} == {"L-det", "L-sign", "L-excl"}
+        assert {c for c, r in results.items() if r.failed} == {"L-det", "L-sign", "L-excl", "L-delta"}
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_excl_values_are_char_poly_at_minus_b(self, i):
@@ -398,11 +398,50 @@ class TestLemmaValidation:
             checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_l_delta_fails_when_shifted_negative_counts_move(self, i, monkeypatch):
+        # One more negative eigenvalue in every shifted spectrum flips the
+        # parity and the sign L-delta reads; the unshifted checks still pass.
+        shifted = []
+        taylor_shift = RationalPoly.taylor_shift
+
+        def recording_shift(poly, r):
+            shifted.append(taylor_shift(poly, r))
+            return shifted[-1]
+
+        exact = analysis.refined_inertia_exact
+
+        def bumped(poly):
+            ri = exact(poly)
+            if any(poly is q for q in shifted):
+                return RefinedInertia(ri.n_plus, ri.n_minus + 1, ri.n_zero, ri.two_n_p)
+            return ri
+
+        monkeypatch.setattr(RationalPoly, "taylor_shift", recording_shift)
+        monkeypatch.setattr(analysis, "refined_inertia_exact", bumped)
+        report = run_lemma_suite(i, 8, 10, RealizationConfig(seed=3))
+        assert report.failures == tuple((k, "L-delta") for k in range(10))
+
     def test_suite_runner(self):
         report = run_lemma_suite(3, 5, 25, RealizationConfig(seed=6))
         assert report.all_passed
         assert report.samples == 25
         assert all(label.endswith(":pass") for label, _ in report.check_counts)
+
+    def test_suite_runner_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_lemma_suite(1, 5, -3, RealizationConfig(seed=0))
+
+    def test_suite_runner_reads_the_integer_draw(self, monkeypatch):
+        # The arrow form comes from family_sample_arrow; no sample becomes a
+        # Fraction matrix first.
+        def refuse(pattern, cfg):
+            raise AssertionError("run_lemma_suite called sample_realization")
+
+        monkeypatch.setattr(analysis, "sample_realization", refuse)
+        monkeypatch.setattr(realization, "sample_realization", refuse)
+        report = run_lemma_suite(2, 6, 5, RealizationConfig(seed=4))
+        assert report.all_passed and report.samples == 5
 
 
 class TestSerialization:

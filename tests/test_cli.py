@@ -438,7 +438,6 @@ MALFORMED_MATRICES = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
 @pytest.mark.parametrize("mode", [[], ["--exact"], ["--numeric"]], ids=["auto", "exact", "numeric"])
 def test_inertia_malformed_matrix_exits_2(tmp_path, capsys, text, mode):
@@ -458,6 +457,7 @@ USAGE_ERRORS = {
     "analyze-jobs-0": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "5", "--jobs", "0"],
     "witness-order-3": ["witness", "-i", "1", "-n", "3"],
     "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],
+    "numeric-tol-inf": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "inf"],
     "bad-RI_SEED": ["lemmas", "-i", "1", "-n", "5", "--samples", "1"],
 }
 

@@ -258,7 +258,7 @@ class TestNumericInertia:
         assert refined_inertia_numeric([[-1.5, 0.0], [0.0, 2.5]]) == RefinedInertia(1, 1, 0, 0)
 
     def test_tolerance_validation(self):
-        for eps in (0.0, -1e-9, float("nan")):
+        for eps in (0.0, -1e-9, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="axis_eps"):
                 refined_inertia_numeric([[1, 0], [0, -1]], axis_eps=eps)
         loose = refined_inertia_numeric([[1e-3, 0], [0, -1]], axis_eps=1e-2)

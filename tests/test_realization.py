@@ -9,15 +9,14 @@ from refined_inertia.engine import char_poly, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
 from refined_inertia.realization import (
-    MAGNITUDE_RANGE,
     ArrowMatrix,
     DegenerateMergeError,
     MembershipError,
     RealizationConfig,
     arrow_char_poly,
-    arrow_params,
     deflate_repeated,
     embed_witness,
+    family_sample_arrow,
     family_sample_char_poly,
     matrix_from_json,
     matrix_to_json,
@@ -64,13 +63,16 @@ def test_arrow_char_poly_matches_generic_engine():
 @pytest.mark.parametrize("n", range(4, 11))
 @pytest.mark.parametrize("i", (1, 2, 3))
 def test_family_sample_char_poly_is_the_rational_route(i, n):
-    # The integer draw path reads the same stream as sample_realization and
-    # builds the same RationalPoly as its matrix's arrow form, term for term.
+    # The integer draw path reads the same stream as sample_realization: its
+    # parameters, read as Fractions, are the matrix's arrow form, and it
+    # builds the same RationalPoly, term for term.
     pattern = family_pattern(i, n)
     for k in range(60):
         cfg = RealizationConfig(seed=(10 * i + n) * 1000 + k)
-        expected = arrow_char_poly(arrow_params(sample_realization(pattern, cfg)))
-        assert family_sample_char_poly(pattern, cfg) == expected, f"seed {cfg.seed}"
+        arrow = to_arrow_form(sample_realization(pattern, cfg))
+        a, common, spokes = family_sample_arrow(pattern, cfg)
+        assert ArrowMatrix([Fraction(x, common) for x in a], [Fraction(*s) for s in spokes]) == arrow
+        assert family_sample_char_poly(pattern, cfg) == arrow_char_poly(arrow), f"seed {cfg.seed}"
 
 
 class TestSampler:
@@ -97,8 +99,7 @@ class TestSampler:
         assert len(set(first)) == 4
 
     def test_bounds_respected(self):
-        lo, hi = MAGNITUDE_RANGE
-        assert (lo, hi) == (Fraction(1, 2**10), Fraction(2**10))
+        lo, hi = Fraction(1, 2**10), Fraction(2**10)
         for sample in samples(family_pattern(1, 6), 3, 20):
             for row in sample:
                 for x in row:
@@ -141,15 +142,6 @@ class TestToArrowForm:
         for k, sample in enumerate(samples(pattern, 123, 100)):
             arrow = to_arrow_form(sample)
             assert char_poly(arrow.to_matrix()) == char_poly(sample), f"sample {k}"
-
-    def test_params_read_without_membership_check(self):
-        # arrow_params is to_arrow_form minus the check: equal on the class,
-        # and it reads any matrix's entries, member or not.
-        for i in (1, 2, 3):
-            for sample in samples(family_pattern(i, 6), i, 5):
-                assert arrow_params(sample) == to_arrow_form(sample)
-        bad = [[1, 1, 1, 1], [1, 0, 0, 0], [-1, 0, -1, 0], [-1, 0, 0, -1]]
-        assert arrow_params(bad) == ArrowMatrix([1, 1, -1, -1], [1, 1])
 
     def test_membership_required(self):
         with pytest.raises(MembershipError):
