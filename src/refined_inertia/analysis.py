@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,8 @@ from fractions import Fraction
 from .engine import (
     InternalCheckError,
     RefinedInertia,
-    arrow_shift_det,
+    _integer_char_poly,
+    _integer_shift_det,
     char_poly,
     refined_inertia_exact,
 )
@@ -34,6 +36,8 @@ from .realization import (
     MembershipError,
     RationalMatrix,
     RealizationConfig,
+    _over_common_denominator,
+    _spoke_char_poly,
     arrow_char_poly,
     embed_witness,
     family_index,
@@ -394,12 +398,10 @@ class LemmaCheck:
         return self.status == "fail"
 
 
-def _sorted_descending(arrow: ArrowMatrix) -> ArrowMatrix:
-    """Permutation-similar copy with b descending, as the identities assume."""
-    order = sorted(range(len(arrow.b)), key=lambda k: arrow.b[k], reverse=True)
-    a = (arrow.a[0], arrow.a[1]) + tuple(arrow.a[k + 2] for k in order)
-    b = tuple(arrow.b[k] for k in order)
-    return ArrowMatrix(a, b)
+def _sorted_descending(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """The arrow parameters of a permutation-similar matrix whose b descend, as the identities assume."""
+    order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
+    return list(a[:2]) + [a[k + 2] for k in order], [b[k] for k in order]
 
 
 def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
@@ -407,43 +409,74 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
 
     The matrix is first permuted so the diagonal parameters descend, which
     is the normalization the sign table assumes.  Its characteristic
-    polynomial comes once from Berkowitz's char_poly (a permutation
+    polynomial comes once from Berkowitz's recurrence (a permutation
     similarity keeps it), and L-det requires it to equal the spoke
-    expansion arrow_char_poly and to give every closed-form shift
-    determinant; L-sign and L-excl read those certified values.  Raises
-    ValueError when a diagonal parameter repeats (the identities assume
-    distinct ones; see deflate_repeated for that case) and MembershipError
-    if the matrix is not in the family's qualitative class, and never raises
-    on a mere check failure: each result carries its computed quantities.
+    expansion and to give every closed-form shift determinant; L-sign and
+    L-excl read those certified values.  Raises ValueError when a diagonal
+    parameter repeats (the identities assume distinct ones; see
+    deflate_repeated for that case) or i is not a family index, and
+    MembershipError if the matrix is not in the family's qualitative class,
+    and never raises on a mere check failure: each result carries its
+    computed quantities.  The parameters become integers over two common
+    denominators here, once, and _check_lemmas, which run_lemma_suite
+    calls on its draws' integers, runs every check on them.
     """
-    matrix = arrow.to_matrix()
-    if family_index(matrix) != i:
+    a, common = _over_common_denominator(arrow.a)
+    b, den = _over_common_denominator(arrow.b)
+    return _check_lemmas(i, a, common, b, den)
+
+
+def _check_lemmas(i: int, a: list[int], common: int, b: list[int], den: int) -> list[LemmaCheck]:
+    """validate_lemmas for a_k = a[k] / common and b_j = b[j] / den, on the integers.
+
+    Membership is read from the signs of a (the first column) and -b (the
+    diagonal) against family i's pattern; the arrowhead's first row and
+    zeros match every family by construction.  Fractions are built only
+    for the details.
+    """
+    signs = family_pattern(i, len(a)).rows
+    if any((x > 0) - (x < 0) != signs[k][0] for k, x in enumerate(a)) or any(
+        (x < 0) - (x > 0) != signs[k][k] for k, x in enumerate(b, start=2)
+    ):
         raise MembershipError(f"arrow matrix is not in the qualitative class of family {i}")
-    if len(set(arrow.b)) != len(arrow.b):
+    if len(set(b)) != len(b):
         raise ValueError("lemma checks require distinct b values")
-    n = arrow.n
-    arrow = _sorted_descending(arrow)
-    b = arrow.b
-    p = char_poly(matrix)
+    n = len(a)
+    a, b = _sorted_descending(a, b)
+    scale = math.lcm(common, den)
+    matrix = [[a[0] * (scale // common)] + [scale] * (n - 1)]
+    for k in range(1, n):
+        row = [0] * n
+        row[0] = a[k] * (scale // common)
+        if k >= 2:
+            row[k] = -b[k - 2] * (scale // den)
+        matrix.append(row)
+    p = _integer_char_poly(matrix, scale)
     inertia = refined_inertia_exact(p)
     checks: list[LemmaCheck] = []
 
     # L-det: the spoke expansion and every closed-form shift determinant
     # agree with the Berkowitz polynomial p, det(b_j I + B) = (-1)^n p(-b_j).
-    # The values are reused by the sign-table and exclusion checks below.
-    shift_dets: dict[int, Fraction] = {}
-    details: dict = {"det_values": shift_dets}
+    # The values, numerators over det_den, are reused by the sign-table and
+    # exclusion checks below.
+    shift_dets: dict[int, int] = {}
+    error = None
     try:
-        if arrow_char_poly(arrow) != p:
+        if _spoke_char_poly(a, common, [(x, den) for x in b]) != p:
+            arrow = ArrowMatrix([Fraction(x, common) for x in a], [Fraction(x, den) for x in b])
             raise InternalCheckError(
                 "spoke expansion differs from the Berkowitz characteristic polynomial; "
                 f"arrow {json.dumps(arrow.to_json())}"
             )
         for j in range(1, n - 1):
-            shift_dets[j] = arrow_shift_det(arrow, j, p)
+            shift_dets[j] = _integer_shift_det(a, common, b, den, j, p)
     except InternalCheckError as exc:
-        details["error"] = str(exc)
-    checks.append(LemmaCheck("L-det", "fail" if "error" in details else "pass", details))
+        error = str(exc)
+    det_den = common * den ** (n - 2)
+    details: dict = {"det_values": {j: Fraction(v, det_den) for j, v in shift_dets.items()}}
+    if error is not None:
+        details["error"] = error
+    checks.append(LemmaCheck("L-det", "fail" if error is not None else "pass", details))
 
     # L-sign: the alternating sign table of det(b_j I + B); a determinant
     # L-det could not certify is missing from actual and fails the table.
@@ -460,8 +493,8 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
 
     # L-excl: no -b_j is an eigenvalue, p(-b_j) = (-1)^n det(b_j I + B) != 0;
     # a value L-det could not certify is missing and fails the check.
-    values = {j: (-1) ** n * v for j, v in shift_dets.items()}
-    ok = len(values) == n - 2 and all(v != 0 for v in values.values())
+    values = {j: Fraction((-1) ** n * v, det_den) for j, v in shift_dets.items()}
+    ok = len(values) == n - 2 and all(v != 0 for v in shift_dets.values())
     checks.append(LemmaCheck("L-excl", "pass" if ok else "fail", {"char_poly_values": values}))
 
     # L-low: lower bounds on the negative count.
@@ -491,7 +524,7 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     rows = {}
     ok = True
     for j in range(1, n - 2):
-        shifted = refined_inertia_exact(p.taylor_shift(-b[j - 1]))
+        shifted = refined_inertia_exact(p.taylor_shift(Fraction(-b[j - 1], den)))
         delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
         rows[j] = (shifted.n_minus, delta)
         ok = ok and expected[j] == actual.get(j) == (-1) ** delta
@@ -525,12 +558,12 @@ def run_lemma_suite(
     """Validate the lemma checks over seeded samples with distinct b enforced.
 
     Samples whose arrow form has a repeated diagonal parameter are redrawn,
-    since validate_lemmas rejects them (two draws tie with probability
-    about 1 in 80000, the number of grid magnitudes).  Every sample is
-    drawn from family i's pattern, so its arrow form is read from the
-    integer draws (family_sample_arrow) without a membership check, and
-    becomes Fractions once, in its ArrowMatrix; validate_lemmas makes the
-    one check per sample.  Raises ValueError for a negative sample count.
+    since the checks reject them (two draws tie with probability about 1
+    in 80000, the number of grid magnitudes).  Each sample's arrow form is
+    read from its integer draws (family_sample_arrow), the b_j brought over
+    one power-of-two denominator, and every check of validate_lemmas runs
+    on those integers (_check_lemmas): no sample becomes an ArrowMatrix or
+    a Fraction matrix.  Raises ValueError for a negative sample count.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -546,10 +579,11 @@ def run_lemma_suite(
         seed = _sample_seed(cfg.seed, attempts)
         attempts += 1
         a, common, spokes = family_sample_arrow(pattern, RealizationConfig(seed=seed))
-        arrow = ArrowMatrix([Fraction(x, common) for x in a], [Fraction(p, q) for p, q in spokes])
-        if len(set(arrow.b)) != len(arrow.b):
+        den = math.lcm(*(q for _, q in spokes))
+        b = [p * (den // q) for p, q in spokes]
+        if len(set(b)) != len(b):
             continue
-        for check in validate_lemmas(arrow, i):
+        for check in _check_lemmas(i, a, common, b, den):
             counts[(check.check, check.status)] += 1
             if check.failed:
                 failures.append((index, check.check))

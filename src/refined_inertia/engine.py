@@ -10,10 +10,12 @@ polynomial's spectrum into four certified counts from one remainder chain:
 * nonzero imaginary-axis pairs from the real roots of that chain's tail,
   gcd(Re, Im), counted with multiplicity (Routh's singular case).
 
-The numeric path is a dense eigensolve with a relative axis tolerance.  It
-serves matrices with float entries (``riq inertia --numeric``) and the
-exact/numeric cross-validation; the falsifier classifies every sample
-exactly, and on any disagreement the exact engine is the ground truth.
+The numeric path is a dense eigensolve with a relative axis tolerance; it
+alone uses numpy, imported on first use, so the exact core runs on the
+standard library.  It serves matrices with float entries
+(``riq inertia --numeric``) and the exact/numeric cross-validation; the
+falsifier classifies every sample exactly, and on any disagreement the
+exact engine is the ground truth.
 """
 
 from __future__ import annotations
@@ -22,19 +24,22 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Sequence
 
 from .ratpoly import (
     RationalPoly,
+    _homogeneous_value,
     as_ratio,
     cauchy_index_line,
     count_real_roots,
     imaginary_axis_parts,
     strip_zero_roots,
 )
-from .realization import ArrowMatrix
+from .realization import ArrowMatrix, _over_common_denominator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative axis tolerance of the numeric classifier.
 _AXIS_EPS = 1e-9
@@ -84,6 +89,8 @@ class RefinedInertia:
 
 
 def _to_float_array(matrix: Sequence[Sequence]) -> np.ndarray:
+    import numpy as np
+
     arr = np.array([[float(x) for x in row] for row in matrix], dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
@@ -107,25 +114,32 @@ def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int
 def char_poly(matrix: Sequence[Sequence]) -> RationalPoly:
     """Monic characteristic polynomial det(xI - B) with exact rational coefficients.
 
-    With B = A / L over the common denominator L, det(xI - B) is
-    L**-n * det(LxI - A), and det(yI - A) comes from Berkowitz's
-    division-free recurrence over the integers: bordering the leading
-    k x k block M by column c, row r and corner a multiplies its
-    characteristic polynomial by the lower-triangular Toeplitz matrix with
-    first column (1, -a, -r c, -r M c, ..., -r M^(k-1) c).
+    The rows are brought over their common denominator L for
+    _integer_char_poly, the one copy of the Berkowitz recurrence.
     """
     rows, dens = _integer_rows(matrix)
     common = math.lcm(*dens)
-    A = [[x * (common // d) for x in row] for row, d in zip(rows, dens)]
+    return _integer_char_poly([[x * (common // d) for x in row] for row, d in zip(rows, dens)], common)
+
+
+def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
+    """det(xI - B) for B = A / common, with A a square integer matrix.
+
+    det(xI - B) is common**-n * det(common x I - A), and det(yI - A) comes
+    from Berkowitz's division-free recurrence over the integers: bordering
+    the leading k x k block M by column c, row r and corner a multiplies
+    its characteristic polynomial by the lower-triangular Toeplitz matrix
+    with first column (1, -a, -r c, -r M c, ..., -r M^(k-1) c).
+    """
     poly = [1]  # det(yI - M) for the leading block, highest power first
     for k in range(len(A)):
         block = [A[i][:k] for i in range(k)]
         col = [A[i][k] for i in range(k)]
         toeplitz = [1, -A[k][k]]
         for _ in range(k):
-            toeplitz.append(-sum(x * y for x, y in zip(A[k], col)))
-            col = [sum(x * y for x, y in zip(row, col)) for row in block]
-        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+            toeplitz.append(-sum(map(mul, A[k], col)))
+            col = [sum(map(mul, row, col)) for row in block]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
     n = len(A)
     return RationalPoly.from_ints(
         [c * common**k for k, c in enumerate(reversed(poly))], common**n
@@ -220,6 +234,8 @@ def _classify_eigenvalues(
 def _numeric_inertia_flagged(
     matrix: Sequence[Sequence], axis_eps: float = _AXIS_EPS
 ) -> tuple[RefinedInertia, bool]:
+    import numpy as np
+
     A = _to_float_array(matrix)
     n = A.shape[0]
     with np.errstate(over="ignore"):
@@ -269,26 +285,45 @@ def arrow_shift_det(arrow: ArrowMatrix, j: int, reference: RationalPoly) -> Frac
 
     Uses the formula -a_{j+2} * b_j * prod_{m != j} (b_j - b_m), valid when
     the b values are distinct (j is 1-based).  reference is the matrix's
-    characteristic polynomial p from an independent algorithm (validate_lemmas
-    passes Berkowitz's char_poly); the value is checked against
-    det(b_j I + B) = (-1)**n * p(-b_j), and a mismatch raises
-    InternalCheckError.
+    characteristic polynomial p from an independent algorithm; the value is
+    checked against det(b_j I + B) = (-1)**n * p(-b_j), and a mismatch
+    raises InternalCheckError.  This is the Fraction edge of
+    _integer_shift_det, which the lemma checks call on their integers.
     """
     n = arrow.n
     if not 1 <= j <= n - 2:
         raise ValueError(f"j must be in 1..{n - 2}, got {j}")
-    b = arrow.b
-    if len(set(b)) != len(b):
+    if len(set(arrow.b)) != len(arrow.b):
         raise ValueError("shift determinant formula requires distinct b values")
+    a, common = _over_common_denominator(arrow.a)
+    b, den = _over_common_denominator(arrow.b)
+    return Fraction(_integer_shift_det(a, common, b, den, j, reference), common * den ** (n - 2))
+
+
+def _integer_shift_det(
+    a: Sequence[int], common: int, b: Sequence[int], den: int, j: int, reference: RationalPoly
+) -> int:
+    """arrow_shift_det for a_k = a[k] / common and distinct b_m = b[m] / den, as integers.
+
+    Returns the numerator of det(b_j I + B) over common * den**(n - 2): the
+    closed-form product in the integers.  It is checked against
+    (-1)**n * p(-b_j), with den**deg(p) * p(-b_j) from Horner's rule in
+    the integers, by cross-multiplying the two denominators.
+    """
+    n = len(a)
     bj = b[j - 1]
-    value = -arrow.a[j + 1] * bj
+    value = -a[j + 1] * bj
     for m, bm in enumerate(b, start=1):
         if m != j:
             value *= bj - bm
-    certified = (-1) ** n * reference.evaluate(-bj)
-    if certified != value:
+    degree = max(reference.degree, 0)
+    horner = _homogeneous_value(reference.num, -bj, den)
+    if value * reference.den * den**degree != (-1) ** n * horner * common * den ** (n - 2):
+        arrow = ArrowMatrix([Fraction(x, common) for x in a], [Fraction(x, den) for x in b])
+        formula = Fraction(value, common * den ** (n - 2))
+        certified = (-1) ** n * reference.evaluate(Fraction(-bj, den))
         raise InternalCheckError(
-            f"arrow shift determinant mismatch at j={j}: formula {value}, reference {certified}; "
+            f"arrow shift determinant mismatch at j={j}: formula {formula}, reference {certified}; "
             f"arrow {json.dumps(arrow.to_json())}"
         )
     return value

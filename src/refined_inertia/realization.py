@@ -95,6 +95,12 @@ class ArrowMatrix:
         }
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, den): each value is numerators[k] / den, with den their least common denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     """Characteristic polynomial of the arrowhead form, by the spoke expansion.
 
@@ -102,8 +108,7 @@ def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     into numerator and denominator for _spoke_char_poly, the one copy of
     the expansion; tests pin it against the generic Berkowitz route.
     """
-    common = math.lcm(*(x.denominator for x in arrow.a))
-    a = [x.numerator * (common // x.denominator) for x in arrow.a]
+    a, common = _over_common_denominator(arrow.a)
     return _spoke_char_poly(a, common, [(b.numerator, b.denominator) for b in arrow.b])
 
 
@@ -166,17 +171,27 @@ def _signed_draws(pattern: SignPattern, cfg: RealizationConfig) -> Iterator[tupl
     """(+-m, e) for each nonzero entry of pattern, row-major: the entry is +-m / 2**e.
 
     This is the one place a sample is drawn.  The mantissa m comes from
-    [2**12, 2**13) and then the exponent e from [3, 23), both by randrange:
-    log-uniform to within a factor of two over [2**-10, 2**10), so samples
-    span six decades, every denominator is a power of two, and the stream
-    depends only on the seed and Python's integer Mersenne Twister, never
-    on platform floats.
+    [2**12, 2**13) and then the exponent e from [3, 23): log-uniform to
+    within a factor of two over [2**-10, 2**10), so samples span six
+    decades, every denominator is a power of two, and the stream depends
+    only on the seed and Python's integer Mersenne Twister, never on
+    platform floats.  Each is drawn by the rejection loop randrange runs
+    (getrandbits of the range's bit length, redrawn until it falls inside
+    the range), inlined: the stream is randrange(2**12, 2**13) then
+    randrange(3, 23) per entry, bit for bit, without randrange's
+    argument handling.
     """
-    rng = random.Random(cfg.seed)
+    bits = random.Random(cfg.seed).getrandbits
     for row in pattern.rows:
         for s in row:
             if s:
-                yield s * rng.randrange(2**12, 2**13), rng.randrange(3, 23)
+                m = bits(13)
+                while m >= 4096:
+                    m = bits(13)
+                e = bits(5)
+                while e >= 20:
+                    e = bits(5)
+                yield s * (m + 4096), e + 3
 
 
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:

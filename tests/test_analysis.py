@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refined_inertia import analysis, realization
+from refined_inertia import analysis, engine, realization
 from refined_inertia.analysis import (
     AnalysisReport,
     Verdict,
@@ -293,6 +295,15 @@ def test_report_bytes_match_fixture(name, jobs):
     assert canonical_dumps(report.to_json_dict()).encode("utf-8") == expected
 
 
+def test_check_fixtures_script_reproduces_every_report():
+    # The stdlib-only script the CI runs on an interpreter with nothing
+    # installed; here it runs under the test interpreter.
+    script = Path(__file__).resolve().parents[1] / "tools" / "check_fixtures.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].startswith("14/14 reports match")
+
+
 class TestLemmaValidation:
     def sampled_arrow(self, i, n, seed):
         cfg = RealizationConfig(seed=seed)
@@ -321,6 +332,24 @@ class TestLemmaValidation:
         flipped = ArrowMatrix((arrow.a[0], arrow.a[1], -arrow.a[2]) + arrow.a[3:], arrow.b)
         with pytest.raises(MembershipError):
             validate_lemmas(flipped, 1)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_membership_reads_every_parameter_sign(self, i):
+        # Membership comes from the signs of the a_k and b_j alone: flipping
+        # or zeroing any one of them leaves family i's class.
+        for n in range(4, 8):
+            arrow = self.sampled_arrow(i, n, n)
+            assert len(validate_lemmas(arrow, i)) == 7
+            for k in range(n):
+                for x in (-arrow.a[k], 0):
+                    a = arrow.a[:k] + (x,) + arrow.a[k + 1 :]
+                    with pytest.raises(MembershipError):
+                        validate_lemmas(ArrowMatrix(a, arrow.b), i)
+            for k in range(n - 2):
+                for x in (-arrow.b[k], 0):
+                    b = arrow.b[:k] + (x,) + arrow.b[k + 1 :]
+                    with pytest.raises(MembershipError):
+                        validate_lemmas(ArrowMatrix(arrow.a, b), i)
 
     def test_repeated_b_rejected(self):
         arrow = ArrowMatrix([1, -1, -1, -1, -1], [2, 2, 5])
@@ -357,7 +386,7 @@ class TestLemmaValidation:
             arrow = self.sampled_arrow(3, 6, seed)
             if len(set(arrow.b)) != len(arrow.b):
                 continue
-            arrow = _sorted_descending(arrow)
+            arrow = ArrowMatrix(*_sorted_descending(arrow.a, arrow.b))
             M = arrow.to_matrix()
             for j in range(1, arrow.n - 2):  # j <= n - 3
                 delta = count_eigen_re_leq(M, arrow.b[j - 1])
@@ -366,9 +395,9 @@ class TestLemmaValidation:
         assert checked >= 30
 
     def test_spoke_expansion_mismatch_fails_l_det(self, monkeypatch):
-        spoke = analysis.arrow_char_poly
+        spoke = analysis._spoke_char_poly
         monkeypatch.setattr(
-            analysis, "arrow_char_poly", lambda arrow: spoke(arrow) + RationalPoly([Fraction(1, 5)])
+            analysis, "_spoke_char_poly", lambda *args: spoke(*args) + RationalPoly([Fraction(1, 5)])
         )
         arrow = self.sampled_arrow(2, 6, 11)
         results = {r.check: r for r in validate_lemmas(arrow, 2)}
@@ -376,8 +405,8 @@ class TestLemmaValidation:
         assert results["L-det"].failed
         assert "\n" not in message
         data = json.loads(message[message.index("{") :])
-        assert ArrowMatrix(map(Fraction, data["a"]), map(Fraction, data["b"])) == (
-            analysis._sorted_descending(arrow)
+        assert ArrowMatrix(map(Fraction, data["a"]), map(Fraction, data["b"])) == ArrowMatrix(
+            *analysis._sorted_descending(arrow.a, arrow.b)
         )
         # Nothing was certified, so the checks that read L-det's values fail
         # too; the rest run on the Berkowitz polynomial and still pass.
@@ -392,7 +421,7 @@ class TestLemmaValidation:
                 continue
             results = {r.check: r for r in validate_lemmas(arrow, i)}
             p = arrow_char_poly(arrow)
-            b = analysis._sorted_descending(arrow).b
+            b = sorted(arrow.b, reverse=True)
             expected = {j: p.evaluate(-bj) for j, bj in enumerate(b, start=1)}
             assert results["L-excl"].details["char_poly_values"] == expected
             checked += 1
@@ -433,13 +462,18 @@ class TestLemmaValidation:
             run_lemma_suite(1, 5, -3, RealizationConfig(seed=0))
 
     def test_suite_runner_reads_the_integer_draw(self, monkeypatch):
-        # The arrow form comes from family_sample_arrow; no sample becomes a
-        # Fraction matrix first.
-        def refuse(pattern, cfg):
-            raise AssertionError("run_lemma_suite called sample_realization")
+        # The arrow form comes from family_sample_arrow and every check runs
+        # on its integers: no sample becomes a Fraction matrix, is classified
+        # by its signs, or has its rows brought back to integers.
+        def refuse(*args):
+            raise AssertionError("run_lemma_suite left the integer path")
 
         monkeypatch.setattr(analysis, "sample_realization", refuse)
         monkeypatch.setattr(realization, "sample_realization", refuse)
+        monkeypatch.setattr(analysis, "family_index", refuse)
+        monkeypatch.setattr(realization, "family_index", refuse)
+        monkeypatch.setattr(ArrowMatrix, "to_matrix", refuse)
+        monkeypatch.setattr(engine, "_integer_rows", refuse)
         report = run_lemma_suite(2, 6, 5, RealizationConfig(seed=4))
         assert report.all_passed and report.samples == 5
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
@@ -26,6 +28,8 @@ from refined_inertia.patterns import family_pattern
 from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import matrix_to_json
 from refined_inertia.witness_fixtures import WITNESS_PARAMS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -90,6 +94,31 @@ def test_inertia_float_matrix_goes_numeric(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["method"] == "numeric"
     assert data["inertia"]["two_n_p"] == 2
+
+
+def test_numpy_is_imported_only_by_the_numeric_path(tmp_path):
+    # A fresh interpreter: importing the CLI leaves numpy unloaded, and
+    # `riq inertia --numeric` loads it on first use and still classifies.
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"n": 2, "entries": [0.0, 1.0, -1.0, 0.0]}))
+    script = (
+        "import sys\n"
+        "import refined_inertia.cli as cli\n"
+        "print('numpy' in sys.modules)\n"
+        "code = cli.main(['inertia', '--matrix', sys.argv[1], '--numeric'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == f"{EXIT_OK} True"
+    data = json.loads("\n".join(lines[1:-1]))
+    assert data["method"] == "numeric"
+    assert data["inertia"] == {"n_plus": 0, "n_minus": 0, "n_zero": 0, "two_n_p": 2}
 
 
 def test_inertia_float_matrix_exact_is_input_error(tmp_path, capsys):

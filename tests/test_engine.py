@@ -351,7 +351,7 @@ class TestArrowShiftDet:
             arrow = to_arrow_form(sample)
             if len(set(arrow.b)) != len(arrow.b):
                 continue
-            arrow = _sorted_descending(arrow)
+            arrow = ArrowMatrix(*_sorted_descending(arrow.a, arrow.b))
             n = arrow.n
             top = n - 2 if i in (1, 2) else n - 3
             for j in range(1, top + 1):

@@ -13,6 +13,7 @@ from refined_inertia.realization import (
     DegenerateMergeError,
     MembershipError,
     RealizationConfig,
+    _signed_draws,
     arrow_char_poly,
     deflate_repeated,
     embed_witness,
@@ -107,6 +108,25 @@ class TestSampler:
                         assert lo <= abs(x) < hi
                         den = x.denominator
                         assert den & (den - 1) == 0 and den <= 2**22
+
+    def test_draws_are_the_randrange_stream(self):
+        # _signed_draws inlines randrange's rejection loop; its stream must be
+        # two randrange calls per nonzero entry, mantissa first, bit for bit.
+        def reference(pattern, seed):
+            rng = random.Random(seed)
+            return [
+                (s * rng.randrange(2**12, 2**13), rng.randrange(3, 23))
+                for row in pattern.rows
+                for s in row
+                if s
+            ]
+
+        all_plus = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
+        families = [family_pattern(i, n) for i in (1, 2, 3) for n in range(4, 11)]
+        for pattern in families + [all_plus]:
+            for seed in range(200):
+                draws = list(_signed_draws(pattern, RealizationConfig(seed=seed)))
+                assert draws == reference(pattern, seed)
 
     def test_golden_first_sample(self):
         """The draw is integer-only, so this matrix is the same on every platform."""
