@@ -2,8 +2,8 @@
 
 The package splits into five layers:
 
-* :mod:`refined_inertia.patterns` -- sign patterns, the arrowhead families,
-  irreducibility;
+* :mod:`refined_inertia.patterns` -- sign patterns and the arrowhead
+  families;
 * :mod:`refined_inertia.ratpoly` -- exact polynomial arithmetic and root
   counting over the rationals;
 * :mod:`refined_inertia.engine` -- refined inertia, exact and numeric;
@@ -40,7 +40,6 @@ from .patterns import (
     Sign,
     SignPattern,
     family_pattern,
-    is_irreducible,
     parse_pattern,
     sgn_of_matrix,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "falsify_requires",
     "family_pattern",
     "hn_set",
-    "is_irreducible",
     "matrix_from_json",
     "matrix_to_json",
     "parse_pattern",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -25,19 +24,17 @@ from .engine import (
     InternalCheckError,
     RefinedInertia,
     _integer_char_poly,
-    _integer_shift_det,
+    arrow_shift_det,
     char_poly,
     refined_inertia_exact,
 )
-from .patterns import SignPattern, family_pattern, sgn_of_matrix
+from .patterns import SignPattern, family_pattern
 from .ratpoly import RationalPoly
 from .realization import (
     ArrowMatrix,
     MembershipError,
     RationalMatrix,
     RealizationConfig,
-    _over_common_denominator,
-    _spoke_char_poly,
     arrow_char_poly,
     embed_witness,
     family_index,
@@ -97,7 +94,7 @@ class WitnessSuite:
 
 
 def _certified_witness(i: int, n: int, arrow: ArrowMatrix, expected: RefinedInertia) -> None:
-    if sgn_of_matrix(arrow.to_matrix()) != family_pattern(i, n):
+    if not arrow.in_family(i):
         problem = "is outside the qualitative class"
     else:
         inertia = refined_inertia_exact(arrow_char_poly(arrow))
@@ -407,73 +404,48 @@ def _sorted_descending(a: Sequence, b: Sequence) -> tuple[list, list]:
 def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     """Run the exact identity checks behind the distinct-parameter analysis.
 
-    The matrix is first permuted so the diagonal parameters descend, which
-    is the normalization the sign table assumes.  Its characteristic
-    polynomial comes once from Berkowitz's recurrence (a permutation
-    similarity keeps it), and L-det requires it to equal the spoke
-    expansion and to give every closed-form shift determinant; L-sign and
-    L-excl read those certified values.  Raises ValueError when a diagonal
-    parameter repeats (the identities assume distinct ones; see
-    deflate_repeated for that case) or i is not a family index, and
-    MembershipError if the matrix is not in the family's qualitative class,
-    and never raises on a mere check failure: each result carries its
-    computed quantities.  The parameters become integers over two common
-    denominators here, once, and _check_lemmas, which run_lemma_suite
-    calls on its draws' integers, runs every check on them.
+    Membership in family i's class is read from the signs of the
+    parameters (ArrowMatrix.in_family).  The matrix is then permuted so the
+    diagonal parameters descend, which is the normalization the sign table
+    assumes.  Its characteristic polynomial comes once from Berkowitz's
+    recurrence on the arrow's integer rows (a permutation similarity keeps
+    it), and L-det requires it to equal the spoke expansion
+    (arrow_char_poly) and to give every closed-form shift determinant
+    (arrow_shift_det); L-sign and L-excl read those certified values.
+    Every step runs on the arrow's integers; Fractions carry only the
+    reported values and L-delta's shift points.  Raises ValueError when a diagonal parameter repeats (the
+    identities assume distinct ones; see deflate_repeated for that case) or
+    i is not a family index, and MembershipError if the matrix is not in
+    the family's qualitative class, and never raises on a mere check
+    failure: each result carries its computed quantities.
     """
-    a, common = _over_common_denominator(arrow.a)
-    b, den = _over_common_denominator(arrow.b)
-    return _check_lemmas(i, a, common, b, den)
-
-
-def _check_lemmas(i: int, a: list[int], common: int, b: list[int], den: int) -> list[LemmaCheck]:
-    """validate_lemmas for a_k = a[k] / common and b_j = b[j] / den, on the integers.
-
-    Membership is read from the signs of a (the first column) and -b (the
-    diagonal) against family i's pattern; the arrowhead's first row and
-    zeros match every family by construction.  Fractions are built only
-    for the details.
-    """
-    signs = family_pattern(i, len(a)).rows
-    if any((x > 0) - (x < 0) != signs[k][0] for k, x in enumerate(a)) or any(
-        (x < 0) - (x > 0) != signs[k][k] for k, x in enumerate(b, start=2)
-    ):
+    if not arrow.in_family(i):
         raise MembershipError(f"arrow matrix is not in the qualitative class of family {i}")
-    if len(set(b)) != len(b):
+    if len(set(arrow.b_num)) != len(arrow.b_num):
         raise ValueError("lemma checks require distinct b values")
-    n = len(a)
-    a, b = _sorted_descending(a, b)
-    scale = math.lcm(common, den)
-    matrix = [[a[0] * (scale // common)] + [scale] * (n - 1)]
-    for k in range(1, n):
-        row = [0] * n
-        row[0] = a[k] * (scale // common)
-        if k >= 2:
-            row[k] = -b[k - 2] * (scale // den)
-        matrix.append(row)
-    p = _integer_char_poly(matrix, scale)
+    n = arrow.n
+    a, b = _sorted_descending(arrow.a_num, arrow.b_num)
+    arrow = ArrowMatrix.from_ints(a, arrow.a_den, b, arrow.b_den)
+    p = _integer_char_poly(*arrow.integer_rows())
     inertia = refined_inertia_exact(p)
     checks: list[LemmaCheck] = []
 
     # L-det: the spoke expansion and every closed-form shift determinant
     # agree with the Berkowitz polynomial p, det(b_j I + B) = (-1)^n p(-b_j).
-    # The values, numerators over det_den, are reused by the sign-table and
-    # exclusion checks below.
-    shift_dets: dict[int, int] = {}
+    # The values are reused by the sign-table and exclusion checks below.
+    shift_dets: dict[int, Fraction] = {}
     error = None
     try:
-        if _spoke_char_poly(a, common, [(x, den) for x in b]) != p:
-            arrow = ArrowMatrix([Fraction(x, common) for x in a], [Fraction(x, den) for x in b])
+        if arrow_char_poly(arrow) != p:
             raise InternalCheckError(
                 "spoke expansion differs from the Berkowitz characteristic polynomial; "
                 f"arrow {json.dumps(arrow.to_json())}"
             )
         for j in range(1, n - 1):
-            shift_dets[j] = _integer_shift_det(a, common, b, den, j, p)
+            shift_dets[j] = arrow_shift_det(arrow, j, p)
     except InternalCheckError as exc:
         error = str(exc)
-    det_den = common * den ** (n - 2)
-    details: dict = {"det_values": {j: Fraction(v, det_den) for j, v in shift_dets.items()}}
+    details: dict = {"det_values": shift_dets}
     if error is not None:
         details["error"] = error
     checks.append(LemmaCheck("L-det", "fail" if error is not None else "pass", details))
@@ -493,7 +465,7 @@ def _check_lemmas(i: int, a: list[int], common: int, b: list[int], den: int) -> 
 
     # L-excl: no -b_j is an eigenvalue, p(-b_j) = (-1)^n det(b_j I + B) != 0;
     # a value L-det could not certify is missing and fails the check.
-    values = {j: Fraction((-1) ** n * v, det_den) for j, v in shift_dets.items()}
+    values = {j: (-1) ** n * v for j, v in shift_dets.items()}
     ok = len(values) == n - 2 and all(v != 0 for v in shift_dets.values())
     checks.append(LemmaCheck("L-excl", "pass" if ok else "fail", {"char_poly_values": values}))
 
@@ -524,7 +496,7 @@ def _check_lemmas(i: int, a: list[int], common: int, b: list[int], den: int) -> 
     rows = {}
     ok = True
     for j in range(1, n - 2):
-        shifted = refined_inertia_exact(p.taylor_shift(Fraction(-b[j - 1], den)))
+        shifted = refined_inertia_exact(p.taylor_shift(Fraction(-b[j - 1], arrow.b_den)))
         delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
         rows[j] = (shifted.n_minus, delta)
         ok = ok and expected[j] == actual.get(j) == (-1) ** delta
@@ -560,10 +532,10 @@ def run_lemma_suite(
     Samples whose arrow form has a repeated diagonal parameter are redrawn,
     since the checks reject them (two draws tie with probability about 1
     in 80000, the number of grid magnitudes).  Each sample's arrow form is
-    read from its integer draws (family_sample_arrow), the b_j brought over
-    one power-of-two denominator, and every check of validate_lemmas runs
-    on those integers (_check_lemmas): no sample becomes an ArrowMatrix or
-    a Fraction matrix.  Raises ValueError for a negative sample count.
+    read from its integer draws (family_sample_arrow), with the a_k and the
+    b_j each over one power-of-two denominator, and validate_lemmas runs on
+    that arrow as drawn: no sample becomes a Fraction matrix.  Raises
+    ValueError for a negative sample count.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -578,12 +550,10 @@ def run_lemma_suite(
             raise RuntimeError("too many resampling attempts while enforcing distinct b")
         seed = _sample_seed(cfg.seed, attempts)
         attempts += 1
-        a, common, spokes = family_sample_arrow(pattern, RealizationConfig(seed=seed))
-        den = math.lcm(*(q for _, q in spokes))
-        b = [p * (den // q) for p, q in spokes]
-        if len(set(b)) != len(b):
+        arrow = family_sample_arrow(pattern, RealizationConfig(seed=seed))
+        if len(set(arrow.b_num)) != len(arrow.b_num):
             continue
-        for check in _check_lemmas(i, a, common, b, den):
+        for check in validate_lemmas(arrow, i):
             counts[(check.check, check.status)] += 1
             if check.failed:
                 failures.append((index, check.check))

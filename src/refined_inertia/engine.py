@@ -36,7 +36,7 @@ from .ratpoly import (
     imaginary_axis_parts,
     strip_zero_roots,
 )
-from .realization import ArrowMatrix, _over_common_denominator
+from .realization import ArrowMatrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -284,46 +284,31 @@ def arrow_shift_det(arrow: ArrowMatrix, j: int, reference: RationalPoly) -> Frac
     """det(b_j I + B) for an arrowhead matrix, via the closed-form product.
 
     Uses the formula -a_{j+2} * b_j * prod_{m != j} (b_j - b_m), valid when
-    the b values are distinct (j is 1-based).  reference is the matrix's
+    the b values are distinct (j is 1-based), on the arrow's integers: its
+    numerator is over a_den * b_den**(n - 2).  reference is the matrix's
     characteristic polynomial p from an independent algorithm; the value is
-    checked against det(b_j I + B) = (-1)**n * p(-b_j), and a mismatch
-    raises InternalCheckError.  This is the Fraction edge of
-    _integer_shift_det, which the lemma checks call on their integers.
+    checked against det(b_j I + B) = (-1)**n * p(-b_j), with
+    b_den**deg(p) * p(-b_j) from Horner's rule in the integers, by
+    cross-multiplying the denominators, and a mismatch raises
+    InternalCheckError.
     """
     n = arrow.n
     if not 1 <= j <= n - 2:
         raise ValueError(f"j must be in 1..{n - 2}, got {j}")
-    if len(set(arrow.b)) != len(arrow.b):
+    b, den = arrow.b_num, arrow.b_den
+    if len(set(b)) != len(b):
         raise ValueError("shift determinant formula requires distinct b values")
-    a, common = _over_common_denominator(arrow.a)
-    b, den = _over_common_denominator(arrow.b)
-    return Fraction(_integer_shift_det(a, common, b, den, j, reference), common * den ** (n - 2))
-
-
-def _integer_shift_det(
-    a: Sequence[int], common: int, b: Sequence[int], den: int, j: int, reference: RationalPoly
-) -> int:
-    """arrow_shift_det for a_k = a[k] / common and distinct b_m = b[m] / den, as integers.
-
-    Returns the numerator of det(b_j I + B) over common * den**(n - 2): the
-    closed-form product in the integers.  It is checked against
-    (-1)**n * p(-b_j), with den**deg(p) * p(-b_j) from Horner's rule in
-    the integers, by cross-multiplying the two denominators.
-    """
-    n = len(a)
     bj = b[j - 1]
-    value = -a[j + 1] * bj
+    value = -arrow.a_num[j + 1] * bj
     for m, bm in enumerate(b, start=1):
         if m != j:
             value *= bj - bm
-    degree = max(reference.degree, 0)
+    scale = arrow.a_den * den ** (n - 2)
     horner = _homogeneous_value(reference.num, -bj, den)
-    if value * reference.den * den**degree != (-1) ** n * horner * common * den ** (n - 2):
-        arrow = ArrowMatrix([Fraction(x, common) for x in a], [Fraction(x, den) for x in b])
-        formula = Fraction(value, common * den ** (n - 2))
+    if value * reference.den * den ** max(reference.degree, 0) != (-1) ** n * horner * scale:
         certified = (-1) ** n * reference.evaluate(Fraction(-bj, den))
         raise InternalCheckError(
-            f"arrow shift determinant mismatch at j={j}: formula {formula}, reference {certified}; "
-            f"arrow {json.dumps(arrow.to_json())}"
+            f"arrow shift determinant mismatch at j={j}: formula {Fraction(value, scale)}, "
+            f"reference {certified}; arrow {json.dumps(arrow.to_json())}"
         )
-    return value
+    return Fraction(value, scale)

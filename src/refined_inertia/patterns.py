@@ -1,8 +1,8 @@
 """Sign patterns over {+, -, 0} and their qualitative structure.
 
 Provides the pattern type itself, a diff-friendly text format, the three
-arrowhead pattern families studied by the analysis layer, and
-irreducibility via strong connectivity of the associated digraph.
+arrowhead pattern families studied by the analysis layer, and the sign
+pattern of a matrix.
 
 Indices are 0-based internally; user-facing text (CLI, reports) is 1-based.
 """
@@ -137,33 +137,4 @@ def family_pattern(i: int, n: int) -> SignPattern:
 def sgn_of_matrix(matrix: Sequence[Sequence]) -> SignPattern:
     """Entrywise sign pattern of a real matrix (int, Fraction or float entries)."""
     return SignPattern([[Sign.from_value(x) for x in row] for row in matrix])
-
-
-def is_irreducible(pattern: SignPattern) -> bool:
-    """True iff the digraph with an arc (j, k) for each nonzero entry is strongly connected.
-
-    A 1x1 pattern is irreducible by convention, zero diagonal included.
-    """
-    n = pattern.n
-    if n == 1:
-        return True
-    forward = [[k for k in range(n) if pattern.rows[j][k] != Sign.ZERO] for j in range(n)]
-    backward = [[] for _ in range(n)]
-    for j in range(n):
-        for k in forward[j]:
-            backward[k].append(j)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
-
-    return reaches_all(forward) and reaches_all(backward)
 

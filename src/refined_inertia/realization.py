@@ -1,15 +1,18 @@
 """Rational realizations of sign patterns and the arrowhead normal form.
 
-Covers sampling a qualitative class Q(P) with exact dyadic entries drawn
-from integers alone (no floating point, so a seed fixes the samples on
-every platform) by one draw generator, which feeds both the matrix sampler
-and the integer arrowhead reading of a family sample; the
-diagonal-similarity normalization onto the arrowhead form (unit first
-row, dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the
-witness embedding that lifts a 4x4 realization to any larger order by
-replicating one spoke, the deflation step that extracts the shared
-eigenvalue when two diagonal parameters coincide, and the matrix JSON
-wire format with its validating reader.
+Covers the arrowhead parameters themselves (ArrowMatrix, integers over one
+common denominator for the a_k and another for the b_j, with their
+spoke-expansion characteristic polynomial and the sign rule for family
+membership); sampling a qualitative class Q(P) with exact dyadic entries
+drawn from integers alone (no floating point, so a seed fixes the samples
+on every platform) by one draw generator, which feeds both the matrix
+sampler and the arrow reading of a family sample; the diagonal-similarity
+normalization onto the arrowhead form (unit first row, dense first column,
+diagonal (a1, 0, -b1, ..., -b_{n-2})), the witness embedding that lifts a
+4x4 realization to any larger order by replicating one spoke, the
+deflation step that extracts the shared eigenvalue when two diagonal
+parameters coincide, and the matrix JSON wire format with its validating
+reader.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .patterns import SignPattern, family_pattern, sgn_of_matrix
 from .ratpoly import Rational, RationalPoly, as_ratio
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+_ZERO = Fraction(0)  # shared by every zero entry; Fractions are immutable
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -49,44 +54,103 @@ class DegenerateMergeError(ValueError):
     """Deflation merged two spoke entries to zero, leaving the qualitative class."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrowMatrix:
     """Parameters (a_1..a_n, b_1..b_{n-2}) of the arrowhead form.
 
     The realized matrix has first row (a_1, 1, ..., 1), first column
     (a_1, a_2, ..., a_n), diagonal (a_1, 0, -b_1, ..., -b_{n-2}), and zeros
-    elsewhere.
+    elsewhere.  The a_k are stored as a_num[k] / a_den and the b_j as
+    b_num[j] / b_den, integers over one positive denominator each, not
+    necessarily in lowest terms; equality and hashing follow the rationals.
+    The a and b properties read them as Fractions.
     """
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    a_num: tuple[int, ...]
+    a_den: int
+    b_num: tuple[int, ...]
+    b_den: int
 
     def __init__(self, a: Sequence, b: Sequence):
-        af = tuple(as_fraction(x) for x in a)
-        bf = tuple(as_fraction(x) for x in b)
-        if len(af) < 4:
-            raise ValueError(f"arrow form needs order >= 4, got {len(af)}")
-        if len(bf) != len(af) - 2:
-            raise ValueError(f"expected {len(af) - 2} diagonal parameters, got {len(bf)}")
-        object.__setattr__(self, "a", af)
-        object.__setattr__(self, "b", bf)
+        a_ratios = [as_ratio(x) for x in a]
+        b_ratios = [as_ratio(x) for x in b]
+        a_den = math.lcm(*(d for _, d in a_ratios))
+        b_den = math.lcm(*(d for _, d in b_ratios))
+        self._set(
+            [x * (a_den // d) for x, d in a_ratios], a_den, [x * (b_den // d) for x, d in b_ratios], b_den
+        )
+
+    @classmethod
+    def from_ints(cls, a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> "ArrowMatrix":
+        """The arrow with a_k = a[k] / a_den and b_j = b[j] / b_den, for positive a_den and b_den."""
+        arrow = object.__new__(cls)
+        arrow._set(a, a_den, b, b_den)
+        return arrow
+
+    def _set(self, a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> None:
+        if len(a) < 4:
+            raise ValueError(f"arrow form needs order >= 4, got {len(a)}")
+        if len(b) != len(a) - 2:
+            raise ValueError(f"expected {len(a) - 2} diagonal parameters, got {len(b)}")
+        if a_den <= 0 or b_den <= 0:
+            raise ValueError(f"denominators must be positive, got {a_den} and {b_den}")
+        self.__dict__.update(a_num=tuple(a), a_den=a_den, b_num=tuple(b), b_den=b_den)
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.a_den) for x in self.a_num)
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.b_den) for x in self.b_num)
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return len(self.a_num)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArrowMatrix):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and all(x * other.a_den == y * self.a_den for x, y in zip(self.a_num, other.a_num))
+            and all(x * other.b_den == y * self.b_den for x, y in zip(self.b_num, other.b_num))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def in_family(self, i: int) -> bool:
+        """Whether the matrix lies in the qualitative class of family i.
+
+        Every family pattern has the arrowhead's shape: a positive first
+        row, a zero (2, 2) entry, and zeros off the first row, the first
+        column and the diagonal.  So membership reads only the signs of
+        the a_k, against the first column, and of the -b_j, against the
+        diagonal.  Raises ValueError when i is not a family index.
+        """
+        signs = family_pattern(i, self.n).rows
+        return all((x > 0) - (x < 0) == signs[k][0] for k, x in enumerate(self.a_num)) and all(
+            (x < 0) - (x > 0) == signs[k][k] for k, x in enumerate(self.b_num, start=2)
+        )
+
+    def integer_rows(self) -> tuple[list[list[int]], int]:
+        """(A, scale): the matrix is A / scale, with scale the lcm of the two denominators."""
+        scale = math.lcm(self.a_den, self.b_den)
+        ka, kb = scale // self.a_den, scale // self.b_den
+        n = self.n
+        rows = [[self.a_num[0] * ka] + [scale] * (n - 1)]
+        for k in range(1, n):
+            row = [0] * n
+            row[0] = self.a_num[k] * ka
+            if k >= 2:
+                row[k] = -self.b_num[k - 2] * kb
+            rows.append(row)
+        return rows, scale
 
     def to_matrix(self) -> RationalMatrix:
-        n = self.n
-        zero = Fraction(0)
-        rows = []
-        rows.append((self.a[0],) + (Fraction(1),) * (n - 1))
-        for k in range(1, n):
-            row = [zero] * n
-            row[0] = self.a[k]
-            if k >= 2:
-                row[k] = -self.b[k - 2]
-            rows.append(tuple(row))
-        return tuple(rows)
+        rows, scale = self.integer_rows()
+        return tuple(tuple(Fraction(x, scale) if x else _ZERO for x in row) for row in rows)
 
     def to_json(self) -> dict:
         return {
@@ -95,52 +159,46 @@ class ArrowMatrix:
         }
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators, den): each value is numerators[k] / den, with den their least common denominator."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
-    """Characteristic polynomial of the arrowhead form, by the spoke expansion.
-
-    The a_k are brought over their common denominator and each b_j is split
-    into numerator and denominator for _spoke_char_poly, the one copy of
-    the expansion; tests pin it against the generic Berkowitz route.
-    """
-    a, common = _over_common_denominator(arrow.a)
-    return _spoke_char_poly(a, common, [(b.numerator, b.denominator) for b in arrow.b])
-
-
-def _spoke_char_poly(a: Sequence[int], common: int, spokes: Sequence[tuple[int, int]]) -> RationalPoly:
-    """det(xI - B) of the arrowhead form with a_k = a[k] / common and b_j = p_j / q_j.
+    """Characteristic polynomial det(xI - B) of the arrowhead form, by the spoke expansion.
 
     det(xI - B) = (x - a1) * x * prod_j (x + b_j)
                   - a2 * prod_j (x + b_j)
                   - sum_j a_{j+2} * x * prod_{m != j} (x + b_m)
 
-    Each x + b_j is (q_j x + p_j) / q_j, so the spoke products are integer
-    polynomials and one RationalPoly is built at the end.  The integers
-    need not be in lowest terms.  This is an O(n^2) closed form.
+    With a_k = A_k / c and b_j = p_j / q over the arrow's two denominators,
+    put y = q x, so that x + b_j = (y + p_j) / q.  Then c q^n det(xI - B)
+    is the integer polynomial
+
+        G(y) = (c y - q A_1) y F(y) - q^2 A_2 F(y) - q^2 y sum_j A_{j+2} F(y) / (y + p_j)
+
+    with F(y) = prod_j (y + p_j) monic, so each spoke quotient comes from
+    exact synthetic division and no power of q enters the O(n^2) loops;
+    the coefficient of x^k is G_k q^k / (c q^n).  Tests pin this closed
+    form against the generic Berkowitz route.
     """
-    full = [1]  # prod_j (q_j x + p_j)
-    for p, q in spokes:
-        full = [p * lo + q * hi for lo, hi in zip(full + [0], [0] + full)]
-    # x * (common * x - a_1) * full - a_2 * full
-    num = [0] + [common * hi - a[0] * lo for lo, hi in zip(full + [0], [0] + full)]
-    for k, c in enumerate(full):
-        num[k] -= a[1] * c
-    for j, (p, q) in enumerate(spokes):
-        # full / (q x + p), the product of the other spokes, by synthetic division
-        rest = list(full)
-        partial = [0] * (len(full) - 1)
-        for k in range(len(partial) - 1, -1, -1):
-            partial[k] = rest[k + 1] // q
-            rest[k] -= p * partial[k]
-        weight = a[j + 2] * q
-        for k, c in enumerate(partial):
-            num[k + 1] -= weight * c
-    return RationalPoly.from_ints(num, common * full[-1])
+    a, c, q = arrow.a_num, arrow.a_den, arrow.b_den
+    full = [1]  # F, low to high
+    for p in arrow.b_num:
+        full = [p * lo + hi for lo, hi in zip(full + [0], [0] + full)]
+    spokes = [0] * (len(full) - 1)  # sum_j A_{j+2} F / (y + p_j)
+    for weight, p in zip(a[2:], arrow.b_num):
+        quotient = full[-1]  # coefficients of F / (y + p), from the top down
+        for k in range(len(full) - 2, -1, -1):
+            spokes[k] += weight * quotient
+            quotient = full[k] - p * quotient
+    g = [0, 0] + [c * f for f in full]  # G, low to high, from its first term c y^2 F
+    qa1, q2a2, q2 = q * a[0], q * q * a[1], q * q
+    for k, f in enumerate(full):
+        g[k + 1] -= qa1 * f
+        g[k] -= q2a2 * f
+    for k, s in enumerate(spokes):
+        g[k + 1] -= q2 * s
+    num, scale = [], 1  # num[k] = G_k q^k, and scale ends at q^(n+1)
+    for gk in g:
+        num.append(gk * scale)
+        scale *= q
+    return RationalPoly.from_ints(num, c * scale // q)
 
 
 def family_index(matrix: Sequence[Sequence]) -> int | None:
@@ -156,8 +214,6 @@ def family_index(matrix: Sequence[Sequence]) -> int | None:
 
 # -- sampling Q(P) ---------------------------------------------------------
 
-
-_ZERO = Fraction(0)  # shared by every zero entry; Fractions are immutable
 
 
 @dataclass(frozen=True)
@@ -200,34 +256,33 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
     return tuple(tuple(next(entries) if s else _ZERO for s in row) for row in pattern.rows)
 
 
-def family_sample_arrow(
-    pattern: SignPattern, cfg: RealizationConfig
-) -> tuple[list[int], int, list[tuple[int, int]]]:
-    """The arrowhead parameters of sample_realization(pattern, cfg), as integers.
+def family_sample_arrow(pattern: SignPattern, cfg: RealizationConfig) -> ArrowMatrix:
+    """to_arrow_form(sample_realization(pattern, cfg)), from the integer draws alone.
 
     pattern must be a family pattern; nothing is checked.  Its draws come
-    row-major: the first row, then B_k1 and, from k = 3 on, B_kk.  Returns
-    (a, common, spokes) with a_k = a[k] / common and b_j = p_j / q_j for
-    spokes[j] = (p_j, q_j), where a_1 = B_11, a_k = B_1k * B_k1 and
-    b_j = -B_{j+2,j+2}; the a_k reach their common power-of-two
-    denominator by shifts, so no Fraction is built.
+    row-major: the first row, then B_k1 and, from k = 3 on, B_kk.  Then
+    a_1 = B_11, a_k = B_1k * B_k1 and b_j = -B_{j+2,j+2}, all dyadic; the
+    a_k and the b_j each reach their common power-of-two denominator by
+    shifts, so no Fraction is built.
     """
     draws = list(_signed_draws(pattern, cfg))
     head, rest = draws[: pattern.n], draws[pattern.n :]  # rest: B_21, B_31, B_33, B_41, B_44, ...
     column, diagonal = rest[:1] + rest[1::2], rest[2::2]
     a = head[:1] + [(p * m, f + e) for (p, f), (m, e) in zip(head[1:], column)]
-    top = max(e for _, e in a)
-    return [p << (top - e) for p, e in a], 1 << top, [(-m, 1 << e) for m, e in diagonal]
+    top_a = max(e for _, e in a)
+    top_b = max(e for _, e in diagonal)
+    return ArrowMatrix.from_ints(
+        [p << (top_a - e) for p, e in a], 1 << top_a, [-m << (top_b - e) for m, e in diagonal], 1 << top_b
+    )
 
 
 def family_sample_char_poly(pattern: SignPattern, cfg: RealizationConfig) -> RationalPoly:
-    """arrow_char_poly of the arrow form of sample_realization(pattern, cfg), from integers alone.
+    """arrow_char_poly(family_sample_arrow(pattern, cfg)): the falsifier's draw for a family pattern.
 
-    pattern must be a family pattern; nothing is checked.  The falsifier's
-    draw for a family pattern: family_sample_arrow's integers go straight
-    into the spoke expansion.
+    pattern must be a family pattern; nothing is checked.  The sample never
+    becomes a Fraction matrix.
     """
-    return _spoke_char_poly(*family_sample_arrow(pattern, cfg))
+    return arrow_char_poly(family_sample_arrow(pattern, cfg))
 
 
 # -- arrowhead normalization -------------------------------------------------
@@ -260,7 +315,7 @@ def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:
         raise ValueError(f"embedding starts from a 4x4 arrow matrix, got order {base.n}")
     if n < 5:
         raise ValueError(f"embedding target order must be >= 5, got {n}")
-    if family_index(base.to_matrix()) != i:
+    if not base.in_family(i):
         raise MembershipError(
             f"base matrix is not in the order-4 class of family {i}; "
             f"arrow {json.dumps(base.to_json())}"
@@ -280,7 +335,7 @@ def deflate_repeated(arrow: ArrowMatrix) -> tuple[Fraction, ArrowMatrix]:
     DegenerateMergeError when the merged weight vanishes, since B1 would
     then leave the qualitative class the induction argument lives in.
     """
-    b = arrow.b
+    b = arrow.b_num
     pair = next(
         ((j, k) for j in range(len(b)) for k in range(j + 1, len(b)) if b[j] == b[k]),
         None,
@@ -288,18 +343,18 @@ def deflate_repeated(arrow: ArrowMatrix) -> tuple[Fraction, ArrowMatrix]:
     if pair is None:
         raise ValueError("deflation requires a repeated diagonal parameter")
     j, k = pair
-    merged = arrow.a[j + 2] + arrow.a[k + 2]
+    merged = arrow.a_num[j + 2] + arrow.a_num[k + 2]
     if merged == 0:
         raise DegenerateMergeError(
             f"spoke weights a_{j + 3} and a_{k + 3} cancel; deflated matrix would "
             "leave the qualitative class"
         )
-    a = list(arrow.a)
+    a = list(arrow.a_num)
     a[j + 2] = merged
     del a[k + 2]
     b_out = list(b)
     del b_out[k]
-    return -b[j], ArrowMatrix(a, b_out)
+    return Fraction(-b[j], arrow.b_den), ArrowMatrix.from_ints(a, arrow.a_den, b_out, arrow.b_den)
 
 
 # -- matrix JSON (exact wire format) ----------------------------------------

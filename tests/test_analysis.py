@@ -395,9 +395,9 @@ class TestLemmaValidation:
         assert checked >= 30
 
     def test_spoke_expansion_mismatch_fails_l_det(self, monkeypatch):
-        spoke = analysis._spoke_char_poly
+        spoke = analysis.arrow_char_poly
         monkeypatch.setattr(
-            analysis, "_spoke_char_poly", lambda *args: spoke(*args) + RationalPoly([Fraction(1, 5)])
+            analysis, "arrow_char_poly", lambda arrow: spoke(arrow) + RationalPoly([Fraction(1, 5)])
         )
         arrow = self.sampled_arrow(2, 6, 11)
         results = {r.check: r for r in validate_lemmas(arrow, 2)}
@@ -464,7 +464,8 @@ class TestLemmaValidation:
     def test_suite_runner_reads_the_integer_draw(self, monkeypatch):
         # The arrow form comes from family_sample_arrow and every check runs
         # on its integers: no sample becomes a Fraction matrix, is classified
-        # by its signs, or has its rows brought back to integers.
+        # by its signs, has its rows brought back to integers, or has its
+        # parameters read as Fractions.
         def refuse(*args):
             raise AssertionError("run_lemma_suite left the integer path")
 
@@ -474,6 +475,8 @@ class TestLemmaValidation:
         monkeypatch.setattr(realization, "family_index", refuse)
         monkeypatch.setattr(ArrowMatrix, "to_matrix", refuse)
         monkeypatch.setattr(engine, "_integer_rows", refuse)
+        monkeypatch.setattr(ArrowMatrix, "a", property(refuse))
+        monkeypatch.setattr(ArrowMatrix, "b", property(refuse))
         report = run_lemma_suite(2, 6, 5, RealizationConfig(seed=4))
         assert report.all_passed and report.samples == 5
 

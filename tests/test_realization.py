@@ -49,6 +49,25 @@ class TestArrowMatrix:
             ArrowMatrix([1, 2, 3, 4], [1])
         with pytest.raises(TypeError):
             ArrowMatrix([1.0, 2, 3, 4], [1, 2])
+        with pytest.raises(ValueError):
+            ArrowMatrix.from_ints([1, 2, 3, 4], 1, [1], 1)
+        with pytest.raises(ValueError, match="positive"):
+            ArrowMatrix.from_ints([1, 2, 3, 4], 1, [1, 2], -1)
+
+    def test_from_ints_follows_the_rationals(self):
+        # Integers over a common denominator that is not the least one give
+        # the same arrow, equal and with equal hash, as the rational
+        # constructor; a different value does not compare equal.
+        rational = ArrowMatrix([Fraction(1, 2), -3, Fraction(5, 4), 2], [Fraction(3, 8), -1])
+        arrow = ArrowMatrix.from_ints([8, -48, 20, 32], 16, [6, -16], 16)
+        assert arrow == rational and hash(arrow) == hash(rational)
+        assert arrow.a == (Fraction(1, 2), -3, Fraction(5, 4), 2)
+        assert arrow.b == (Fraction(3, 8), -1)
+        assert arrow.to_matrix() == rational.to_matrix()
+        assert arrow.to_json() == rational.to_json()
+        assert len({arrow, rational}) == 1
+        assert ArrowMatrix.from_ints([8, -48, 20, 32], 16, [6, -15], 16) != rational
+        assert ArrowMatrix([1, 2, 3, 4, 5], [1, 2, 3]) != rational
 
 
 def test_arrow_char_poly_matches_generic_engine():
@@ -65,14 +84,13 @@ def test_arrow_char_poly_matches_generic_engine():
 @pytest.mark.parametrize("i", (1, 2, 3))
 def test_family_sample_char_poly_is_the_rational_route(i, n):
     # The integer draw path reads the same stream as sample_realization: its
-    # parameters, read as Fractions, are the matrix's arrow form, and it
-    # builds the same RationalPoly, term for term.
+    # arrow is the matrix's arrow form, and it builds the same RationalPoly,
+    # term for term.
     pattern = family_pattern(i, n)
     for k in range(60):
         cfg = RealizationConfig(seed=(10 * i + n) * 1000 + k)
         arrow = to_arrow_form(sample_realization(pattern, cfg))
-        a, common, spokes = family_sample_arrow(pattern, cfg)
-        assert ArrowMatrix([Fraction(x, common) for x in a], [Fraction(*s) for s in spokes]) == arrow
+        assert family_sample_arrow(pattern, cfg) == arrow
         assert family_sample_char_poly(pattern, cfg) == arrow_char_poly(arrow), f"seed {cfg.seed}"
 
 

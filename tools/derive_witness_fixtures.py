@@ -23,16 +23,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from refined_inertia.engine import RefinedInertia, refined_inertia_exact  # noqa: E402
-from refined_inertia.realization import (  # noqa: E402
-    ArrowMatrix,
-    arrow_char_poly,
-    family_index,
-)
+from refined_inertia.patterns import family_pattern  # noqa: E402
+from refined_inertia.realization import ArrowMatrix, arrow_char_poly  # noqa: E402
 
 BUDGET = 200_000
 IMAGINARY_PAIR = RefinedInertia(0, 2, 0, 2)
-
-_FAMILY_A_SIGNS = {1: (1, -1, -1, -1), 2: (-1, -1, 1, 1), 3: (-1, 1, 1, -1)}
 
 
 def _simple_fraction(rng: random.Random) -> Fraction:
@@ -46,7 +41,7 @@ def search_4x4_witness(i: int, target: RefinedInertia, seed: int, budget: int) -
     of parameters realizes the target.  Raises RuntimeError if the budget
     runs out.
     """
-    signs = _FAMILY_A_SIGNS[i]
+    signs = [int(row[0]) for row in family_pattern(i, 4).rows]  # the signs of a_1..a_4
     rng = random.Random(seed)
     for _ in range(budget):
         b1 = _simple_fraction(rng)
@@ -91,7 +86,7 @@ def construct_imaginary_pair_witness(i: int, seed: int, budget: int) -> ArrowMat
         a3 = (spoke_mix - spoke_sum * b1) / (b2 - b1)
         a4 = (spoke_sum * b2 - spoke_mix) / (b2 - b1)
         candidate = ArrowMatrix((a1, a2, a3, a4), (b1, b2))
-        if family_index(candidate.to_matrix()) != i:
+        if not candidate.in_family(i):
             continue
         inertia = refined_inertia_exact(arrow_char_poly(candidate))
         if inertia != IMAGINARY_PAIR:
