@@ -10,6 +10,9 @@ polynomial's spectrum into four certified counts from one remainder chain:
 * nonzero imaginary-axis pairs from the real roots of that chain's tail,
   gcd(Re, Im), counted with multiplicity (Routh's singular case).
 
+Re q(i*w) = E(w**2) is even and Im q(i*w) = w*O(w**2) odd, so the chain
+runs on the half-length integer lists E and O in u = w**2.
+
 The numeric path is a dense eigensolve with a relative axis tolerance; it
 alone uses numpy, imported on first use, so the exact core runs on the
 standard library.  It serves matrices with float entries
@@ -33,8 +36,6 @@ from .ratpoly import (
     as_ratio,
     cauchy_index_line,
     count_real_roots,
-    imaginary_axis_parts,
-    strip_zero_roots,
 )
 from .realization import ArrowMatrix
 
@@ -178,32 +179,40 @@ def _poly_json(p: RationalPoly) -> str:
 def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
     """Refined inertia of the root multiset of p, certified over the rationals.
 
-    Zero roots come off the trailing coefficients, leaving q with q(0) != 0.
-    One remainder chain of the real and imaginary parts of q(i*w) gives the
-    Cauchy index that splits the axis-free roots between the open
-    half-planes, and ends in gcd(Re, Im).  A real root w of that tail is an
-    imaginary root i*w of q, with the same multiplicity, and w != 0 because
-    q(0) != 0; so its real roots count the imaginary pairs.  The axis-free
-    degree m has the parity of deg q, which therefore decides whether Re or
-    Im sits in the denominator.
+    Everything runs on p's integer numerators, since a nonzero scaling keeps
+    every root.  Zero roots come off the trailing coefficients, leaving q
+    with q(0) != 0, and q(i*w) splits into Re = E(w**2) and Im = w*O(w**2).
+    One remainder chain of these parity parts, on the half-length lists E
+    and O in u = w**2, gives the Cauchy index that splits the axis-free
+    roots between the open half-planes, and ends in gcd(Re, Im) = T(w**2).
+    A real root w of that tail is an imaginary root i*w of q, with the same
+    multiplicity, and w != 0 because q(0) != 0; so its real roots count the
+    imaginary pairs.  The axis-free degree m has the parity of deg q, which
+    therefore decides whether Re or Im sits in the denominator.
     """
     if p.is_zero:
         raise ValueError("refined inertia of the zero polynomial is undefined")
-    p = p.monic()
-    n_zero, q = strip_zero_roots(p)
-    re_part, im_part = imaginary_axis_parts(q)
-    if q.degree % 2 == 0:
-        index, tail = cauchy_index_line(re_part, im_part)
+    n_zero = next(k for k, c in enumerate(p.num) if c)
+    q = p.num[n_zero:]
+    even, odd = list(q[0::2]), list(q[1::2])
+    even[1::2] = [-c for c in even[1::2]]
+    odd[1::2] = [-c for c in odd[1::2]]
+    degree = len(q) - 1
+    if degree % 2 == 0:
+        index, tail = cauchy_index_line(even, odd, False)
         diff = -index
     else:
-        diff, tail = cauchy_index_line(im_part, re_part)
-    two_n_p = count_real_roots(tail)
-    m = q.degree - two_n_p
+        diff, tail = cauchy_index_line(odd, even, True)
+    w_tail = [0] * (2 * len(tail) - 1)
+    w_tail[0::2] = tail
+    two_n_p = count_real_roots(RationalPoly.from_ints(w_tail)) if len(tail) > 1 else 0
+    m = degree - two_n_p
     if (m + diff) % 2 != 0:
-        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p)}")
+        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p.monic())}")
     if abs(diff) > m:
         raise InternalCheckError(
-            f"half-plane difference {diff} exceeds the axis-free degree {m}; {_poly_json(p)}"
+            f"half-plane difference {diff} exceeds the axis-free degree {m}; "
+            f"{_poly_json(p.monic())}"
         )
     return RefinedInertia((m - diff) // 2, (m + diff) // 2, n_zero, two_n_p)
 

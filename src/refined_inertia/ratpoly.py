@@ -10,12 +10,13 @@ equality and hashing are exact.  The zero polynomial is ``num == ()``,
 and floats are rejected so that every count and sign is certifiable.
 
 Beyond the ring operations, this module provides the root-counting
-machinery used by the inertia engine: the Cauchy index of a rational
-function over the whole real line (with the gcd its remainder chain ends
-in), and real roots counted with multiplicity by Yun's squarefree
-decomposition and one Sturm chain per factor.  Multiplying by a positive
-constant keeps every root and every sign count, so the chains and gcds run
-on primitive integer coefficients.
+machinery used by the inertia engine: the Cauchy index over the whole real
+line of an odd polynomial over an even one or back, each given as its
+half-length list in u = w**2 (with the gcd its remainder chain ends in),
+and real roots counted with multiplicity by Yun's squarefree decomposition
+and one Sturm chain per factor.  Multiplying by a positive constant keeps
+every root and every sign count, so the chains and gcds run on primitive
+integer coefficients, on one remainder-only pseudo-division.
 """
 
 from __future__ import annotations
@@ -194,13 +195,13 @@ def _homogeneous_value(coeffs: Sequence[int], s: int, t: int) -> int:
     return acc
 
 
-def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """(q, r, m) with m * f = q * g + r, deg r < deg g and m a power of lead(g)."""
-    r = list(f)
+def _pseudo_rem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """A positive multiple of f mod g; lead(g) is made positive, as f mod -g = f mod g."""
+    if g[-1] < 0:
+        g = [-c for c in g]
     lead = g[-1]
     dg = len(g) - 1
-    q = [0] * max(len(r) - dg, 0)
-    m = 1
+    r = list(f)
     while len(r) > dg:
         top = r.pop()
         if top == 0:
@@ -208,28 +209,35 @@ def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[
         k = len(r) - dg
         if lead != 1:
             r = [c * lead for c in r]
-            q = [c * lead for c in q]
-            m *= lead
-        q[k] = top
         for i in range(dg):
             r[k + i] -= top * g[i]
-    return q, _strip(r), m
+    return _strip(r)
 
 
 def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f / g for a primitive g dividing f; by Gauss's lemma the quotient is integral."""
-    q, r, m = _pseudo_divmod(f, g)
-    if r:
+    """f / g for a primitive g dividing f; by Gauss's lemma each long-division step is exact."""
+    r = list(f)
+    lead = g[-1]
+    dg = len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    while len(r) > dg:
+        c, rest = divmod(r.pop(), lead)
+        k = len(r) - dg
+        if rest:
+            raise ValueError("division is not exact")
+        q[k] = c
+        for i in range(dg):
+            r[k + i] -= c * g[i]
+    if any(r):
         raise ValueError("division is not exact")
-    return [c // m for c in q]
+    return q
 
 
 def _gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Primitive greatest common divisor by the primitive pseudo-remainder sequence."""
     a, b = _primitive(f), _primitive(g)
     while b:
-        _, rem, _ = _pseudo_divmod(a, b)
-        a, b = b, _primitive(rem)
+        a, b = b, _primitive(_pseudo_rem(a, b))
     return a
 
 
@@ -276,23 +284,6 @@ def squarefree_decomposition(p: RationalPoly) -> list[tuple[RationalPoly, int]]:
     return factors
 
 
-def strip_zero_roots(p: RationalPoly) -> tuple[int, RationalPoly]:
-    """Split p into (multiplicity of the root 0, cofactor with nonzero constant)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    k = 0
-    while p.num[k] == 0:
-        k += 1
-    return k, RationalPoly.from_ints(p.num[k:], p.den)
-
-
-def imaginary_axis_parts(p: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-    """Real and imaginary parts of w -> p(i*w) as real polynomials in w."""
-    re = [c if k % 4 == 0 else -c if k % 4 == 2 else 0 for k, c in enumerate(p.num)]
-    im = [c if k % 4 == 1 else -c if k % 4 == 3 else 0 for k, c in enumerate(p.num)]
-    return RationalPoly.from_ints(re, p.den), RationalPoly.from_ints(im, p.den)
-
-
 # -- sign sequences and Sturm machinery ---------------------------------
 
 
@@ -308,11 +299,10 @@ def _remainder_chain(f0: Sequence[int], f1: Sequence[int]) -> list[list[int]]:
     if f1:
         chain.append(_primitive(f1))
     while len(chain) > 1:
-        _, rem, m = _pseudo_divmod(chain[-2], chain[-1])
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        # rem = m * rem(f, g); keep a positive multiple of -rem(f, g)
-        chain.append(_primitive([-c for c in rem] if m > 0 else rem))
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
@@ -338,15 +328,31 @@ def count_real_roots(p: RationalPoly) -> int:
     return total
 
 
-def cauchy_index_line(f0: RationalPoly, f1: RationalPoly) -> tuple[int, RationalPoly]:
-    """Cauchy index of f1/f0 over the whole real line, and the monic gcd(f0, f1).
+def cauchy_index_line(
+    f0: Sequence[int], f1: Sequence[int], f0_odd: bool
+) -> tuple[int, list[int]]:
+    """Cauchy index of F1/F0 over the real line, and the tail T of its chain.
 
-    The index counts jumps of the reduced fraction from -inf to +inf minus
-    jumps the other way, via sign variations of the Euclidean remainder
-    chain at the two infinities.  The chain's last element is the gcd.
+    F0(w) is f0(w**2), times w if f0_odd, and F1(w) is f1(w**2), times w if
+    not, so the two have opposite parities, as Re and Im of q(i*w) do.  The
+    index is the Euclidean remainder chain's sign variations at -inf minus
+    those at +inf.  A remainder keeps its dividend's parity, so the chain
+    alternates in parity and stays on half-length lists in u = w**2: an odd
+    dividend is reduced by G, an even one by u*G.  An odd element flips its
+    sign at -inf, so each neighbouring pair varies at exactly one infinity:
+    at -inf if their leading signs agree.  The chain ends in gcd(F0, F1);
+    when the even one has a nonzero constant term, as for q(i*w) with
+    q(0) != 0, that gcd is even, T(w**2), and T comes back primitive.
     """
-    if f0.is_zero:
+    a = _primitive(_strip(list(f0)))
+    if not a:
         raise ValueError("denominator polynomial is zero")
-    chain = _remainder_chain(f0.num, f1.num)
-    tail = chain[-1]
-    return _variation_drop(chain), RationalPoly.from_ints(tail, tail[-1])
+    b = _primitive(_strip(list(f1)))
+    odd_divisor = not f0_odd
+    index = 0
+    while b:
+        index += 1 if (a[-1] > 0) == (b[-1] > 0) else -1
+        rem = _pseudo_rem(a, [0, *b] if odd_divisor else b)
+        a, b = b, _primitive([-c for c in rem])
+        odd_divisor = not odd_divisor
+    return index, a

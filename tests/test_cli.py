@@ -25,7 +25,6 @@ from refined_inertia.cli import (
 )
 from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
-from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import matrix_to_json
 from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
@@ -210,7 +209,7 @@ def test_analyze_table(capsys):
 
 def _fake_cauchy_index(index):
     """A stand-in for the Cauchy-index chain: a fixed index and a constant tail."""
-    return lambda *args: (index, RationalPoly.one())
+    return lambda *args: (index, [1])
 
 
 def test_falsify_internal_check_failure_exits_4(all_plus_file, capsys, monkeypatch):

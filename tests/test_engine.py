@@ -146,7 +146,7 @@ class TestExactInertia:
     def test_internal_check_message_carries_polynomial(self, monkeypatch):
         p = RationalPoly.from_roots([-1, -2, 3]) * RationalPoly((Fraction(5, 3),))
         # an index of 0 against an odd axis-free degree forces the parity check
-        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (0, RationalPoly.one()))
+        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (0, [1]))
         with pytest.raises(InternalCheckError, match="impossible parity") as info:
             refined_inertia_exact(p)
         assert self._reported_polynomial(info) == p.monic()
@@ -154,7 +154,7 @@ class TestExactInertia:
     def test_index_beyond_axis_free_degree(self, monkeypatch):
         p = RationalPoly.from_roots([-1, -2, 3])
         # an index of 5 has the parity of m = 3 but no split of 3 roots gives it
-        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (5, RationalPoly.one()))
+        monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (5, [1]))
         with pytest.raises(InternalCheckError, match="exceeds the axis-free degree 3") as info:
             refined_inertia_exact(p)
         assert self._reported_polynomial(info) == p
@@ -173,6 +173,33 @@ class TestExactInertia:
     def test_imaginary_pair_with_multiplicity(self):
         p = RationalPoly((1, 0, 1)) ** 2 * RationalPoly.from_roots([7])
         assert refined_inertia_exact(p) == RefinedInertia(1, 0, 0, 4)
+
+    @pytest.mark.parametrize(
+        "roots, factors, lead, expected",
+        [
+            # repeated imaginary pairs: +-2i three times
+            ([-2, 3], [(4, 0, 1)] * 3, 1, (1, 1, 0, 6)),
+            # zero roots beside an imaginary pair
+            ([0, 0, 0, -1], [(1, 0, 1)], 1, (0, 1, 3, 2)),
+            # complex pairs 1 +- 2i and -3 +- i
+            ([5], [(5, -2, 1), (10, 6, 1)], 1, (3, 2, 0, 0)),
+            # a negative leading coefficient
+            ([1, -1, -2], [], -7, (1, 2, 0, 0)),
+            # a non-integer denominator, with every kind of root at once
+            (
+                [0, Fraction(-1, 2), Fraction(4, 3)],
+                [(Fraction(1, 4), 0, 1), (Fraction(1, 4), 0, 1), (Fraction(1, 2), -1, 1)],
+                Fraction(-3, 7),
+                (3, 1, 1, 4),
+            ),
+        ],
+        ids=["imaginary-pairs", "zero-roots", "complex-pairs", "negative-lead", "denominator"],
+    )
+    def test_from_roots_spectra(self, roots, factors, lead, expected):
+        p = RationalPoly.from_roots(roots) * RationalPoly((lead,))
+        for factor in factors:
+            p = p * RationalPoly(factor)
+        assert refined_inertia_exact(p).as_tuple() == expected
 
     def test_symmetric_irrational_quadruple(self):
         # x^4 - 2 has one positive, one negative, one imaginary pair

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from refined_inertia.ratpoly import (
     RationalPoly,
+    _exact_quotient,
+    _remainder_chain,
+    _variation_drop,
     cauchy_index_line,
     count_real_roots,
-    imaginary_axis_parts,
     poly_gcd,
     squarefree_decomposition,
-    strip_zero_roots,
 )
 
 x = RationalPoly.variable()
@@ -86,19 +87,12 @@ def test_squarefree_decomposition_recovers_multiplicities():
     assert rebuilt == p.monic()
 
 
-def test_strip_zero_roots():
-    p = poly(0, 0, 3, 1)
-    k, rest = strip_zero_roots(p)
-    assert k == 2
-    assert rest == poly(3, 1)
-
-
-def test_imaginary_axis_parts():
-    # p(x) = x^4 + x^3 + x^2 + x + 1 at x = i*w
-    p = poly(1, 1, 1, 1, 1)
-    re, im = imaginary_axis_parts(p)
-    assert re == poly(1, 0, -1, 0, 1)
-    assert im == poly(0, 1, 0, -1)
+def test_exact_quotient_rejects_a_non_divisor():
+    assert _exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ValueError, match="not exact"):
+        _exact_quotient([1, 0, 1], [1, 1])  # remainder 2
+    with pytest.raises(ValueError, match="not exact"):
+        _exact_quotient([0, 1], [1, 2])  # top coefficient 1 is not a multiple of 2
 
 
 class TestSturmCounting:
@@ -130,7 +124,7 @@ def negative_root_count(g):
     with its multiplicity, and nothing else is real once the root 0 is gone.
     This is how the engine reads the imaginary pairs off gcd(Re, Im).
     """
-    _, g = strip_zero_roots(g)
+    g = RationalPoly.from_ints(g.num[next(k for k, c in enumerate(g.num) if c) :], g.den)
     composed = [0] * (2 * len(g.num) - 1)
     composed[0::2] = [-c if k % 2 else c for k, c in enumerate(g.num)]
     real = count_real_roots(RationalPoly.from_ints(composed, g.den))
@@ -168,21 +162,78 @@ class TestNegativeRootCount:
         assert count_real_roots(p) == 6
 
 
+def cauchy_index(f0, f1, f0_odd):
+    """cauchy_index_line with its primitive tail's sign made positive."""
+    index, tail = cauchy_index_line(f0, f1, f0_odd)
+    return index, tail if tail[-1] > 0 else [-c for c in tail]
+
+
 class TestCauchyIndex:
+    # Arguments are parity parts in u = w**2: f0_odd says F0(w) = w * f0(w**2).
+
     def test_simple_pole(self):
         # 1/w jumps -inf -> +inf at 0
-        assert cauchy_index_line(poly(0, 1), poly(1)) == (1, RationalPoly.one())
-        assert cauchy_index_line(poly(0, 1), poly(-1)) == (-1, RationalPoly.one())
+        assert cauchy_index([1], [1], True) == (1, [1])
+        assert cauchy_index([1], [-1], True) == (-1, [1])
 
     def test_no_real_poles(self):
-        assert cauchy_index_line(poly(1, 0, 1), poly(0, 1)) == (0, RationalPoly.one())
+        # w / (1 + w^2)
+        assert cauchy_index([1, 1], [1], False) == (0, [1])
 
     def test_zero_numerator(self):
-        # gcd(f0, 0) is f0 made monic
-        assert cauchy_index_line(poly(1, 2, 3), RationalPoly()) == (0, poly(1, 2, 3).monic())
+        # gcd(F0, 0) is F0 made primitive
+        assert cauchy_index([2, 4, 6], [], False) == (0, [1, 2, 3])
 
     def test_gcd_laden_chain(self):
-        # (w^2 - 1) cancels; reduced fraction is -1/w
-        f0 = poly(0, 1, 0, -1)  # w - w^3 = -w(w^2 - 1)
-        f1 = poly(-1, 0, 1)  # w^2 - 1
-        assert cauchy_index_line(f0, f1) == (-1, poly(-1, 0, 1))
+        # (w^2 - 1) / (w - w^3): (w^2 - 1) cancels, the reduced fraction is -1/w
+        assert cauchy_index([1, -1], [-1, 1], True) == (-1, [-1, 1])
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            cauchy_index_line([0], [1], False)
+
+
+def _spread(u_coeffs):
+    """f(w**2) as a coefficient list in w, for f given in u = w**2."""
+    out = [0] * (2 * len(u_coeffs) - 1)
+    out[0::2] = u_coeffs
+    return out
+
+
+@st.composite
+def axis_polys(draw):
+    """Integer q with q(0) != 0 up to degree 12, with Routh's singular cases forced.
+
+    "pairs" multiplies by (x^2 + c^2)^k, so gcd(Re, Im) of q(i*w) is
+    nonconstant; "even" keeps q even, so Im q(i*w) vanishes identically.
+    """
+    kind = draw(st.sampled_from(["plain", "pairs", "even"]))
+    size = {"plain": 13, "pairs": 9, "even": 7}[kind]
+    q = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=size))
+    q[0] = q[0] or draw(st.sampled_from([-1, 1]))
+    p = RationalPoly.from_ints(q)
+    if kind == "pairs":
+        k = draw(st.integers(1, 2))
+        p = p * RationalPoly.from_ints((draw(st.integers(1, 3)) ** 2, 0, 1)) ** k
+    elif kind == "even":
+        p = RationalPoly.from_ints(_spread(p.num))
+    return list(p.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis_polys())
+def test_half_length_chain_matches_full_chain(q):
+    # The full-length route: one remainder chain of Re and Im of q(i*w) in w.
+    re = [c if k % 4 == 0 else -c if k % 4 == 2 else 0 for k, c in enumerate(q)]
+    im = [c if k % 4 == 1 else -c if k % 4 == 3 else 0 for k, c in enumerate(q)]
+    even, odd = re[0::2], im[1::2]
+    re, im = RationalPoly.from_ints(re).num, RationalPoly.from_ints(im).num
+    if (len(q) - 1) % 2 == 0:
+        chain = _remainder_chain(re, im)
+        index, tail = cauchy_index(even, odd, False)
+    else:
+        chain = _remainder_chain(im, re)
+        index, tail = cauchy_index(odd, even, True)
+    assert index == _variation_drop(chain)
+    # both tails are primitive, so they agree up to sign
+    assert _spread(tail) in (chain[-1], [-c for c in chain[-1]])
