@@ -1,17 +1,21 @@
 """Refined inertia of real matrices: exact over rationals, numeric via LAPACK.
 
 The exact path never touches floating point.  It factors the characteristic
-polynomial's spectrum into four certified counts from one remainder chain:
+polynomial's spectrum into four certified counts, every one of them but
+the zero roots from the one remainder-chain routine,
+:func:`~refined_inertia.ratpoly.cauchy_index_line`:
 
 * zero eigenvalues from trailing coefficients,
 * the open half-plane counts from the Cauchy index of Im/Re of q(i*w)
   over the real line (the generalized Routh-Hurwitz count, computed with
   a Sturm-type remainder chain so singular cases need no epsilon shifts),
 * nonzero imaginary-axis pairs from the real roots of that chain's tail,
-  gcd(Re, Im), counted with multiplicity (Routh's singular case).
+  gcd(Re, Im) = T(w**2), counted with multiplicity (Routh's singular
+  case) by running the same routine on (T, T') down T's gcd chain.
 
 Re q(i*w) = E(w**2) is even and Im q(i*w) = w*O(w**2) odd, so the chain
-runs on the half-length integer lists E and O in u = w**2.
+runs on the half-length integer lists E and O in u = w**2, and T(w**2)
+and its w-derivative 2*w*T'(w**2) are such a pair too.
 
 The numeric path is a dense eigensolve with a relative axis tolerance; it
 alone uses numpy, imported on first use, so the exact core runs on the
@@ -32,10 +36,10 @@ from typing import TYPE_CHECKING, Sequence
 
 from .ratpoly import (
     RationalPoly,
+    _derivative,
     _homogeneous_value,
     as_ratio,
     cauchy_index_line,
-    count_real_roots,
 )
 from .realization import ArrowMatrix
 
@@ -186,9 +190,15 @@ def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
     and O in u = w**2, gives the Cauchy index that splits the axis-free
     roots between the open half-planes, and ends in gcd(Re, Im) = T(w**2).
     A real root w of that tail is an imaginary root i*w of q, with the same
-    multiplicity, and w != 0 because q(0) != 0; so its real roots count the
-    imaginary pairs.  The axis-free degree m has the parity of deg q, which
-    therefore decides whether Re or Im sits in the denominator.
+    multiplicity, and w != 0 because q(0) != 0; so the real roots of
+    T(w**2), with multiplicity, count the imaginary pairs.  The same chain
+    on (T, T') counts them without multiplicity: T(w**2) is even and
+    w*T'(w**2), half its w-derivative, is odd, so the index is Sturm's count.
+    T(0) != 0 because T divides E and E(0) = q(0), so that chain's tail is
+    gcd(T, T')(w**2), whose real roots are T's one multiplicity lower;
+    running it down to a constant tail adds each root once per level.
+    The axis-free degree m has the parity of deg q, which therefore decides
+    whether Re or Im sits in the denominator.
     """
     if p.is_zero:
         raise ValueError("refined inertia of the zero polynomial is undefined")
@@ -203,9 +213,10 @@ def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
         diff = -index
     else:
         diff, tail = cauchy_index_line(odd, even, True)
-    w_tail = [0] * (2 * len(tail) - 1)
-    w_tail[0::2] = tail
-    two_n_p = count_real_roots(RationalPoly.from_ints(w_tail)) if len(tail) > 1 else 0
+    two_n_p = 0
+    while len(tail) > 1:
+        distinct, tail = cauchy_index_line(tail, _derivative(tail), False)
+        two_n_p += distinct
     m = degree - two_n_p
     if (m + diff) % 2 != 0:
         raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p.monic())}")

@@ -9,14 +9,15 @@ equality and hashing are exact.  The zero polynomial is ``num == ()``,
 (the constructor, ``coeffs``, ``constant``, ``evaluate``),
 and floats are rejected so that every count and sign is certifiable.
 
-Beyond the ring operations, this module provides the root-counting
-machinery used by the inertia engine: the Cauchy index over the whole real
-line of an odd polynomial over an even one or back, each given as its
-half-length list in u = w**2 (with the gcd its remainder chain ends in),
-and real roots counted with multiplicity by Yun's squarefree decomposition
-and one Sturm chain per factor.  Multiplying by a positive constant keeps
-every root and every sign count, so the chains and gcds run on primitive
-integer coefficients, on one remainder-only pseudo-division.
+Beyond the ring operations, this module provides the one root-counting
+routine of the inertia engine: the Cauchy index over the whole real line
+of an odd polynomial over an even one or back, each given as its
+half-length list in u = w**2, with the gcd its remainder chain ends in.
+The engine runs it on Re and Im of q(i*w) for the half-plane split, and
+on a tail T and its derivative T' for the real roots of T(w**2), one
+multiplicity level per call.  Multiplying by a positive constant keeps
+every root and every sign count, so the chain and the gcds run on
+primitive integer coefficients, on one remainder-only pseudo-division.
 """
 
 from __future__ import annotations
@@ -256,6 +257,8 @@ def poly_gcd(f: RationalPoly, g: RationalPoly) -> RationalPoly:
     return RationalPoly.from_ints(a, a[-1] if a else 1)
 
 
+# No pipeline calls squarefree_decomposition any more; it stays because the
+# benchmark's tracer looks it up by name when it installs.
 def squarefree_decomposition(p: RationalPoly) -> list[tuple[RationalPoly, int]]:
     """Yun's algorithm: return monic pairs (factor, multiplicity).
 
@@ -284,48 +287,7 @@ def squarefree_decomposition(p: RationalPoly) -> list[tuple[RationalPoly, int]]:
     return factors
 
 
-# -- sign sequences and Sturm machinery ---------------------------------
-
-
-def _remainder_chain(f0: Sequence[int], f1: Sequence[int]) -> list[list[int]]:
-    """Generalized Sturm chain built from negated Euclidean remainders.
-
-    Each element is a positive constant multiple of the exact remainder
-    chain element, reduced to coprime integer coefficients; positive
-    scaling leaves every sign evaluation (and hence every variation count)
-    unchanged.
-    """
-    chain = [_primitive(f0)]
-    if f1:
-        chain.append(_primitive(f1))
-    while len(chain) > 1:
-        rem = _pseudo_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
-    return chain
-
-
-def _variation_drop(chain: Sequence[Sequence[int]]) -> int:
-    """Sign variations of a chain at -infinity minus its variations at +infinity.
-
-    At +infinity each element has the sign of its leading coefficient; at
-    -infinity an element of odd degree (even length) flips it.
-    """
-    plus = [f[-1] > 0 for f in chain]
-    minus = [s == (len(f) % 2 == 1) for s, f in zip(plus, chain)]
-    at_minus = sum(a != b for a, b in zip(minus, minus[1:]))
-    return at_minus - sum(a != b for a, b in zip(plus, plus[1:]))
-
-
-def count_real_roots(p: RationalPoly) -> int:
-    """Real roots of p counted with multiplicity: Yun, then one Sturm chain per factor."""
-    if p.degree == 0:
-        return 0
-    total = 0
-    for factor, mult in squarefree_decomposition(p):
-        total += mult * _variation_drop(_remainder_chain(factor.num, _derivative(factor.num)))
-    return total
+# -- the remainder chain ---------------------------------------------
 
 
 def cauchy_index_line(
@@ -343,6 +305,12 @@ def cauchy_index_line(
     at -inf if their leading signs agree.  The chain ends in gcd(F0, F1);
     when the even one has a nonzero constant term, as for q(i*w) with
     q(0) != 0, that gcd is even, T(w**2), and T comes back primitive.
+
+    With f0 = T, f1 = T' and f0_odd false, F1 = w*T'(w**2) is dF0/dw over
+    two, so the index is Sturm's count of the distinct real roots of
+    T(w**2).  If T(0) != 0, w does not divide T(w**2), so the tail
+    gcd(T(w**2), w*T'(w**2)) is gcd(T, T')(w**2), whose real roots are
+    those of T(w**2), each one multiplicity lower.
     """
     a = _primitive(_strip(list(f0)))
     if not a:

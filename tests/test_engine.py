@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refined_inertia import engine
@@ -211,23 +211,28 @@ class TestExactInertia:
             st.one_of(
                 nonzero_rationals.map(lambda r: ("real", r)),
                 st.integers(min_value=1, max_value=3).map(lambda k: ("zero", k)),
-                st.tuples(positive_rationals, st.integers(min_value=1, max_value=2)).map(
+                st.tuples(positive_rationals, st.integers(min_value=1, max_value=3)).map(
                     lambda cm: ("axis", cm)
                 ),
                 st.tuples(nonzero_rationals, positive_rationals).map(lambda ab: ("complex", ab)),
-                positive_rationals.map(lambda c: ("plus_minus", c)),
-                st.tuples(positive_rationals, positive_rationals).map(
-                    lambda ab: ("opposite_quadruple", ab)
+                st.tuples(positive_rationals, st.integers(min_value=1, max_value=2)).map(
+                    lambda cm: ("plus_minus", cm)
                 ),
+                st.tuples(
+                    positive_rationals, positive_rationals, st.integers(min_value=1, max_value=2)
+                ).map(lambda abm: ("opposite_quadruple", abm)),
             ),
             min_size=1,
             max_size=5,
         ),
         nonzero_rationals,
     )
+    @example(factors=[("axis", (1, 3)), ("axis", (4, 2)), ("plus_minus", (2, 2))], lead=1)
     def test_known_root_multisets(self, factors, lead):
         # Each factor's roots are known by construction, so the expected
-        # counts do not depend on the engine under test.
+        # counts do not depend on the engine under test.  Repeated axis,
+        # plus_minus and opposite_quadruple factors leave roots in every
+        # level of the tail's gcd chain, not all of them on the axis.
         p = RationalPoly((lead,))
         counts = [0, 0, 0, 0]  # n_plus, n_minus, n_zero, two_n_p
         for kind, data in factors:
@@ -245,18 +250,20 @@ class TestExactInertia:
                 alpha, beta = data
                 p = p * RationalPoly((alpha**2 + beta**2, -2 * alpha, 1))
                 counts[0 if alpha > 0 else 1] += 2
-            elif kind == "opposite_quadruple":  # roots +-alpha +- i*beta
+            elif kind == "opposite_quadruple":  # roots +-alpha +- i*beta, m times
                 # gcd(Re, Im) of q(i*w) keeps this factor's image, which has
                 # no real roots: a nonconstant chain tail with no axis pair
-                alpha, beta = data
+                alpha, beta, m = data
                 norm = alpha**2 + beta**2
-                p = p * RationalPoly((norm, -2 * alpha, 1)) * RationalPoly((norm, 2 * alpha, 1))
-                counts[0] += 2
-                counts[1] += 2
-            else:  # x^2 - c: roots +-sqrt(c)
-                p = p * RationalPoly((-data, 0, 1))
-                counts[0] += 1
-                counts[1] += 1
+                quadruple = RationalPoly((norm, -2 * alpha, 1)) * RationalPoly((norm, 2 * alpha, 1))
+                p = p * quadruple**m
+                counts[0] += 2 * m
+                counts[1] += 2 * m
+            else:  # (x^2 - c)^m: roots +-sqrt(c), m times
+                c, m = data
+                p = p * RationalPoly((-c, 0, 1)) ** m
+                counts[0] += m
+                counts[1] += m
         assert refined_inertia_exact(p).as_tuple() == tuple(counts)
 
     @settings(max_examples=80, deadline=None)

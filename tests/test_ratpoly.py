@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic and root-counting tests.
 
 Root-count fixtures are built from known roots, so every expected count is
-independent of the Sturm machinery being tested.
+independent of the remainder chain being tested; the half-length chain is
+checked against a full-length reference chain kept here as the oracle.
 """
 
 from fractions import Fraction
@@ -10,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refined_inertia.engine import refined_inertia_exact
 from refined_inertia.ratpoly import (
     RationalPoly,
     _exact_quotient,
-    _remainder_chain,
-    _variation_drop,
+    _primitive,
+    _pseudo_rem,
     cauchy_index_line,
-    count_real_roots,
     poly_gcd,
     squarefree_decomposition,
 )
@@ -95,44 +96,21 @@ def test_exact_quotient_rejects_a_non_divisor():
         _exact_quotient([0, 1], [1, 2])  # top coefficient 1 is not a multiple of 2
 
 
-class TestSturmCounting:
-    def test_distinct_rational_roots(self):
-        p = RationalPoly.from_roots([-5, -1, Fraction(1, 3), 2])
-        assert count_real_roots(p) == 4
+def inertia_of_square_composition(g):
+    """Refined inertia of g(x**2), whose roots are the square roots of g's.
 
-    def test_no_real_roots(self):
-        assert count_real_roots(poly(1, 0, 1)) == 0
-        assert count_real_roots(poly(7)) == 0
-
-    def test_irrational_roots(self):
-        # x^2 - 2: one root on each side of zero
-        assert count_real_roots(poly(-2, 0, 1)) == 2
-
-    def test_repeated_roots_counted_with_multiplicity(self):
-        p = RationalPoly.from_roots([2, 2, 2, -1])
-        assert count_real_roots(p) == 4
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            count_real_roots(RationalPoly())
-
-
-def negative_root_count(g):
-    """Negative roots of g with multiplicity, as half the real roots of g(-w^2).
-
-    Each negative root -c of g gives the two real roots +-sqrt(c) of g(-w^2),
-    with its multiplicity, and nothing else is real once the root 0 is gone.
-    This is how the engine reads the imaginary pairs off gcd(Re, Im).
+    A negative root -c of g gives the imaginary pair +-i*sqrt(c), a positive
+    root c the real pair +-sqrt(c), and a zero root a double zero root, each
+    with its multiplicity; nonreal roots of g give roots off both axes.
     """
-    g = RationalPoly.from_ints(g.num[next(k for k, c in enumerate(g.num) if c) :], g.den)
-    composed = [0] * (2 * len(g.num) - 1)
-    composed[0::2] = [-c if k % 2 else c for k, c in enumerate(g.num)]
-    real = count_real_roots(RationalPoly.from_ints(composed, g.den))
-    assert real % 2 == 0
-    return real // 2
+    return refined_inertia_exact(RationalPoly.from_ints(_spread(g.num), g.den))
 
 
 class TestNegativeRootCount:
+    # A negative root of g is an imaginary pair of g(x**2).  Each extra
+    # factor has no real roots, so its composition puts half its roots in
+    # each open half-plane.
+
     @pytest.mark.parametrize(
         "factors, expected",
         [
@@ -146,20 +124,24 @@ class TestNegativeRootCount:
     def test_constructed_fixtures(self, factors, expected):
         roots, extra = factors
         p = RationalPoly.from_roots(roots) * extra
-        assert negative_root_count(p) == expected
-        assert count_real_roots(p) == len(roots)
+        real_pairs = sum(r > 0 for r in roots) + extra.degree
+        assert inertia_of_square_composition(p).as_tuple() == (
+            real_pairs,
+            real_pairs,
+            2 * roots.count(0),
+            2 * expected,
+        )
 
     def test_irrational_negative_roots(self):
         # (t^2 - 2) has one negative root; (t + 1)^2 contributes two more
         p = poly(-2, 0, 1) * RationalPoly.from_roots([-1, -1])
-        assert negative_root_count(p) == 3
-        assert count_real_roots(p) == 4
+        assert inertia_of_square_composition(p).as_tuple() == (1, 1, 0, 6)
 
     def test_degree_bound_fixture(self):
-        # degree 8 with mixed multiplicities
+        # degree 8 with mixed multiplicities: four negative roots, two
+        # positive, and t^2 + 3 puts two roots in each half-plane
         p = RationalPoly.from_roots([-1, -1, -1, -4, 2, 2]) * poly(3, 0, 1)
-        assert negative_root_count(p) == 4
-        assert count_real_roots(p) == 6
+        assert inertia_of_square_composition(p).as_tuple() == (4, 4, 0, 8)
 
 
 def cauchy_index(f0, f1, f0_odd):
@@ -191,6 +173,34 @@ class TestCauchyIndex:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             cauchy_index_line([0], [1], False)
+
+
+def _remainder_chain(f0, f1):
+    """Full-length Sturm chain of negated Euclidean remainders, made primitive.
+
+    Positive scaling leaves every sign, and so every variation count, as it is.
+    """
+    chain = [_primitive(f0)]
+    if f1:
+        chain.append(_primitive(f1))
+    while len(chain) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    return chain
+
+
+def _variation_drop(chain):
+    """Sign variations of a chain at -infinity minus its variations at +infinity.
+
+    At +infinity each element has the sign of its leading coefficient; at
+    -infinity an element of odd degree (even length) flips it.
+    """
+    plus = [f[-1] > 0 for f in chain]
+    minus = [s == (len(f) % 2 == 1) for s, f in zip(plus, chain)]
+    at_minus = sum(a != b for a, b in zip(minus, minus[1:]))
+    return at_minus - sum(a != b for a, b in zip(plus, plus[1:]))
 
 
 def _spread(u_coeffs):
