@@ -15,7 +15,6 @@ import json
 import os
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,6 +41,7 @@ from .realization import (
     family_sample_char_poly,
     matrix_to_json,
     sample_realization,
+    sample_rows,
 )
 from .witness_fixtures import WITNESS_PARAMS
 
@@ -206,13 +206,22 @@ def _sample_seed(base: int, index: int) -> int:
 def _exact_inertia(sample: RationalPoly | RationalMatrix) -> RefinedInertia:
     """Exact inertia of a falsifier sample; this is how the falsifier classifies every one.
 
-    A family sample arrives as its characteristic polynomial, built from
-    the integer draws by family_sample_char_poly; any other sample, and
-    every shrink candidate, arrives as a matrix, for char_poly.
+    Every sample arrives as its characteristic polynomial, built from its
+    integer draws (family_sample_char_poly or _sample_char_poly); only a
+    shrink candidate arrives as a matrix, for char_poly.
     """
     if not isinstance(sample, RationalPoly):
         sample = char_poly(sample)
     return refined_inertia_exact(sample)
+
+
+def _sample_char_poly(pattern: SignPattern, cfg: RealizationConfig) -> RationalPoly:
+    """char_poly(sample_realization(pattern, cfg)), from the integer rows of sample_rows.
+
+    The falsifier's draw for a pattern outside the three families: the
+    sample never becomes a Fraction matrix.
+    """
+    return _integer_char_poly(*sample_rows(pattern, cfg))
 
 
 def _falsify_chunk(args) -> tuple[dict, int | None]:
@@ -281,20 +290,21 @@ def _falsify_tasks(
     """One request's _falsify_chunk tasks: jobs contiguous runs of the sample indices.
 
     Every sample has the sign pattern it was drawn from, so the pattern is
-    classified once, here, to pick the draw function: a family pattern's
-    samples go from their integer draws straight to the characteristic
-    polynomial (family_sample_char_poly) and never become Fractions, any
-    other pattern's are matrices from sample_realization.  Both read the one
-    draw stream of realization._signed_draws, so the matrix that
-    _falsify_report rebuilds for an outside sample is the sample that was
-    classified.
+    classified once, here, to pick the draw function.  Either one takes the
+    sample from its integer draws straight to the characteristic
+    polynomial, and no sample becomes a Fraction: a family pattern's by the
+    spoke expansion of its arrow (family_sample_char_poly), any other's by
+    Berkowitz on its integer rows (_sample_char_poly).  Both are
+    module-level functions, so a task pickles, and both read the one draw
+    stream of realization._signed_draws, so the matrix that _falsify_report
+    rebuilds for an outside sample is the sample that was classified.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     members = hn_set(pattern.n)
-    draw = family_sample_char_poly if family_index(pattern.rows) is not None else sample_realization
+    draw = family_sample_char_poly if family_index(pattern.rows) is not None else _sample_char_poly
     bounds = [budget * w // jobs for w in range(jobs + 1)]
     return [
         (pattern, draw, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
@@ -341,9 +351,11 @@ def falsify_each(
     worker every request is sampled in this process, lazily, when its
     report is asked for.  With more, every request is planned at the first
     report and its chunks go up front to one process pool, so the caller
-    can work on report k while the workers sample the later requests.  Closing the generator early cancels the
-    chunks still queued and waits for the running ones: no worker outlives
-    it, so a caller that may stop early closes it explicitly.
+    can work on report k while the workers sample the later requests.  The
+    pool's module, which loads multiprocessing, is imported only then.
+    Closing the generator early cancels the chunks still queued and waits
+    for the running ones: no worker outlives it, so a caller that may stop
+    early closes it explicitly.
     """
     jobs = max(1, min(jobs, budget, os.cpu_count() or 1))
     if jobs == 1:
@@ -351,6 +363,8 @@ def falsify_each(
             results = [_falsify_chunk(task) for task in _falsify_tasks(pattern, budget, cfg, 1)]
             yield _falsify_report(pattern, budget, cfg, results)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:

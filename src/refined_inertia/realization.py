@@ -5,8 +5,10 @@ common denominator for the a_k and another for the b_j, with their
 spoke-expansion characteristic polynomial and the sign rule for family
 membership); sampling a qualitative class Q(P) with exact dyadic entries
 drawn from integers alone (no floating point, so a seed fixes the samples
-on every platform) by one draw generator, which feeds both the matrix
-sampler and the arrow reading of a family sample; the diagonal-similarity
+on every platform) by one draw generator, which feeds both integer
+readings of a sample, as matrix rows over one power of two (sample_rows,
+whose Fraction view is sample_realization) and, for a family pattern, as
+arrowhead parameters (family_sample_arrow); the diagonal-similarity
 normalization onto the arrowhead form (unit first row, dense first column,
 diagonal (a1, 0, -b1, ..., -b_{n-2})), the witness embedding that lifts a
 4x4 realization to any larger order by replicating one spoke, the
@@ -250,10 +252,27 @@ def _signed_draws(pattern: SignPattern, cfg: RealizationConfig) -> Iterator[tupl
                 yield s * (m + 4096), e + 3
 
 
+def sample_rows(pattern: SignPattern, cfg: RealizationConfig) -> tuple[list[list[int]], int]:
+    """(A, common): the sample of Q(pattern) is A / common, read from the integer draws.
+
+    common is 2**top for the largest exponent top among the draws (1 when
+    the pattern has no nonzero entry), and the entry +-m / 2**e is
+    +-m << (top - e), so no Fraction is built.
+    """
+    draws = list(_signed_draws(pattern, cfg))
+    top = max((e for _, e in draws), default=0)
+    entries = (m << (top - e) for m, e in draws)
+    return [[next(entries) if s else 0 for s in row] for row in pattern.rows], 1 << top
+
+
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
-    """One rational matrix in Q(pattern); deterministic for a fixed seed."""
-    entries = (Fraction(m, 1 << e) for m, e in _signed_draws(pattern, cfg))
-    return tuple(tuple(next(entries) if s else _ZERO for s in row) for row in pattern.rows)
+    """One rational matrix in Q(pattern); deterministic for a fixed seed.
+
+    The Fraction view of sample_rows, for the API edges: the falsifier's
+    counterexample, which is shrunk as a matrix, and tests.
+    """
+    rows, common = sample_rows(pattern, cfg)
+    return tuple(tuple(Fraction(x, common) if x else _ZERO for x in row) for row in rows)
 
 
 def family_sample_arrow(pattern: SignPattern, cfg: RealizationConfig) -> ArrowMatrix:

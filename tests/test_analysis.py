@@ -1,5 +1,6 @@
 """Witness suites, the falsifier, and the lemma validators."""
 
+import concurrent.futures
 import importlib.util
 import json
 import random
@@ -45,6 +46,15 @@ from refined_inertia.realization import (
 from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 ALL_PLUS_4 = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
+
+
+def _random_pattern(n: int, seed: int) -> SignPattern:
+    rng = random.Random(seed)
+    return SignPattern([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)])
+
+
+# Patterns outside the three families, whose samples take the integer-row draw.
+RANDOM_5, RANDOM_7 = _random_pattern(5, 515), _random_pattern(7, 717)
 
 
 def _load_derive_tool():
@@ -154,14 +164,17 @@ class TestFalsifier:
 
     @pytest.mark.parametrize(
         "pattern",
-        [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6, 10)] + [ALL_PLUS_4],
-        ids=[f"family-{i}-order-{n}" for i in (1, 2, 3) for n in (4, 5, 6, 10)] + ["all-plus-4"],
+        [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6, 10)]
+        + [ALL_PLUS_4, RANDOM_5, RANDOM_7],
+        ids=[f"family-{i}-order-{n}" for i in (1, 2, 3) for n in (4, 5, 6, 10)]
+        + ["all-plus-4", "random-order-5", "random-order-7"],
     )
     def test_histogram_is_the_exact_classification(self, pattern):
         # Every sample is certified: the histogram is the Counter of the exact
         # inertias, through the generic char_poly, of the same seeded samples.
         # The falsifier reads family samples' arrow form straight from their
-        # entries; order 10 pins that path at the largest benchmarked order.
+        # draws, and any other sample's integer rows; order 10 pins the
+        # family path at the largest benchmarked order.
         cfg = RealizationConfig(seed=29)
         report = falsify_requires(pattern, 60, cfg)
         samples = (
@@ -264,7 +277,7 @@ class TestFalsifier:
 
         monkeypatch.setattr(analysis, "refined_inertia_exact", classify)
         # Threads share the patched classifier on every platform.
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         serial, parallel = (falsify_requires(pattern, budget, cfg, jobs=j) for j in (1, 2))
         assert dict(serial.histogram)[RefinedInertia(n, 0, 0, 0)] == 2
         ce = serial.counterexample

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -118,6 +119,39 @@ def test_numpy_is_imported_only_by_the_numeric_path(tmp_path):
     data = json.loads("\n".join(lines[1:-1]))
     assert data["method"] == "numeric"
     assert data["inertia"] == {"n_plus": 0, "n_minus": 0, "n_zero": 0, "two_n_p": 2}
+
+
+def test_process_pool_is_imported_only_when_a_pool_opens(all_plus_file):
+    # A fresh interpreter: importing the CLI and a --jobs 1 falsify leave
+    # concurrent.futures.process (and multiprocessing with it) unloaded; a
+    # --jobs 2 falsify, on two CPUs, loads it and prints the same report.
+    script = (
+        "import contextlib, io, os, sys\n"
+        "import refined_inertia.cli as cli\n"
+        "def loaded():\n"
+        "    return 'concurrent.futures.process' in sys.modules\n"
+        "def falsify(jobs):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(['falsify', '--pattern', sys.argv[1], '--budget', '20', '--seed', '3', '--jobs', jobs])\n"
+        "    return code, out.getvalue()\n"
+        "print(loaded())\n"
+        "serial = falsify('1')\n"
+        "print(serial[0], loaded())\n"
+        "os.cpu_count = lambda: 2\n"
+        "pooled = falsify('2')\n"
+        "print(pooled[0], loaded(), pooled == serial)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, all_plus_file], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "False",
+        f"{EXIT_COUNTEREXAMPLE} False",
+        f"{EXIT_COUNTEREXAMPLE} True True",
+    ]
 
 
 def test_inertia_float_matrix_exact_is_input_error(tmp_path, capsys):
@@ -378,7 +412,7 @@ def test_falsify_workers_capped(pattern_file, capsys, monkeypatch, budget, jobs,
         asked.append(max_workers)
         return _InlineExecutor()
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", inline_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
     argv = ["falsify", "--pattern", pattern_file, "--budget", str(budget), "--seed", "2"]
     assert main(argv + ["--jobs", "1"]) == EXIT_OK
     serial = capsys.readouterr().out
@@ -403,7 +437,7 @@ def thread_pools(monkeypatch):
             self.shutdowns.append(cancel_futures)
             super().shutdown(wait, cancel_futures=cancel_futures)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return opened
 

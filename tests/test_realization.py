@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from refined_inertia.analysis import _sample_char_poly
 from refined_inertia.engine import char_poly, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
@@ -17,11 +18,13 @@ from refined_inertia.realization import (
     arrow_char_poly,
     deflate_repeated,
     embed_witness,
+    family_index,
     family_sample_arrow,
     family_sample_char_poly,
     matrix_from_json,
     matrix_to_json,
     sample_realization,
+    sample_rows,
     to_arrow_form,
 )
 
@@ -92,6 +95,40 @@ def test_family_sample_char_poly_is_the_rational_route(i, n):
         arrow = to_arrow_form(sample_realization(pattern, cfg))
         assert family_sample_arrow(pattern, cfg) == arrow
         assert family_sample_char_poly(pattern, cfg) == arrow_char_poly(arrow), f"seed {cfg.seed}"
+
+
+def _non_family_patterns():
+    """Seeded random patterns of orders 1..8, some with a zero row and a zero column, and the all-zero ones."""
+    rng = random.Random(4117)
+    patterns = []
+    for n in range(1, 9):
+        for zero_lines in (False, True):
+            rows = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+            if zero_lines:
+                r, c = rng.randrange(n), rng.randrange(n)
+                rows[r] = [0] * n
+                for row in rows:
+                    row[c] = 0
+            patterns.append(SignPattern(rows))
+        patterns.append(SignPattern([[0] * n for _ in range(n)]))
+    return patterns
+
+
+@pytest.mark.parametrize("pattern", _non_family_patterns(), ids=lambda p: "/".join(map("".join, p.to_json())))
+def test_sample_char_poly_is_the_rational_route(pattern):
+    # The integer rows read the same stream as the Fraction entries
+    # +-m / 2**e, and the falsifier's draw for a pattern outside the
+    # families builds the same RationalPoly as char_poly on the matrix.
+    assert family_index(pattern.rows) is None
+    for k in range(60):
+        cfg = RealizationConfig(seed=pattern.n * 1000 + k)
+        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(pattern, cfg))
+        expected = tuple(tuple(next(entries) if s else 0 for s in row) for row in pattern.rows)
+        rows, common = sample_rows(pattern, cfg)
+        assert common & (common - 1) == 0
+        assert tuple(tuple(Fraction(x, common) for x in row) for row in rows) == expected
+        assert sample_realization(pattern, cfg) == expected
+        assert _sample_char_poly(pattern, cfg) == char_poly(expected), f"seed {cfg.seed}"
 
 
 class TestSampler:
