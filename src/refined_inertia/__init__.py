@@ -1,17 +1,19 @@
 """Refined inertias of rational matrices and qualitative sign-pattern analysis.
 
-The package splits into five layers:
+The package splits into six modules:
 
 * :mod:`refined_inertia.patterns` -- sign patterns and the arrowhead
   families;
-* :mod:`refined_inertia.ratpoly` -- exact polynomial arithmetic and root
-  counting over the rationals;
+* :mod:`refined_inertia.ratpoly` -- exact polynomials over the rationals
+  and the one root-counting routine;
 * :mod:`refined_inertia.engine` -- refined inertia, exact and numeric;
-* :mod:`refined_inertia.realization` -- sampling qualitative classes, the
-  arrowhead normal form, witness embedding and deflation, the matrix JSON
-  reader;
-* :mod:`refined_inertia.analysis` -- witness suites, falsification, lemma
-  validators;
+* :mod:`refined_inertia.realization` -- the one exact matrix reader
+  (integer rows over one common denominator), sampling qualitative
+  classes, the arrowhead normal form, witness embedding and deflation,
+  the matrix JSON writer and reader;
+* :mod:`refined_inertia.analysis` -- witness suites (the "allows"
+  direction), falsification (the "requires" direction: a report's verdict
+  is ConsistentWithRequires or CounterexampleFound), lemma validators;
 * :mod:`refined_inertia.cli` -- the ``riq`` command-line front end.
 """
 

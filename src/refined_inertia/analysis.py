@@ -139,7 +139,6 @@ def witness_suite(i: int, n: int) -> WitnessSuite:
 class Verdict(str, Enum):
     CONSISTENT = "ConsistentWithRequires"
     COUNTEREXAMPLE = "CounterexampleFound"
-    ALLOWS = "AllowsConfirmed"
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,6 @@ def _falsify_report(
     pattern: SignPattern, budget: int, cfg: RealizationConfig, results: list[tuple[dict, int | None]]
 ) -> AnalysisReport:
     """Merge one request's chunk results, shrink its first outside sample, pick the verdict."""
-    members = hn_set(pattern.n)
     histogram: Counter = Counter()
     for hist, _ in results:
         histogram.update(hist)
@@ -326,17 +324,12 @@ def _falsify_report(
     counterexample = None
     if outside:
         sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, min(outside)))
-        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), members)
-        verdict = Verdict.COUNTEREXAMPLE
-    elif set(histogram) >= members and budget > 0:
-        verdict = Verdict.ALLOWS
-    else:
-        verdict = Verdict.CONSISTENT
+        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), hn_set(pattern.n))
     return AnalysisReport(
         pattern=pattern,
         samples=budget,
         histogram=tuple(sorted(histogram.items())),
-        verdict=verdict,
+        verdict=Verdict.COUNTEREXAMPLE if outside else Verdict.CONSISTENT,
         counterexample=counterexample,
         seed=cfg.seed,
     )
@@ -363,9 +356,13 @@ def falsify_each(
             results = [_falsify_chunk(task) for task in _falsify_tasks(pattern, budget, cfg, 1)]
             yield _falsify_report(pattern, budget, cfg, results)
         return
+    import pickle
     from concurrent.futures import ProcessPoolExecutor
 
     planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
+    # A task that cannot be pickled raises here: in the pool's feeder thread
+    # it would leave shutdown waiting forever on workers that never get it.
+    pickle.dumps(planned)
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         pending = [[pool.submit(_falsify_chunk, task) for task in tasks] for _, _, tasks in planned]

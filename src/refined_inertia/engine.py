@@ -1,21 +1,13 @@
 """Refined inertia of real matrices: exact over rationals, numeric via LAPACK.
 
-The exact path never touches floating point.  It factors the characteristic
-polynomial's spectrum into four certified counts, every one of them but
-the zero roots from the one remainder-chain routine,
-:func:`~refined_inertia.ratpoly.cauchy_index_line`:
-
-* zero eigenvalues from trailing coefficients,
-* the open half-plane counts from the Cauchy index of Im/Re of q(i*w)
-  over the real line (the generalized Routh-Hurwitz count, computed with
-  a Sturm-type remainder chain so singular cases need no epsilon shifts),
-* nonzero imaginary-axis pairs from the real roots of that chain's tail,
-  gcd(Re, Im) = T(w**2), counted with multiplicity (Routh's singular
-  case) by running the same routine on (T, T') down T's gcd chain.
-
-Re q(i*w) = E(w**2) is even and Im q(i*w) = w*O(w**2) odd, so the chain
-runs on the half-length integer lists E and O in u = w**2, and T(w**2)
-and its w-derivative 2*w*T'(w**2) are such a pair too.
+The exact path never touches floating point.  char_poly reads a matrix
+through :func:`~refined_inertia.realization.rational_rows`, as integer
+rows over one common denominator, for the Berkowitz kernel, and
+:func:`refined_inertia_exact` certifies the four counts from the
+polynomial's integers: the zero roots off the trailing coefficients,
+everything else from the one remainder-chain routine,
+:func:`~refined_inertia.ratpoly.cauchy_index_line`.  The argument is
+written once, in those two functions' docstrings.
 
 The numeric path is a dense eigensolve with a relative axis tolerance; it
 alone uses numpy, imported on first use, so the exact core runs on the
@@ -38,10 +30,9 @@ from .ratpoly import (
     RationalPoly,
     _derivative,
     _homogeneous_value,
-    as_ratio,
     cauchy_index_line,
 )
-from .realization import ArrowMatrix
+from .realization import ArrowMatrix, rational_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,29 +93,9 @@ def _to_float_array(matrix: Sequence[Sequence]) -> np.ndarray:
     return arr
 
 
-def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those lcms; floats are rejected."""
-    rows, dens = [], []
-    for row in matrix:
-        ratios = [as_ratio(x) for x in row]
-        den = math.lcm(*(d for _, d in ratios))
-        rows.append([num * (den // d) for num, d in ratios])
-        dens.append(den)
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square and nonempty")
-    return rows, dens
-
-
 def char_poly(matrix: Sequence[Sequence]) -> RationalPoly:
-    """Monic characteristic polynomial det(xI - B) with exact rational coefficients.
-
-    The rows are brought over their common denominator L for
-    _integer_char_poly, the one copy of the Berkowitz recurrence.
-    """
-    rows, dens = _integer_rows(matrix)
-    common = math.lcm(*dens)
-    return _integer_char_poly([[x * (common // d) for x in row] for row, d in zip(rows, dens)], common)
+    """Monic characteristic polynomial det(xI - B) with exact rational coefficients."""
+    return _integer_char_poly(*rational_rows(matrix))
 
 
 def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
@@ -155,7 +126,7 @@ def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
 # and the char_poly tests use it as an oracle.
 def det_rational(matrix: Sequence[Sequence]) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination on the integer rows."""
-    rows, dens = _integer_rows(matrix)
+    rows, common = rational_rows(matrix)
     n = len(rows)
     sign = 1
     prev = 1
@@ -172,7 +143,7 @@ def det_rational(matrix: Sequence[Sequence]) -> Fraction:
                 rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
             rows[i][k] = 0
         prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], math.prod(dens))
+    return Fraction(sign * rows[n - 1][n - 1], common**n)
 
 
 def _poly_json(p: RationalPoly) -> str:

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the rationals.
 
 A polynomial is stored as integer coefficients over one positive common
 denominator, ``num[k] / den`` multiplying ``x**k``, kept canonical (no
@@ -8,16 +8,15 @@ equality and hashing are exact.  The zero polynomial is ``num == ()``,
 :class:`fractions.Fraction` appears only where rationals cross the API
 (the constructor, ``coeffs``, ``constant``, ``evaluate``),
 and floats are rejected so that every count and sign is certifiable.
+No pipeline adds or multiplies polynomials, so there are no ring
+operations: a polynomial is built, evaluated, made monic or shifted.
 
-Beyond the ring operations, this module provides the one root-counting
-routine of the inertia engine: the Cauchy index over the whole real line
-of an odd polynomial over an even one or back, each given as its
-half-length list in u = w**2, with the gcd its remainder chain ends in.
-The engine runs it on Re and Im of q(i*w) for the half-plane split, and
-on a tail T and its derivative T' for the real roots of T(w**2), one
-multiplicity level per call.  Multiplying by a positive constant keeps
-every root and every sign count, so the chain and the gcds run on
-primitive integer coefficients, on one remainder-only pseudo-division.
+This module also holds the one root-counting routine of the inertia
+engine, :func:`cauchy_index_line`, whose docstring gives the chain;
+:func:`refined_inertia.engine.refined_inertia_exact` says how the engine
+runs it.  Multiplying by a positive constant keeps every root and every
+sign count, so the chain and the gcds run on primitive integer
+coefficients, on one remainder-only pseudo-division.
 """
 
 from __future__ import annotations
@@ -85,55 +84,6 @@ class RationalPoly:
     @property
     def constant(self) -> Fraction:
         return Fraction(self.num[0] if self.num else 0, self.den)
-
-    @classmethod
-    def one(cls) -> "RationalPoly":
-        return cls.from_ints((1,))
-
-    @classmethod
-    def variable(cls) -> "RationalPoly":
-        return cls.from_ints((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Rational]) -> "RationalPoly":
-        """Monic polynomial with the given rational roots (with multiplicity)."""
-        p = cls.one()
-        for r in roots:
-            p = p * (cls.variable() - cls((r,)))
-        return p
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.num]
-        b = [c * (den // other.den) for c in other.num]
-        if len(a) < len(b):
-            a, b = b, a
-        for k, c in enumerate(b):
-            a[k] += c
-        return RationalPoly.from_ints(a, den)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly.from_ints([-c for c in self.num], self.den)
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        out = [0] * max(len(self.num) + len(other.num) - 1, 0)
-        for i, x in enumerate(self.num):
-            for j, y in enumerate(other.num):
-                out[i + j] += x * y
-        return RationalPoly.from_ints(out, self.den * other.den)
-
-    def __pow__(self, exponent: int) -> "RationalPoly":
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = RationalPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     # -- evaluation -------------------------------------------------------
 

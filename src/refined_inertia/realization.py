@@ -1,7 +1,10 @@
 """Rational realizations of sign patterns and the arrowhead normal form.
 
-Covers the arrowhead parameters themselves (ArrowMatrix, integers over one
-common denominator for the a_k and another for the b_j, with their
+Covers the one exact reading of a matrix (rational_rows: integer rows
+over one common denominator, which char_poly, det_rational,
+matrix_to_json and to_arrow_form share); the arrowhead parameters
+themselves (ArrowMatrix, integers over one common denominator for the
+a_k and another for the b_j, with their
 spoke-expansion characteristic polynomial and the sign rule for family
 membership); sampling a qualitative class Q(P) with exact dyadic entries
 drawn from integers alone (no floating point, so a seed fixes the samples
@@ -27,25 +30,25 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .patterns import SignPattern, family_pattern, sgn_of_matrix
-from .ratpoly import Rational, RationalPoly, as_ratio
+from .ratpoly import RationalPoly, as_ratio
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)  # shared by every zero entry; Fractions are immutable
 
 
-def as_fraction(value: Rational) -> Fraction:
-    """Coerce an int or Fraction to Fraction, rejecting floats."""
-    return value if isinstance(value, Fraction) else Fraction(*as_ratio(value))
+def rational_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(A, common): the matrix is A / common, with common the lcm of every entry's denominator.
 
-
-def to_rational_matrix(matrix: Sequence[Sequence]) -> RationalMatrix:
-    """Coerce to a square tuple-of-tuples of Fractions; floats are rejected."""
-    rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
+    The one reader of an exact matrix: entries must be ints or Fractions
+    (floats raise TypeError), and the matrix square and nonempty.
+    """
+    ratios = [[as_ratio(x) for x in row] for row in matrix]
+    n = len(ratios)
+    if n == 0 or any(len(row) != n for row in ratios):
         raise ValueError("matrix must be square and nonempty")
-    return rows
+    common = math.lcm(*(d for row in ratios for _, d in row))
+    return [[num * (common // d) for num, d in row] for row in ratios], common
 
 
 class MembershipError(ValueError):
@@ -313,13 +316,15 @@ def to_arrow_form(matrix: Sequence[Sequence]) -> ArrowMatrix:
     The scaling diagonal is D = diag(1, B_12, ..., B_1n), whose entries are
     positive by pattern membership; conjugating by it makes the first row
     (a_1, 1, ..., 1) while fixing the diagonal and the spectrum exactly.
-    Raises MembershipError when the matrix is in no family's class.
+    Over rational_rows' (A, common), the a_k are over common**2 and the b_j
+    over common.  Raises MembershipError when the matrix is in no family's
+    class.
     """
-    B = to_rational_matrix(matrix)
-    if family_index(B) is None:
+    A, common = rational_rows(matrix)
+    if family_index(A) is None:
         raise MembershipError("matrix is not in the qualitative class of any family pattern")
-    a = (B[0][0],) + tuple(B[0][k] * B[k][0] for k in range(1, len(B)))
-    return ArrowMatrix(a, [-B[k][k] for k in range(2, len(B))])
+    a = [A[0][0] * common] + [A[0][k] * A[k][0] for k in range(1, len(A))]
+    return ArrowMatrix.from_ints(a, common**2, [-A[k][k] for k in range(2, len(A))], common)
 
 
 def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:
@@ -380,11 +385,13 @@ def deflate_repeated(arrow: ArrowMatrix) -> tuple[Fraction, ArrowMatrix]:
 
 
 def matrix_to_json(matrix: Sequence[Sequence]) -> dict:
-    B = to_rational_matrix(matrix)
-    return {
-        "n": len(B),
-        "entries": [[x.numerator, x.denominator] for row in B for x in row],
-    }
+    A, common = rational_rows(matrix)
+    entries = []
+    for row in A:
+        for x in row:
+            g = math.gcd(x, common)
+            entries.append([x // g, common // g])
+    return {"n": len(A), "entries": entries}
 
 
 def _is_int(x) -> bool:

@@ -3,7 +3,9 @@
 import concurrent.futures
 import importlib.util
 import json
+import os
 import random
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -44,6 +46,8 @@ from refined_inertia.realization import (
     to_arrow_form,
 )
 from refined_inertia.witness_fixtures import WITNESS_PARAMS
+
+from polys import add
 
 ALL_PLUS_4 = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
 
@@ -231,6 +235,44 @@ class TestFalsifier:
         parallel = falsify_requires(pattern, 60, cfg, jobs=3)
         assert canonical_dumps(serial.to_json_dict()) == canonical_dumps(parallel.to_json_dict())
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="jobs=2 runs in one process on one CPU")
+    def test_unpicklable_task_raises_without_starting_a_pool(self):
+        # A config class defined in a function cannot be pickled.  Raised in
+        # the pool's feeder thread, that error once left pool.shutdown waiting
+        # forever on workers that outlived the caller; the run goes in its own
+        # session so that a hang is killed with every worker it started.
+        script = (
+            "from refined_inertia import RealizationConfig, falsify_requires\n"
+            "from refined_inertia.patterns import Sign, SignPattern\n"
+            "def run():\n"
+            "    class LocalConfig(RealizationConfig):\n"
+            "        pass\n"
+            "    pattern = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])\n"
+            "    try:\n"
+            "        falsify_requires(pattern, 20, LocalConfig(seed=3), jobs=2)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            "run()\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("falsify_requires hung on a task that cannot be pickled")
+        assert proc.returncode == 0, err
+        assert "LocalConfig" in out, out
+
     def test_minimized_counterexample_stays_in_class(self):
         report = falsify_requires(ALL_PLUS_4, 60, RealizationConfig(seed=5))
         ce = report.counterexample
@@ -410,7 +452,7 @@ class TestLemmaValidation:
     def test_spoke_expansion_mismatch_fails_l_det(self, monkeypatch):
         spoke = analysis.arrow_char_poly
         monkeypatch.setattr(
-            analysis, "arrow_char_poly", lambda arrow: spoke(arrow) + RationalPoly([Fraction(1, 5)])
+            analysis, "arrow_char_poly", lambda arrow: add(spoke(arrow), RationalPoly([Fraction(1, 5)]))
         )
         arrow = self.sampled_arrow(2, 6, 11)
         results = {r.check: r for r in validate_lemmas(arrow, 2)}
@@ -487,7 +529,8 @@ class TestLemmaValidation:
         monkeypatch.setattr(analysis, "family_index", refuse)
         monkeypatch.setattr(realization, "family_index", refuse)
         monkeypatch.setattr(ArrowMatrix, "to_matrix", refuse)
-        monkeypatch.setattr(engine, "_integer_rows", refuse)
+        monkeypatch.setattr(engine, "rational_rows", refuse)
+        monkeypatch.setattr(realization, "rational_rows", refuse)
         monkeypatch.setattr(ArrowMatrix, "a", property(refuse))
         monkeypatch.setattr(ArrowMatrix, "b", property(refuse))
         report = run_lemma_suite(2, 6, 5, RealizationConfig(seed=4))
@@ -506,6 +549,11 @@ class TestSerialization:
         assert parsed["counterexample"] is None
         for entry in parsed["histogram"]:
             assert set(entry) == {"inertia", "count"}
+
+    def test_verdicts_answer_only_the_requires_direction(self):
+        # The witness suites report the allows direction; a falsifier report
+        # either finds a certified outside inertia or does not.
+        assert [v.value for v in Verdict] == ["ConsistentWithRequires", "CounterexampleFound"]
 
     def test_witness_suite_json_shape(self):
         data = witness_suite(2, 5).to_json_dict()

@@ -36,6 +36,8 @@ from refined_inertia.realization import (
 )
 from refined_inertia.patterns import family_pattern
 
+from polys import add, from_roots, mul, neg, power
+
 positive_rationals = st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7)
 nonzero_rationals = st.builds(
     lambda r, negative: -r if negative else r, positive_rationals, st.booleans()
@@ -61,8 +63,8 @@ def cofactor_char_poly(matrix):
             if top.is_zero:
                 continue
             minor = [row[:c] + row[c + 1 :] for row in rows[1:]]
-            term = top * det(minor)
-            total = total + (term if c % 2 == 0 else -term)
+            term = mul(top, det(minor))
+            total = add(total, term if c % 2 == 0 else neg(term))
         return total
 
     return det(entries)
@@ -121,12 +123,12 @@ class TestExactInertia:
         assert refined_inertia_exact(RationalPoly((1, 0, 1))) == RefinedInertia(0, 0, 0, 2)
 
     def test_known_real_roots(self):
-        p = RationalPoly.from_roots([-1, -2, 3])
+        p = from_roots([-1, -2, 3])
         assert refined_inertia_exact(p) == RefinedInertia(1, 2, 0, 0)
 
     def test_mixed_with_multiplicity(self):
         # x(x^2 + 4)(x + 5)^2: roots 0, +-2i, -5, -5
-        p = RationalPoly((0, 1)) * RationalPoly((4, 0, 1)) * RationalPoly.from_roots([-5, -5])
+        p = mul(RationalPoly((0, 1)), RationalPoly((4, 0, 1)), from_roots([-5, -5]))
         got = refined_inertia_exact(p)
         assert got == RefinedInertia(0, 2, 1, 2)
         # brute-force numeric rooting oracle on the same polynomial
@@ -144,7 +146,7 @@ class TestExactInertia:
             refined_inertia_exact(RationalPoly())
 
     def test_internal_check_message_carries_polynomial(self, monkeypatch):
-        p = RationalPoly.from_roots([-1, -2, 3]) * RationalPoly((Fraction(5, 3),))
+        p = mul(from_roots([-1, -2, 3]), RationalPoly((Fraction(5, 3),)))
         # an index of 0 against an odd axis-free degree forces the parity check
         monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (0, [1]))
         with pytest.raises(InternalCheckError, match="impossible parity") as info:
@@ -152,7 +154,7 @@ class TestExactInertia:
         assert self._reported_polynomial(info) == p.monic()
 
     def test_index_beyond_axis_free_degree(self, monkeypatch):
-        p = RationalPoly.from_roots([-1, -2, 3])
+        p = from_roots([-1, -2, 3])
         # an index of 5 has the parity of m = 3 but no split of 3 roots gives it
         monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (5, [1]))
         with pytest.raises(InternalCheckError, match="exceeds the axis-free degree 3") as info:
@@ -167,11 +169,11 @@ class TestExactInertia:
         return RationalPoly.from_ints(data["num"], data["den"])
 
     def test_non_monic_normalized(self):
-        p = RationalPoly.from_roots([-1, -4]) * RationalPoly((-3,))
+        p = mul(from_roots([-1, -4]), RationalPoly((-3,)))
         assert refined_inertia_exact(p) == RefinedInertia(0, 2, 0, 0)
 
     def test_imaginary_pair_with_multiplicity(self):
-        p = RationalPoly((1, 0, 1)) ** 2 * RationalPoly.from_roots([7])
+        p = mul(power(RationalPoly((1, 0, 1)), 2), from_roots([7]))
         assert refined_inertia_exact(p) == RefinedInertia(1, 0, 0, 4)
 
     @pytest.mark.parametrize(
@@ -196,9 +198,9 @@ class TestExactInertia:
         ids=["imaginary-pairs", "zero-roots", "complex-pairs", "negative-lead", "denominator"],
     )
     def test_from_roots_spectra(self, roots, factors, lead, expected):
-        p = RationalPoly.from_roots(roots) * RationalPoly((lead,))
+        p = mul(from_roots(roots), RationalPoly((lead,)))
         for factor in factors:
-            p = p * RationalPoly(factor)
+            p = mul(p, RationalPoly(factor))
         assert refined_inertia_exact(p).as_tuple() == expected
 
     def test_symmetric_irrational_quadruple(self):
@@ -237,31 +239,31 @@ class TestExactInertia:
         counts = [0, 0, 0, 0]  # n_plus, n_minus, n_zero, two_n_p
         for kind, data in factors:
             if kind == "real":  # x - r
-                p = p * RationalPoly((-data, 1))
+                p = mul(p, RationalPoly((-data, 1)))
                 counts[0 if data > 0 else 1] += 1
             elif kind == "zero":  # x^k
-                p = p * RationalPoly((0,) * data + (1,))
+                p = mul(p, RationalPoly((0,) * data + (1,)))
                 counts[2] += data
             elif kind == "axis":  # (x^2 + c)^m: roots +-i*sqrt(c), m times
                 c, m = data
-                p = p * RationalPoly((c, 0, 1)) ** m
+                p = mul(p, power(RationalPoly((c, 0, 1)), m))
                 counts[3] += 2 * m
             elif kind == "complex":  # x^2 - 2*alpha*x + alpha^2 + beta^2: alpha +- i*beta
                 alpha, beta = data
-                p = p * RationalPoly((alpha**2 + beta**2, -2 * alpha, 1))
+                p = mul(p, RationalPoly((alpha**2 + beta**2, -2 * alpha, 1)))
                 counts[0 if alpha > 0 else 1] += 2
             elif kind == "opposite_quadruple":  # roots +-alpha +- i*beta, m times
                 # gcd(Re, Im) of q(i*w) keeps this factor's image, which has
                 # no real roots: a nonconstant chain tail with no axis pair
                 alpha, beta, m = data
                 norm = alpha**2 + beta**2
-                quadruple = RationalPoly((norm, -2 * alpha, 1)) * RationalPoly((norm, 2 * alpha, 1))
-                p = p * quadruple**m
+                quadruple = mul(RationalPoly((norm, -2 * alpha, 1)), RationalPoly((norm, 2 * alpha, 1)))
+                p = mul(p, power(quadruple, m))
                 counts[0] += 2 * m
                 counts[1] += 2 * m
             else:  # (x^2 - c)^m: roots +-sqrt(c), m times
                 c, m = data
-                p = p * RationalPoly((-c, 0, 1)) ** m
+                p = mul(p, power(RationalPoly((-c, 0, 1)), m))
                 counts[0] += m
                 counts[1] += m
         assert refined_inertia_exact(p).as_tuple() == tuple(counts)
@@ -361,7 +363,7 @@ class TestArrowShiftDet:
 
     def test_mismatch_message_carries_arrow(self):
         arrow = ArrowMatrix([1, 1, 1, 1, 1], [3, 2, Fraction(1, 2)])
-        perturbed = char_poly(arrow.to_matrix()) + RationalPoly([Fraction(1, 3)])
+        perturbed = add(char_poly(arrow.to_matrix()), RationalPoly([Fraction(1, 3)]))
         with pytest.raises(InternalCheckError, match="mismatch") as info:
             arrow_shift_det(arrow, 1, perturbed)
         message = str(info.value)

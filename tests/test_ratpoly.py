@@ -22,7 +22,9 @@ from refined_inertia.ratpoly import (
     squarefree_decomposition,
 )
 
-x = RationalPoly.variable()
+from polys import add, from_roots, mul, one, power, sub, variable
+
+x = variable()
 
 
 def poly(*coeffs):
@@ -47,8 +49,8 @@ def test_float_coefficients_rejected():
 
 
 def test_product_of_linear_factors():
-    assert RationalPoly.from_roots([1, -1]) == poly(-1, 0, 1)
-    assert RationalPoly.from_roots([2, 3]) == poly(6, -5, 1)
+    assert from_roots([1, -1]) == poly(-1, 0, 1)
+    assert from_roots([2, 3]) == poly(6, -5, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,9 +65,9 @@ def test_evaluate():
 
 
 def test_gcd_of_constructed_common_factor():
-    common = RationalPoly.from_roots([Fraction(1, 2), -3])
-    f = common * RationalPoly.from_roots([5])
-    g = common * RationalPoly.from_roots([7, 7])
+    common = from_roots([Fraction(1, 2), -3])
+    f = mul(common, from_roots([5]))
+    g = mul(common, from_roots([7, 7]))
     assert poly_gcd(f, g) == common
 
 
@@ -76,15 +78,15 @@ def test_gcd_zero_conventions():
 
 
 def test_squarefree_decomposition_recovers_multiplicities():
-    p = (x - poly(1)) ** 3 * (x + poly(2)) ** 2 * (x - poly(5))
+    p = mul(power(sub(x, poly(1)), 3), power(add(x, poly(2)), 2), sub(x, poly(5)))
     parts = squarefree_decomposition(p)
     by_mult = {m: f for f, m in parts}
-    assert by_mult[3] == RationalPoly.from_roots([1])
-    assert by_mult[2] == RationalPoly.from_roots([-2])
-    assert by_mult[1] == RationalPoly.from_roots([5])
-    rebuilt = RationalPoly.one()
+    assert by_mult[3] == from_roots([1])
+    assert by_mult[2] == from_roots([-2])
+    assert by_mult[1] == from_roots([5])
+    rebuilt = one()
     for f, m in parts:
-        rebuilt = rebuilt * f**m
+        rebuilt = mul(rebuilt, power(f, m))
     assert rebuilt == p.monic()
 
 
@@ -116,14 +118,14 @@ class TestNegativeRootCount:
         [
             # ((roots with multiplicity), extra factor), expected negative count
             (([-2, -2, -2, 1], poly(1, 0, 1)), 3),
-            (([-1, -1, 0, 5], RationalPoly.one()), 2),
-            (([Fraction(-1, 7), -3], RationalPoly.one()), 2),
-            (([4, 9], RationalPoly.one()), 0),
+            (([-1, -1, 0, 5], one()), 2),
+            (([Fraction(-1, 7), -3], one()), 2),
+            (([4, 9], one()), 0),
         ],
     )
     def test_constructed_fixtures(self, factors, expected):
         roots, extra = factors
-        p = RationalPoly.from_roots(roots) * extra
+        p = mul(from_roots(roots), extra)
         real_pairs = sum(r > 0 for r in roots) + extra.degree
         assert inertia_of_square_composition(p).as_tuple() == (
             real_pairs,
@@ -134,13 +136,13 @@ class TestNegativeRootCount:
 
     def test_irrational_negative_roots(self):
         # (t^2 - 2) has one negative root; (t + 1)^2 contributes two more
-        p = poly(-2, 0, 1) * RationalPoly.from_roots([-1, -1])
+        p = mul(poly(-2, 0, 1), from_roots([-1, -1]))
         assert inertia_of_square_composition(p).as_tuple() == (1, 1, 0, 6)
 
     def test_degree_bound_fixture(self):
         # degree 8 with mixed multiplicities: four negative roots, two
         # positive, and t^2 + 3 puts two roots in each half-plane
-        p = RationalPoly.from_roots([-1, -1, -1, -4, 2, 2]) * poly(3, 0, 1)
+        p = mul(from_roots([-1, -1, -1, -4, 2, 2]), poly(3, 0, 1))
         assert inertia_of_square_composition(p).as_tuple() == (4, 4, 0, 8)
 
 
@@ -224,7 +226,7 @@ def axis_polys(draw):
     p = RationalPoly.from_ints(q)
     if kind == "pairs":
         k = draw(st.integers(1, 2))
-        p = p * RationalPoly.from_ints((draw(st.integers(1, 3)) ** 2, 0, 1)) ** k
+        p = mul(p, power(RationalPoly.from_ints((draw(st.integers(1, 3)) ** 2, 0, 1)), k))
     elif kind == "even":
         p = RationalPoly.from_ints(_spread(p.num))
     return list(p.num)

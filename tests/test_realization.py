@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from refined_inertia.analysis import _sample_char_poly
-from refined_inertia.engine import char_poly, refined_inertia_exact
+from refined_inertia.engine import char_poly, det_rational, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
 from refined_inertia.realization import (
@@ -23,10 +23,13 @@ from refined_inertia.realization import (
     family_sample_char_poly,
     matrix_from_json,
     matrix_to_json,
+    rational_rows,
     sample_realization,
     sample_rows,
     to_arrow_form,
 )
+
+from polys import from_roots, mul, power
 
 
 def samples(pattern, seed, count):
@@ -235,7 +238,7 @@ class TestEmbedWitness:
             lifted = embed_witness(self.base, n, 1)
             p_big = char_poly(lifted.to_matrix())
             p_base = char_poly(self.base.to_matrix())
-            assert p_big == RationalPoly((self.base.b[0], 1)) ** (n - 4) * p_base
+            assert p_big == mul(power(RationalPoly((self.base.b[0], 1)), n - 4), p_base)
 
     def test_membership_of_result(self):
         for i, params in ((1, ([1, -1, -1, -1], [1, 2])), (2, ([-1, -1, 1, 1], [1, 2])), (3, ([-1, 1, 1, -1], [1, -2]))):
@@ -258,7 +261,7 @@ class TestEmbedWitness:
         p = char_poly(lifted.to_matrix())
         # the base polynomial is -6 at -1, so the two replicated spokes give
         # -1 multiplicity exactly 2
-        assert (RationalPoly.from_roots([-1]), 2) in squarefree_decomposition(p)
+        assert (from_roots([-1]), 2) in squarefree_decomposition(p)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -277,7 +280,7 @@ class TestDeflateRepeated:
         assert eigenvalue == -2
         assert reduced.a == (1, 1, 2, 1)
         assert reduced.b == (2, 7)
-        identity = RationalPoly((2, 1)) * char_poly(reduced.to_matrix())
+        identity = mul(RationalPoly((2, 1)), char_poly(reduced.to_matrix()))
         assert identity == char_poly(arrow.to_matrix())
 
     def test_multiset_spectrum_split(self):
@@ -294,7 +297,7 @@ class TestDeflateRepeated:
                 continue
             assert eigenvalue == -shared
             lhs = char_poly(arrow.to_matrix())
-            rhs = RationalPoly((-eigenvalue, 1)) * char_poly(reduced.to_matrix())
+            rhs = mul(RationalPoly((-eigenvalue, 1)), char_poly(reduced.to_matrix()))
             assert lhs == rhs
 
     def test_later_pair_found(self):
@@ -325,7 +328,7 @@ class TestDeflateRepeated:
         eigenvalue2, reduced2 = deflate_repeated(reduced)
         assert eigenvalue2 == -2
         assert reduced2.b == (2, 5)
-        p = RationalPoly.from_roots([-2, -2]) * char_poly(reduced2.to_matrix())
+        p = mul(from_roots([-2, -2]), char_poly(reduced2.to_matrix()))
         assert p == char_poly(arrow.to_matrix())
 
 
@@ -335,6 +338,39 @@ def test_matrix_json_roundtrip():
     assert data["n"] == 2
     assert data["entries"] == [[1, 2], [-3, 1], [0, 1], [7, 5]]
     assert matrix_from_json(data) == M
+    # every entry is written in lowest terms, whatever the common denominator
+    M = (
+        (Fraction(-5, 6), 0, Fraction(7, 4)),
+        (3, Fraction(-1, 9), Fraction(0, 5)),
+        (Fraction(-12, 8), Fraction(2, 3), -4),
+    )
+    data = matrix_to_json(M)
+    assert data["entries"] == [[-5, 6], [0, 1], [7, 4], [3, 1], [-1, 9], [0, 1], [-3, 2], [2, 3], [-4, 1]]
+    assert matrix_from_json(data) == M
+
+
+def test_rational_rows_reads_one_common_denominator():
+    A, common = rational_rows([[Fraction(1, 2), 3], [0, Fraction(-5, 6)]])
+    assert (A, common) == ([[3, 18], [0, -5]], 6)
+    assert rational_rows([[2, -1], [0, 7]]) == ([[2, -1], [0, 7]], 1)
+
+
+@pytest.mark.parametrize("reader", [char_poly, det_rational, matrix_to_json, to_arrow_form])
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        ([], ValueError, "matrix must be square and nonempty"),
+        ([[1, 2], [3]], ValueError, "matrix must be square and nonempty"),
+        ([[1, 2], [3, 0.5]], TypeError, "exact arithmetic requires int or Fraction, got float"),
+    ],
+    ids=["empty", "ragged", "float"],
+)
+def test_every_exact_reader_rejects_alike(reader, matrix, error, message):
+    # char_poly, det_rational, matrix_to_json and to_arrow_form all read a
+    # matrix through rational_rows, so each bad input fails the same way.
+    with pytest.raises(error) as info:
+        reader(matrix)
+    assert str(info.value) == message
 
 
 def test_matrix_json_validation():
