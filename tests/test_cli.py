@@ -385,6 +385,14 @@ def test_analyze_bad_range(capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("n_range", ["4..x", "x..5", "4..", "4..5.5"])
+def test_analyze_non_integer_range_bound(capsys, n_range):
+    assert main(["analyze", "-i", "1", "--n-range", n_range, "--budget", "10"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: range must look like A..B, got '{n_range}'\n"
+
+
 # -- worker pools --------------------------------------------------------------
 
 

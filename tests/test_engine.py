@@ -96,6 +96,30 @@ def test_char_poly_against_cofactor_oracle():
         assert char_poly(M) == cofactor_char_poly(M)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_kernel_against_cofactor_oracle_at_small_orders(n):
+    # Orders 1..3 hold the Berkowitz loop's boundary cases: no Krylov
+    # product, one product left out, and the first product that is kept.
+    rng = random.Random(600 + n)
+    for _ in range(60):
+        A = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+        common = rng.randint(1, 5)
+        M = [[Fraction(x, common) for x in row] for row in A]
+        assert engine._integer_char_poly(A, common) == cofactor_char_poly(M)
+
+
+def test_integer_kernel_on_arrowheads_with_zero_entries():
+    arrows = [
+        [[0, 1, 0, 2, -1], [3, -2, 0, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 4, 0], [-2, 0, 0, 0, 1]],
+        [[3, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [5, 0, 0, 0]],
+        [[0] * 4 for _ in range(4)],
+    ]
+    for A in arrows:
+        for common in (1, 6):
+            M = [[Fraction(x, common) for x in row] for row in A]
+            assert engine._integer_char_poly(A, common) == cofactor_char_poly(M)
+
+
 def test_char_poly_constant_term_is_det_of_negated_matrix():
     arrow = ArrowMatrix([1, 1, 1, 1], [1, 2])
     M = arrow.to_matrix()

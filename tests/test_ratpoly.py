@@ -8,7 +8,7 @@ checked against a full-length reference chain kept here as the oracle.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refined_inertia.engine import refined_inertia_exact
@@ -17,6 +17,7 @@ from refined_inertia.ratpoly import (
     _exact_quotient,
     _primitive,
     _pseudo_rem,
+    _shifted,
     cauchy_index_line,
     poly_gcd,
     squarefree_decomposition,
@@ -57,6 +58,54 @@ def test_product_of_linear_factors():
 @given(small_polys, rationals, rationals)
 def test_taylor_shift_matches_pointwise(f, c, t):
     assert f.taylor_shift(c).evaluate(t) == f.evaluate(t + c)
+
+
+integer_polys = st.lists(st.integers(-30, 30), min_size=1, max_size=9).filter(any)
+shift_denominators = st.one_of(
+    st.just(1),
+    st.integers(1, 10).map(lambda e: 2**e),
+    st.integers(1, 40).map(lambda k: 2 * k + 1),
+)
+
+
+def reference_shift(p, c):
+    """p(x + c) as sum(a_k * (x + c)**k), by the test helper's ring operations."""
+    total = RationalPoly()
+    for k, a in enumerate(p.coeffs):
+        total = add(total, mul(RationalPoly([a]), power(RationalPoly([c, 1]), k)))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_polys, st.integers(-60, 60), shift_denominators, st.integers(1, 5))
+@example([1, -3, 0, 2], 0, 1, 1)
+@example([1, -3, 0, 2], 0, 8, 3)
+@example([-4, 0, 1], -7, 1, 1)
+@example([6, 11, 6, 1], -5, 16, 2)
+@example([5, 0, 0, -1, 2], -9, 9, 7)
+def test_integer_shift_kernel(num, s, t, den):
+    p = RationalPoly.from_ints(num, den)
+    c = Fraction(s, t)
+    shifted = _shifted(p.num, s, t)
+    # Its roots are t times those of p(x + c), so every count agrees.
+    assert refined_inertia_exact(RationalPoly.from_ints(shifted)) == refined_inertia_exact(
+        p.taylor_shift(c)
+    )
+    # Scaling the coefficient of y**k by t**k, over den * t**d, gives p(x + c) exactly.
+    d = p.degree
+    rescaled = RationalPoly.from_ints([b * t**k for k, b in enumerate(shifted)], p.den * t**d)
+    assert rescaled == p.taylor_shift(c) == reference_shift(p, c)
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (3, 1), (-5, 4), (7, 9)])
+def test_integer_shift_kernel_low_degrees(s, t):
+    assert _shifted([], s, t) == []
+    assert RationalPoly().taylor_shift(Fraction(s, t)).is_zero
+    assert _shifted([-4], s, t) == [-4]
+    assert poly(Fraction(-4, 3)).taylor_shift(Fraction(s, t)) == poly(Fraction(-4, 3))
+    # t * (a0 + a1 * (y + s) / t) = (a0 t + a1 s) + a1 y
+    assert _shifted([2, -3], s, t) == [2 * t - 3 * s, -3]
+    assert poly(2, -3).taylor_shift(Fraction(s, t)) == poly(2 - 3 * Fraction(s, t), -3)
 
 
 def test_evaluate():
