@@ -39,7 +39,6 @@ from .realization import (
     embed_witness,
     family_index,
     family_sample_arrow,
-    family_sample_char_poly,
     matrix_to_json,
     sample_realization,
     sample_rows,
@@ -207,30 +206,33 @@ def _exact_inertia(sample: RationalPoly | RationalMatrix) -> RefinedInertia:
     """Exact inertia of a falsifier sample; this is how the falsifier classifies every one.
 
     Every sample arrives as its characteristic polynomial, built from its
-    integer draws (family_sample_char_poly or _sample_char_poly); only a
-    shrink candidate arrives as a matrix, for char_poly.
+    integer draws by _falsify_chunk; only a shrink candidate arrives as a
+    matrix, for char_poly.
     """
     if not isinstance(sample, RationalPoly):
         sample = char_poly(sample)
     return refined_inertia_exact(sample)
 
 
-def _sample_char_poly(pattern: SignPattern, cfg: RealizationConfig) -> RationalPoly:
-    """char_poly(sample_realization(pattern, cfg)), from the integer rows of sample_rows.
-
-    The falsifier's draw for a pattern outside the three families: the
-    sample never becomes a Fraction matrix.
-    """
-    return _integer_char_poly(*sample_rows(pattern, cfg))
-
-
 def _falsify_chunk(args) -> tuple[dict, int | None]:
-    """Histogram of samples start..start+count-1 and the index of the first outside one."""
-    pattern, draw, cfg, start, count, members = args
+    """Histogram of samples start..start+count-1 and the index of the first outside one.
+
+    Each sample goes from its integer draws straight to its characteristic
+    polynomial, and none becomes a Fraction: when the task's family flag is
+    set, by the spoke expansion of its arrow (arrow_char_poly of
+    family_sample_arrow), and otherwise by Berkowitz on its integer rows
+    (sample_rows).
+    """
+    pattern, family, cfg, start, count, members = args
     histogram: Counter = Counter()
     first_outside: int | None = None
     for k in range(start, start + count):
-        inertia = _exact_inertia(draw(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, k))))
+        sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, k))
+        if family:
+            p = arrow_char_poly(family_sample_arrow(pattern, sample_cfg))
+        else:
+            p = _integer_char_poly(*sample_rows(pattern, sample_cfg))
+        inertia = _exact_inertia(p)
         if inertia not in members and first_outside is None:
             first_outside = k
         histogram[inertia] += 1
@@ -290,24 +292,22 @@ def _falsify_tasks(
     """One request's _falsify_chunk tasks: jobs contiguous runs of the sample indices.
 
     Every sample has the sign pattern it was drawn from, so the pattern is
-    classified once, here, to pick the draw function.  Either one takes the
-    sample from its integer draws straight to the characteristic
-    polynomial, and no sample becomes a Fraction: a family pattern's by the
-    spoke expansion of its arrow (family_sample_char_poly), any other's by
-    Berkowitz on its integer rows (_sample_char_poly).  Both are
-    module-level functions, so a task pickles, and both read the one draw
-    stream of realization._signed_draws, so the matrix that _falsify_report
-    rebuilds for an outside sample is the sample that was classified.
+    classified once, here, and each task carries the answer as a flag:
+    (pattern, family, cfg, start, count, members), plain data that pickles.
+    _falsify_chunk reads the flag to pick the family pattern's arrow route
+    or the integer-row route; both read the one draw stream of
+    realization._signed_draws, so the matrix that _falsify_report rebuilds
+    for an outside sample is the sample that was classified.
     """
     if pattern.n < 3:
         raise ValueError("falsification needs order >= 3")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     members = hn_set(pattern.n)
-    draw = family_sample_char_poly if family_index(pattern.rows) is not None else _sample_char_poly
+    family = family_index(pattern.rows) is not None
     bounds = [budget * w // jobs for w in range(jobs + 1)]
     return [
-        (pattern, draw, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
+        (pattern, family, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
         for w in range(jobs)
         if bounds[w + 1] > bounds[w]
     ]

@@ -1,9 +1,9 @@
 """Command-line front end: pattern fixtures, inertia computation, analysis pipelines.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 a certified
-counterexample was found, 4 an internal identity check failed or the
-pipeline raised on valid input (which the underlying theory rules out, so
-either signals an engine bug).
+Exit codes: 0 success, 1 usage error, 2 I/O or parse error (a closed
+stdout included), 3 a certified counterexample was found, 4 an internal
+identity check failed or the pipeline raised on valid input (which the
+underlying theory rules out, so either signals an engine bug).
 
 JSON output is canonical (sorted keys, fixed layout) and every command is
 bit-reproducible for a fixed --seed; RI_SEED supplies the default seed.
@@ -42,6 +42,13 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_INTERNAL = 4
+
+# Lower bounds of the bounded integer options, checked by main before dispatch.
+_MINIMUM = {"order": 4, "budget": 0, "samples": 0, "jobs": 1}
+
+# What an engine fault raises; a check failure is reported as such.
+_CHECK_FAILURES = (InternalCheckError, WitnessCertificationError, MembershipError)
+_FAULTS = (*_CHECK_FAILURES, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,12 +102,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_family(args) -> int:
+def _fault(exc: Exception, order: int | None = None) -> int:
+    """Report an engine fault as one stderr line, naming the order if given."""
+    kind = "internal check failure" if isinstance(exc, _CHECK_FAILURES) else "internal error"
+    where = "" if order is None else f" at order {order}"
+    print(f"{kind}{where}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
+def _write(path: str, text: str) -> int:
+    """Write text to the file at path: EXIT_OK, or EXIT_IO after one stderr line."""
     try:
-        pattern = family_pattern(args.family, args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error writing {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
+
+
+def _cmd_family(args) -> int:
+    pattern = family_pattern(args.family, args.order)
     if args.json:
         sys.stdout.write(canonical_dumps(pattern.to_json()))
     else:
@@ -140,19 +162,10 @@ def _cmd_inertia(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if args.order < 4:
-        print(f"error: witness suites start at order 4, got {args.order}", file=sys.stderr)
-        return EXIT_USAGE
     text = canonical_dumps(witness_suite(args.family, args.order).to_json_dict())
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error writing {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
+        return _write(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -166,29 +179,15 @@ def _cmd_falsify(args) -> int:
     if pattern.n < 3:
         print("error: falsification needs order >= 3", file=sys.stderr)
         return EXIT_USAGE
-    if args.budget < 0:
-        print("error: budget must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
     report = falsify_requires(pattern, args.budget, cfg, jobs=args.jobs)
-    if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as handle:
-                handle.write(report.histogram_csv())
-        except OSError as exc:
-            print(f"error writing {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.csv and _write(args.csv, report.histogram_csv()) != EXIT_OK:
+        return EXIT_IO
     sys.stdout.write(canonical_dumps(report.to_json_dict()))
     return EXIT_COUNTEREXAMPLE if report.verdict is Verdict.COUNTEREXAMPLE else EXIT_OK
 
 
 def _cmd_lemmas(args) -> int:
-    if args.order < 4 or args.samples < 0:
-        print("error: order must be >= 4 and samples nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
     report = run_lemma_suite(args.family, args.order, args.samples, cfg)
     print(f"family {args.family}, order {args.order}, samples {report.samples}")
@@ -226,12 +225,6 @@ def _cmd_analyze(args) -> int:
     if lo < 4 or hi < lo:
         print("error: order range must satisfy 4 <= A <= B", file=sys.stderr)
         return EXIT_USAGE
-    if args.budget < 0:
-        print("error: budget must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     print(f"family {args.family}, orders {lo}..{hi}, budget {args.budget}, seed {args.seed}")
     print("n   samples  inside_target  all3_realized  verdict")
     orders = range(lo, hi + 1)
@@ -243,22 +236,16 @@ def _cmd_analyze(args) -> int:
         for n in orders:
             try:
                 report = next(reports)
-            except InternalCheckError as exc:
-                print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
-                return EXIT_INTERNAL
-            except ValueError as exc:
-                print(f"internal error at order {n}: {exc}", file=sys.stderr)
-                return EXIT_INTERNAL
+            except _FAULTS as exc:
+                return _fault(exc, n)
             try:
                 witness_suite(args.family, n)
                 witnesses_ok = "yes"
-            except (WitnessCertificationError, InternalCheckError, MembershipError) as exc:
+            except _CHECK_FAILURES as exc:
                 witnesses_ok = "NO"
-                print(f"internal check failure at order {n}: {exc}", file=sys.stderr)
-                worst = max(worst, EXIT_INTERNAL)
+                worst = max(worst, _fault(exc, n))
             except ValueError as exc:
-                print(f"internal error at order {n}: {exc}", file=sys.stderr)
-                return EXIT_INTERNAL
+                return _fault(exc, n)
             inside = "yes" if report.verdict is not Verdict.COUNTEREXAMPLE else "NO"
             if report.verdict is Verdict.COUNTEREXAMPLE:
                 worst = max(worst, EXIT_COUNTEREXAMPLE)
@@ -281,6 +268,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, low)
+        if value < low:
+            print(f"error: --{name} must be >= {low}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     if "seed" in args and args.seed is None:
         raw = os.environ.get("RI_SEED", "0")
         try:
@@ -288,15 +280,19 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print(f"error: RI_SEED must be an integer, got {raw!r}", file=sys.stderr)
             return EXIT_USAGE
-    # The pipelines check their usage before they run, so anything they
-    # raise past their command's own handlers is an engine fault.
+    # Usage is checked before the pipelines run, so anything they raise
+    # past their command's own handlers is an engine fault.  stdout is
+    # flushed here so that a reader that closed it early is caught too.
     try:
-        return _HANDLERS[args.command](args)
-    except (InternalCheckError, WitnessCertificationError, MembershipError) as exc:
-        print(f"internal check failure: {exc}", file=sys.stderr)
-    except ValueError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-    return EXIT_INTERNAL
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except _FAULTS as exc:
+        return _fault(exc)
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's last flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ equality and hashing are exact.  The zero polynomial is ``num == ()``,
 :class:`fractions.Fraction` appears only where rationals cross the API
 (the constructor, ``coeffs``, ``constant``, ``evaluate``),
 and floats are rejected so that every count and sign is certifiable.
+:func:`over_common` is the one reader of such rationals as integers over
+their least common denominator; the polynomial constructor, the
+arrowhead constructor and the matrix reader all call it.
 No pipeline adds or multiplies polynomials, so there are no ring
 operations: a polynomial is built, evaluated, made monic or shifted.
 The one Taylor-shift kernel, :func:`_shifted`, returns an integer
@@ -41,6 +44,13 @@ def as_ratio(value: Rational) -> tuple[int, int]:
     raise TypeError(f"exact arithmetic requires int or Fraction, got {type(value).__name__}")
 
 
+def over_common(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """(nums, den): values[k] is nums[k] / den, with den the lcm of their denominators (1 if none)."""
+    ratios = [as_ratio(x) for x in values]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     """Univariate polynomial num / den, integer coefficients ascending."""
@@ -49,9 +59,7 @@ class RationalPoly:
     den: int
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        ratios = [as_ratio(c) for c in coeffs]
-        den = lcm(*(d for _, d in ratios))
-        self._set([n * (den // d) for n, d in ratios], den)
+        self._set(*over_common(coeffs))
 
     def _set(self, num: list[int], den: int) -> None:
         _strip(num)

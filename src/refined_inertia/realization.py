@@ -1,17 +1,20 @@
 """Rational realizations of sign patterns and the arrowhead normal form.
 
 Covers the one exact reading of a matrix (rational_rows: integer rows
-over one common denominator, which char_poly, det_rational,
-matrix_to_json and to_arrow_form share); the arrowhead parameters
+over one common denominator, by ratpoly.over_common, which char_poly,
+det_rational, matrix_to_json and to_arrow_form share) and its one
+Fraction view (_fraction_rows, behind ArrowMatrix.to_matrix and
+sample_realization); the arrowhead parameters
 themselves (ArrowMatrix, integers over one common denominator for the
 a_k and another for the b_j, with their
 spoke-expansion characteristic polynomial and the sign rule for family
 membership); sampling a qualitative class Q(P) with exact dyadic entries
 drawn from integers alone (no floating point, so a seed fixes the samples
 on every platform) by one draw generator, which feeds both integer
-readings of a sample, as matrix rows over one power of two (sample_rows,
-whose Fraction view is sample_realization) and, for a family pattern, as
-arrowhead parameters (family_sample_arrow); the diagonal-similarity
+readings of a sample, as matrix rows over one power of two (sample_rows)
+and, for a family pattern, as arrowhead parameters
+(family_sample_arrow); the falsifier takes either one straight to the
+characteristic polynomial; the diagonal-similarity
 normalization onto the arrowhead form (unit first row, dense first column,
 diagonal (a1, 0, -b1, ..., -b_{n-2})), the witness embedding that lifts a
 4x4 realization to any larger order by replicating one spoke, the
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .patterns import SignPattern, family_pattern, sgn_of_matrix
-from .ratpoly import RationalPoly, as_ratio
+from .ratpoly import RationalPoly, over_common
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -43,12 +46,16 @@ def rational_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     The one reader of an exact matrix: entries must be ints or Fractions
     (floats raise TypeError), and the matrix square and nonempty.
     """
-    ratios = [[as_ratio(x) for x in row] for row in matrix]
-    n = len(ratios)
-    if n == 0 or any(len(row) != n for row in ratios):
+    nums, common = over_common(x for row in matrix for x in row)
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and nonempty")
-    common = math.lcm(*(d for row in ratios for _, d in row))
-    return [[num * (common // d) for num, d in row] for row in ratios], common
+    return [nums[r * n : (r + 1) * n] for r in range(n)], common
+
+
+def _fraction_rows(rows: list[list[int]], common: int) -> RationalMatrix:
+    """The Fraction view of the integer rows over common: the matrix rows / common."""
+    return tuple(tuple(Fraction(x, common) if x else _ZERO for x in row) for row in rows)
 
 
 class MembershipError(ValueError):
@@ -77,13 +84,7 @@ class ArrowMatrix:
     b_den: int
 
     def __init__(self, a: Sequence, b: Sequence):
-        a_ratios = [as_ratio(x) for x in a]
-        b_ratios = [as_ratio(x) for x in b]
-        a_den = math.lcm(*(d for _, d in a_ratios))
-        b_den = math.lcm(*(d for _, d in b_ratios))
-        self._set(
-            [x * (a_den // d) for x, d in a_ratios], a_den, [x * (b_den // d) for x, d in b_ratios], b_den
-        )
+        self._set(*over_common(a), *over_common(b))
 
     @classmethod
     def from_ints(cls, a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> "ArrowMatrix":
@@ -154,8 +155,7 @@ class ArrowMatrix:
         return rows, scale
 
     def to_matrix(self) -> RationalMatrix:
-        rows, scale = self.integer_rows()
-        return tuple(tuple(Fraction(x, scale) if x else _ZERO for x in row) for row in rows)
+        return _fraction_rows(*self.integer_rows())
 
     def to_json(self) -> dict:
         return {
@@ -274,8 +274,7 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
     The Fraction view of sample_rows, for the API edges: the falsifier's
     counterexample, which is shrunk as a matrix, and tests.
     """
-    rows, common = sample_rows(pattern, cfg)
-    return tuple(tuple(Fraction(x, common) if x else _ZERO for x in row) for row in rows)
+    return _fraction_rows(*sample_rows(pattern, cfg))
 
 
 def family_sample_arrow(pattern: SignPattern, cfg: RealizationConfig) -> ArrowMatrix:
@@ -296,15 +295,6 @@ def family_sample_arrow(pattern: SignPattern, cfg: RealizationConfig) -> ArrowMa
     return ArrowMatrix.from_ints(
         [p << (top_a - e) for p, e in a], 1 << top_a, [-m << (top_b - e) for m, e in diagonal], 1 << top_b
     )
-
-
-def family_sample_char_poly(pattern: SignPattern, cfg: RealizationConfig) -> RationalPoly:
-    """arrow_char_poly(family_sample_arrow(pattern, cfg)): the falsifier's draw for a family pattern.
-
-    pattern must be a family pattern; nothing is checked.  The sample never
-    becomes a Fraction matrix.
-    """
-    return arrow_char_poly(family_sample_arrow(pattern, cfg))
 
 
 # -- arrowhead normalization -------------------------------------------------
@@ -333,7 +323,9 @@ def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:
     The third spoke weight a_3 splits into n-3 equal parts, each against a
     diagonal -b_1; the fourth spoke and its -b_2 stay last.  The result is
     in the order-n class of the same family, and its characteristic
-    polynomial is (x + b_1)^(n-4) times the base one, exactly.
+    polynomial is (x + b_1)^(n-4) times the base one, exactly.  The a's
+    go over n-3 times the base denominator, so each share of a_3 keeps its
+    numerator and a_1, a_2 and a_4 are scaled by n-3.
     """
     if base.n != 4:
         raise ValueError(f"embedding starts from a 4x4 arrow matrix, got order {base.n}")
@@ -344,10 +336,11 @@ def embed_witness(base: ArrowMatrix, n: int, i: int) -> ArrowMatrix:
             f"base matrix is not in the order-4 class of family {i}; "
             f"arrow {json.dumps(base.to_json())}"
         )
-    share = base.a[2] / (n - 3)
-    a = (base.a[0], base.a[1]) + (share,) * (n - 3) + (base.a[3],)
-    b = (base.b[0],) * (n - 3) + (base.b[1],)
-    return ArrowMatrix(a, b)
+    parts = n - 3
+    a1, a2, a3, a4 = base.a_num
+    b1, b2 = base.b_num
+    a = (a1 * parts, a2 * parts) + (a3,) * parts + (a4 * parts,)
+    return ArrowMatrix.from_ints(a, base.a_den * parts, (b1,) * parts + (b2,), base.b_den)
 
 
 def deflate_repeated(arrow: ArrowMatrix) -> tuple[Fraction, ArrowMatrix]:

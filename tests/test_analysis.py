@@ -20,6 +20,7 @@ from refined_inertia import analysis, engine, realization
 from refined_inertia.analysis import (
     AnalysisReport,
     Verdict,
+    _falsify_tasks,
     _sample_seed,
     canonical_dumps,
     falsify_requires,
@@ -214,6 +215,20 @@ class TestFalsifier:
         report = falsify_requires(pattern, 80, RealizationConfig(seed=5))
         assert (report.counterexample is not None) == (pattern == ALL_PLUS_4)
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize(
+        "pattern, family",
+        [(family_pattern(3, 6), True), (ALL_PLUS_4, False)],
+        ids=["family-3-order-6", "all-plus-4"],
+    )
+    def test_tasks_carry_the_route_as_a_flag(self, pattern, family, jobs):
+        # A task is plain data: the family flag picks the route inside the
+        # chunk, so no task holds a function for the pool to pickle.
+        tasks = _falsify_tasks(pattern, 30, RealizationConfig(seed=5), jobs)
+        assert len(tasks) == jobs
+        assert all(task[1] is family for task in tasks)
+        assert not any(callable(field) for task in tasks for field in task)
 
     def test_budget_zero_vacuous(self):
         report = falsify_requires(family_pattern(1, 5), 0, RealizationConfig(seed=1))

@@ -154,6 +154,31 @@ def test_process_pool_is_imported_only_when_a_pool_opens(all_plus_file):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "-i", "1", "-n", "3000"],
+        ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "5", "--seed", "0", "--jobs", "1"],
+    ],
+    ids=["family", "analyze"],
+)
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # The reader closes the pipe before the command writes, as `riq ... |
+    # head` does once head has read enough: the write or the final flush
+    # fails, and the command exits 2 (I/O error) with nothing on stderr.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "refined_inertia.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_IO
+    assert err == b"", err.decode()  # no traceback, no message
+
+
 def test_inertia_float_matrix_exact_is_input_error(tmp_path, capsys):
     path = tmp_path / "floats.json"
     path.write_text(json.dumps({"n": 1, "entries": [0.5]}))
@@ -526,6 +551,11 @@ USAGE_ERRORS = {
     "falsify-jobs-0": ["falsify", "--pattern", "{order4}", "--budget", "5", "--jobs", "0"],
     "analyze-jobs-0": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "5", "--jobs", "0"],
     "witness-order-3": ["witness", "-i", "1", "-n", "3"],
+    "family-order-3": ["family", "-i", "1", "-n", "3"],
+    "lemmas-order-3": ["lemmas", "-i", "1", "-n", "3", "--samples", "1", "--seed", "0"],
+    "lemmas-negative-samples": ["lemmas", "-i", "1", "-n", "5", "--samples", "-1", "--seed", "0"],
+    # Bounds are checked before the pattern file is read.
+    "falsify-missing-file-negative-budget": ["falsify", "--pattern", "{missing}", "--budget", "-1"],
     "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],
     "numeric-tol-inf": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "inf"],
     "bad-RI_SEED": ["lemmas", "-i", "1", "-n", "5", "--samples", "1"],
@@ -540,6 +570,7 @@ def test_usage_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv):
     for name, text in files.items():
         paths[name] = tmp_path / name
         paths[name].write_text(text)
+    paths["missing"] = tmp_path / "missing.sp"
     monkeypatch.setenv("RI_SEED", "abc" if argv[0] == "lemmas" else "0")
     assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from refined_inertia.ratpoly import (
     _pseudo_rem,
     _shifted,
     cauchy_index_line,
+    over_common,
     poly_gcd,
     squarefree_decomposition,
 )
@@ -47,6 +48,27 @@ def test_construction_normalizes_trailing_zeros():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         RationalPoly((0.5, 1))
+
+
+@pytest.mark.parametrize(
+    "values, nums, den",
+    [
+        ([3, -1, 0], [3, -1, 0], 1),
+        ([Fraction(1, 2), Fraction(-5, 6), Fraction(4, 8)], [3, -5, 3], 6),
+        ([2, Fraction(-3, 4), 0, Fraction(1, 6)], [24, -9, 0, 2], 12),
+        ([], [], 1),
+    ],
+    ids=["ints", "fractions", "mixed", "empty"],
+)
+def test_over_common_reads_one_lcm_denominator(values, nums, den):
+    assert over_common(values) == (nums, den)
+    assert over_common(iter(values)) == (nums, den)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+def test_over_common_rejects_floats_and_bools(bad):
+    with pytest.raises(TypeError, match="exact arithmetic requires int or Fraction"):
+        over_common([1, bad])
 
 
 def test_product_of_linear_factors():

@@ -1,11 +1,12 @@
 """Sampling, arrowhead normalization, witness embedding, and deflation."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from refined_inertia.analysis import _sample_char_poly
+from refined_inertia.analysis import _falsify_chunk, _sample_seed, hn_set
 from refined_inertia.engine import char_poly, det_rational, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
@@ -20,7 +21,6 @@ from refined_inertia.realization import (
     embed_witness,
     family_index,
     family_sample_arrow,
-    family_sample_char_poly,
     matrix_from_json,
     matrix_to_json,
     rational_rows,
@@ -28,6 +28,7 @@ from refined_inertia.realization import (
     sample_rows,
     to_arrow_form,
 )
+from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 from polys import from_roots, mul, power
 
@@ -86,18 +87,35 @@ def test_arrow_char_poly_matches_generic_engine():
         assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix())
 
 
+def _chunk_matches_the_rational_route(pattern, family, base, count):
+    """_falsify_chunk classifies each sample as the Fraction route does, one sample per task.
+
+    The falsifier needs order >= 3; a smaller pattern's chunk runs against
+    no target set, so every sample is outside it.
+    """
+    members = hn_set(pattern.n) if pattern.n >= 3 else frozenset()
+    for k in range(count):
+        matrix = sample_realization(pattern, RealizationConfig(seed=_sample_seed(base, k)))
+        inertia = refined_inertia_exact(char_poly(matrix))
+        expected = ({inertia: 1}, None if inertia in members else k)
+        task = (pattern, family, RealizationConfig(seed=base), k, 1, members)
+        assert _falsify_chunk(task) == expected, f"base {base}, sample {k}"
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 @pytest.mark.parametrize("i", (1, 2, 3))
 def test_family_sample_char_poly_is_the_rational_route(i, n):
     # The integer draw path reads the same stream as sample_realization: its
-    # arrow is the matrix's arrow form, and it builds the same RationalPoly,
-    # term for term.
+    # arrow is the matrix's arrow form, and the falsifier's family route
+    # (the spoke expansion of that arrow) certifies the same inertia as
+    # char_poly on the Fraction matrix.
     pattern = family_pattern(i, n)
     for k in range(60):
         cfg = RealizationConfig(seed=(10 * i + n) * 1000 + k)
         arrow = to_arrow_form(sample_realization(pattern, cfg))
         assert family_sample_arrow(pattern, cfg) == arrow
-        assert family_sample_char_poly(pattern, cfg) == arrow_char_poly(arrow), f"seed {cfg.seed}"
+        assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix()), f"seed {cfg.seed}"
+    _chunk_matches_the_rational_route(pattern, True, 10 * i + n, 60)
 
 
 def _non_family_patterns():
@@ -120,8 +138,9 @@ def _non_family_patterns():
 @pytest.mark.parametrize("pattern", _non_family_patterns(), ids=lambda p: "/".join(map("".join, p.to_json())))
 def test_sample_char_poly_is_the_rational_route(pattern):
     # The integer rows read the same stream as the Fraction entries
-    # +-m / 2**e, and the falsifier's draw for a pattern outside the
-    # families builds the same RationalPoly as char_poly on the matrix.
+    # +-m / 2**e, and the falsifier's route for a pattern outside the
+    # families (Berkowitz on those rows) certifies the same inertia as
+    # char_poly on the matrix.
     assert family_index(pattern.rows) is None
     for k in range(60):
         cfg = RealizationConfig(seed=pattern.n * 1000 + k)
@@ -131,7 +150,7 @@ def test_sample_char_poly_is_the_rational_route(pattern):
         assert common & (common - 1) == 0
         assert tuple(tuple(Fraction(x, common) for x in row) for row in rows) == expected
         assert sample_realization(pattern, cfg) == expected
-        assert _sample_char_poly(pattern, cfg) == char_poly(expected), f"seed {cfg.seed}"
+    _chunk_matches_the_rational_route(pattern, False, pattern.n, 60)
 
 
 class TestSampler:
@@ -262,6 +281,22 @@ class TestEmbedWitness:
         # the base polynomial is -6 at -1, so the two replicated spokes give
         # -1 multiplicity exactly 2
         assert (from_roots([-1]), 2) in squarefree_decomposition(p)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_integer_lift_is_the_fraction_lift(self, n):
+        # The lift scales the arrow's integers; the Fraction route it
+        # replaced divided a_3 and rebuilt the arrow from rationals.
+        for i, params in WITNESS_PARAMS.items():
+            for a, b in params.values():
+                base = ArrowMatrix([Fraction(x) for x in a], [Fraction(x) for x in b])
+                share = base.a[2] / (n - 3)
+                expected = ArrowMatrix(
+                    (base.a[0], base.a[1]) + (share,) * (n - 3) + (base.a[3],),
+                    (base.b[0],) * (n - 3) + (base.b[1],),
+                )
+                lifted = embed_witness(base, n, i)
+                assert lifted == expected
+                assert json.dumps(lifted.to_json()) == json.dumps(expected.to_json())
 
     def test_errors(self):
         with pytest.raises(ValueError):
