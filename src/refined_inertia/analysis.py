@@ -115,12 +115,9 @@ def witness_suite(i: int, n: int) -> WitnessSuite:
     embedding, whose characteristic polynomial is (x + b_1)^(n-4) times the
     base one: n-4 is added to the negative count and nothing else changes.
     Each witness is certified once, exactly, at order n; embed_witness
-    checks the base's class.
+    checks the base's class, and family_pattern checks i and n.
     """
-    if n < 4:
-        raise ValueError(f"witness suites start at order 4, got {n}")
-    if i not in (1, 2, 3):
-        raise ValueError(f"family index must be 1, 2 or 3, got {i}")
+    pattern = family_pattern(i, n)
     entries = []
     for (n_plus, n_minus, n_zero, two_n_p), (a, b) in WITNESS_PARAMS[i].items():
         arrow = ArrowMatrix([Fraction(x) for x in a], [Fraction(x) for x in b])
@@ -130,7 +127,7 @@ def witness_suite(i: int, n: int) -> WitnessSuite:
         _certified_witness(i, n, arrow, inertia)
         entries.append((inertia, arrow))
     entries.sort(key=lambda pair: pair[0])
-    return WitnessSuite(family_pattern(i, n), tuple(entries))
+    return WitnessSuite(pattern, tuple(entries))
 
 
 # -- falsification ------------------------------------------------------------
@@ -202,16 +199,14 @@ def _sample_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _exact_inertia(sample: RationalPoly | RationalMatrix) -> RefinedInertia:
-    """Exact inertia of a falsifier sample; this is how the falsifier classifies every one.
+def _exact_inertia(p: RationalPoly) -> RefinedInertia:
+    """Exact inertia of a falsifier sample or shrink candidate, from its characteristic polynomial.
 
-    Every sample arrives as its characteristic polynomial, built from its
-    integer draws by _falsify_chunk; only a shrink candidate arrives as a
-    matrix, for char_poly.
+    This is how the falsifier classifies every one: _falsify_chunk builds
+    a sample's polynomial from its integer draws, and _shrink_counterexample
+    a candidate's by char_poly.
     """
-    if not isinstance(sample, RationalPoly):
-        sample = char_poly(sample)
-    return refined_inertia_exact(sample)
+    return refined_inertia_exact(p)
 
 
 def _falsify_chunk(args) -> tuple[dict, int | None]:
@@ -223,15 +218,14 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
     family_sample_arrow), and otherwise by Berkowitz on its integer rows
     (sample_rows).
     """
-    pattern, family, cfg, start, count, members = args
+    pattern, family, seed, start, count, members = args
     histogram: Counter = Counter()
     first_outside: int | None = None
     for k in range(start, start + count):
-        sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, k))
         if family:
-            p = arrow_char_poly(family_sample_arrow(pattern, sample_cfg))
+            p = arrow_char_poly(family_sample_arrow(pattern, _sample_seed(seed, k)))
         else:
-            p = _integer_char_poly(*sample_rows(pattern, sample_cfg))
+            p = _integer_char_poly(*sample_rows(pattern, _sample_seed(seed, k)))
         inertia = _exact_inertia(p)
         if inertia not in members and first_outside is None:
             first_outside = k
@@ -248,7 +242,7 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
     """
 
     def still_outside(rows) -> bool:
-        return _exact_inertia(tuple(tuple(r) for r in rows)) not in members
+        return _exact_inertia(char_poly(rows)) not in members
 
     work = [list(row) for row in matrix]
     n = len(work)
@@ -293,21 +287,19 @@ def _falsify_tasks(
 
     Every sample has the sign pattern it was drawn from, so the pattern is
     classified once, here, and each task carries the answer as a flag:
-    (pattern, family, cfg, start, count, members), plain data that pickles.
+    (pattern, family, seed, start, count, members), plain data that pickles.
     _falsify_chunk reads the flag to pick the family pattern's arrow route
     or the integer-row route; both read the one draw stream of
     realization._signed_draws, so the matrix that _falsify_report rebuilds
     for an outside sample is the sample that was classified.
     """
-    if pattern.n < 3:
-        raise ValueError("falsification needs order >= 3")
+    members = hn_set(pattern.n)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    members = hn_set(pattern.n)
     family = family_index(pattern.rows) is not None
     bounds = [budget * w // jobs for w in range(jobs + 1)]
     return [
-        (pattern, family, cfg, bounds[w], bounds[w + 1] - bounds[w], members)
+        (pattern, family, cfg.seed, bounds[w], bounds[w + 1] - bounds[w], members)
         for w in range(jobs)
         if bounds[w + 1] > bounds[w]
     ]
@@ -363,7 +355,8 @@ def falsify_each(
     planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
     # A task that cannot be pickled raises here: in the pool's feeder thread
     # it would leave shutdown waiting forever on workers that never get it.
-    pickle.dumps(planned)
+    # Only the tasks go to the pool, so only they are pickled.
+    pickle.dumps([tasks for _, _, tasks in planned])
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         pending = [[pool.submit(_falsify_chunk, task) for task in tasks] for _, _, tasks in planned]
@@ -552,7 +545,7 @@ def run_lemma_suite(
     read from its integer draws (family_sample_arrow), with the a_k and the
     b_j each over one power-of-two denominator, and validate_lemmas runs on
     that arrow as drawn: no sample becomes a Fraction matrix.  Raises
-    ValueError for a negative sample count.
+    ValueError for a negative sample count and when the redraws run out.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -564,10 +557,9 @@ def run_lemma_suite(
     attempt_cap = samples * 3 + 100
     while index < samples:
         if attempts >= attempt_cap:
-            raise RuntimeError("too many resampling attempts while enforcing distinct b")
-        seed = _sample_seed(cfg.seed, attempts)
+            raise ValueError("too many resampling attempts while enforcing distinct b")
+        arrow = family_sample_arrow(pattern, _sample_seed(cfg.seed, attempts))
         attempts += 1
-        arrow = family_sample_arrow(pattern, RealizationConfig(seed=seed))
         if len(set(arrow.b_num)) != len(arrow.b_num):
             continue
         for check in validate_lemmas(arrow, i):

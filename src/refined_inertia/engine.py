@@ -194,11 +194,11 @@ def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
         two_n_p += distinct
     m = degree - two_n_p
     if (m + diff) % 2 != 0:
-        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p.monic())}")
+        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p)}")
     if abs(diff) > m:
         raise InternalCheckError(
             f"half-plane difference {diff} exceeds the axis-free degree {m}; "
-            f"{_poly_json(p.monic())}"
+            f"{_poly_json(p)}"
         )
     return RefinedInertia((m - diff) // 2, (m + diff) // 2, n_zero, two_n_p)
 
@@ -311,11 +311,11 @@ def arrow_shift_det(arrow: ArrowMatrix, j: int, reference: RationalPoly) -> Frac
         if m != j:
             value *= bj - bm
     scale = arrow.a_den * den ** (n - 2)
-    horner = _homogeneous_value(reference.num, -bj, den)
-    if value * reference.den * den ** max(reference.degree, 0) != (-1) ** n * horner * scale:
-        certified = (-1) ** n * reference.evaluate(Fraction(-bj, den))
+    certified = (-1) ** n * _homogeneous_value(reference.num, -bj, den)
+    reference_scale = reference.den * den ** max(reference.degree, 0)
+    if value * reference_scale != certified * scale:
         raise InternalCheckError(
             f"arrow shift determinant mismatch at j={j}: formula {Fraction(value, scale)}, "
-            f"reference {certified}; arrow {json.dumps(arrow.to_json())}"
+            f"reference {Fraction(certified, reference_scale)}; arrow {json.dumps(arrow.to_json())}"
         )
     return Fraction(value, scale)

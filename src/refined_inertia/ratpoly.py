@@ -6,13 +6,14 @@ trailing zero coefficients, gcd of den and every coefficient 1) so that
 equality and hashing are exact.  The zero polynomial is ``num == ()``,
 ``den == 1``.  Every algorithm here works on the integers directly;
 :class:`fractions.Fraction` appears only where rationals cross the API
-(the constructor, ``coeffs``, ``constant``, ``evaluate``),
-and floats are rejected so that every count and sign is certifiable.
+(the constructor, ``coeffs``, ``constant``), and floats are rejected
+so that every count and sign is certifiable.
 :func:`over_common` is the one reader of such rationals as integers over
 their least common denominator; the polynomial constructor, the
 arrowhead constructor and the matrix reader all call it.
-No pipeline adds or multiplies polynomials, so there are no ring
-operations: a polynomial is built, evaluated, made monic or shifted.
+No pipeline adds, multiplies, evaluates or normalizes polynomials, so
+a polynomial is only built and shifted; the sign of p at s/t comes from
+the integer Horner kernel :func:`_homogeneous_value`.
 The one Taylor-shift kernel, :func:`_shifted`, returns an integer
 polynomial whose roots are those of p(x + s/t) times t > 0, so the shifted
 root counts read it directly; ``RationalPoly.taylor_shift`` rescales it to
@@ -96,17 +97,6 @@ class RationalPoly:
     @property
     def constant(self) -> Fraction:
         return Fraction(self.num[0] if self.num else 0, self.den)
-
-    # -- evaluation -------------------------------------------------------
-
-    def evaluate(self, x: Rational) -> Fraction:
-        s, t = as_ratio(x)
-        return Fraction(_homogeneous_value(self.num, s, t), self.den * t ** max(self.degree, 0))
-
-    def monic(self) -> "RationalPoly":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        return RationalPoly.from_ints(self.num, self.num[-1])
 
     # No pipeline calls taylor_shift any more (the shifted counts read
     # _shifted's output directly); it stays because the benchmark's tracer

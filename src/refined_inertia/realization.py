@@ -4,23 +4,22 @@ Covers the one exact reading of a matrix (rational_rows: integer rows
 over one common denominator, by ratpoly.over_common, which char_poly,
 det_rational, matrix_to_json and to_arrow_form share) and its one
 Fraction view (_fraction_rows, behind ArrowMatrix.to_matrix and
-sample_realization); the arrowhead parameters
-themselves (ArrowMatrix, integers over one common denominator for the
-a_k and another for the b_j, with their
-spoke-expansion characteristic polynomial and the sign rule for family
-membership); sampling a qualitative class Q(P) with exact dyadic entries
-drawn from integers alone (no floating point, so a seed fixes the samples
-on every platform) by one draw generator, which feeds both integer
-readings of a sample, as matrix rows over one power of two (sample_rows)
-and, for a family pattern, as arrowhead parameters
-(family_sample_arrow); the falsifier takes either one straight to the
-characteristic polynomial; the diagonal-similarity
-normalization onto the arrowhead form (unit first row, dense first column,
-diagonal (a1, 0, -b1, ..., -b_{n-2})), the witness embedding that lifts a
-4x4 realization to any larger order by replicating one spoke, the
-deflation step that extracts the shared eigenvalue when two diagonal
-parameters coincide, and the matrix JSON wire format with its validating
-reader.
+sample_realization); the arrowhead parameters themselves (ArrowMatrix,
+integers over one common denominator for the a_k and another for the
+b_j, with their spoke-expansion characteristic polynomial and the sign
+rule for family membership); sampling a qualitative class Q(P) with
+exact dyadic entries drawn from integers alone (no floating point, so a
+seed fixes the samples on every platform).  A sample is its integer
+seed: one draw generator yields its (+-m, e) pairs and one reader,
+_dyadic, brings them over one power of two, as matrix rows (sample_rows)
+or, for a family pattern, as arrowhead parameters (family_sample_arrow);
+RealizationConfig carries the seed only at the public API.  Then the
+diagonal-similarity normalization onto the arrowhead form (unit first
+row, dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the
+witness embedding that lifts a 4x4 realization to any larger order by
+replicating one spoke, the deflation step that extracts the shared
+eigenvalue when two diagonal parameters coincide, and the matrix JSON
+wire format with its validating reader.
 """
 
 from __future__ import annotations
@@ -220,15 +219,14 @@ def family_index(matrix: Sequence[Sequence]) -> int | None:
 # -- sampling Q(P) ---------------------------------------------------------
 
 
-
 @dataclass(frozen=True)
 class RealizationConfig:
-    """Sampling policy: the RNG seed."""
+    """Sampling policy of the public API: the RNG seed, which the samplers below it take as an int."""
 
     seed: int = 0
 
 
-def _signed_draws(pattern: SignPattern, cfg: RealizationConfig) -> Iterator[tuple[int, int]]:
+def _signed_draws(pattern: SignPattern, seed: int) -> Iterator[tuple[int, int]]:
     """(+-m, e) for each nonzero entry of pattern, row-major: the entry is +-m / 2**e.
 
     This is the one place a sample is drawn.  The mantissa m comes from
@@ -242,7 +240,7 @@ def _signed_draws(pattern: SignPattern, cfg: RealizationConfig) -> Iterator[tupl
     randrange(3, 23) per entry, bit for bit, without randrange's
     argument handling.
     """
-    bits = random.Random(cfg.seed).getrandbits
+    bits = random.Random(seed).getrandbits
     for row in pattern.rows:
         for s in row:
             if s:
@@ -255,17 +253,20 @@ def _signed_draws(pattern: SignPattern, cfg: RealizationConfig) -> Iterator[tupl
                 yield s * (m + 4096), e + 3
 
 
-def sample_rows(pattern: SignPattern, cfg: RealizationConfig) -> tuple[list[list[int]], int]:
-    """(A, common): the sample of Q(pattern) is A / common, read from the integer draws.
+def _dyadic(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, 2**top): the k-th pair (m, e), worth m / 2**e, is nums[k] / 2**top.
 
-    common is 2**top for the largest exponent top among the draws (1 when
-    the pattern has no nonzero entry), and the entry +-m / 2**e is
-    +-m << (top - e), so no Fraction is built.
+    top is the largest exponent (0 for no draws) and nums[k] = m << (top - e): no Fraction is built.
     """
-    draws = list(_signed_draws(pattern, cfg))
     top = max((e for _, e in draws), default=0)
-    entries = (m << (top - e) for m, e in draws)
-    return [[next(entries) if s else 0 for s in row] for row in pattern.rows], 1 << top
+    return [m << (top - e) for m, e in draws], 1 << top
+
+
+def sample_rows(pattern: SignPattern, seed: int) -> tuple[list[list[int]], int]:
+    """(A, common): the sample of Q(pattern) for seed is A / common, read from its draws by _dyadic."""
+    nums, common = _dyadic(list(_signed_draws(pattern, seed)))
+    entries = iter(nums)
+    return [[next(entries) if s else 0 for s in row] for row in pattern.rows], common
 
 
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
@@ -274,27 +275,22 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
     The Fraction view of sample_rows, for the API edges: the falsifier's
     counterexample, which is shrunk as a matrix, and tests.
     """
-    return _fraction_rows(*sample_rows(pattern, cfg))
+    return _fraction_rows(*sample_rows(pattern, cfg.seed))
 
 
-def family_sample_arrow(pattern: SignPattern, cfg: RealizationConfig) -> ArrowMatrix:
-    """to_arrow_form(sample_realization(pattern, cfg)), from the integer draws alone.
+def family_sample_arrow(pattern: SignPattern, seed: int) -> ArrowMatrix:
+    """The arrow form of the sample for seed, as to_arrow_form reads it, from the integer draws alone.
 
     pattern must be a family pattern; nothing is checked.  Its draws come
     row-major: the first row, then B_k1 and, from k = 3 on, B_kk.  Then
     a_1 = B_11, a_k = B_1k * B_k1 and b_j = -B_{j+2,j+2}, all dyadic; the
-    a_k and the b_j each reach their common power-of-two denominator by
-    shifts, so no Fraction is built.
+    a_k and the b_j each go over their own power of two by _dyadic.
     """
-    draws = list(_signed_draws(pattern, cfg))
+    draws = list(_signed_draws(pattern, seed))
     head, rest = draws[: pattern.n], draws[pattern.n :]  # rest: B_21, B_31, B_33, B_41, B_44, ...
     column, diagonal = rest[:1] + rest[1::2], rest[2::2]
     a = head[:1] + [(p * m, f + e) for (p, f), (m, e) in zip(head[1:], column)]
-    top_a = max(e for _, e in a)
-    top_b = max(e for _, e in diagonal)
-    return ArrowMatrix.from_ints(
-        [p << (top_a - e) for p, e in a], 1 << top_a, [-m << (top_b - e) for m, e in diagonal], 1 << top_b
-    )
+    return ArrowMatrix.from_ints(*_dyadic(a), *_dyadic([(-m, e) for m, e in diagonal]))
 
 
 # -- arrowhead normalization -------------------------------------------------

@@ -1,13 +1,15 @@
-"""Ring operations on RationalPoly, for building test polynomials with known roots.
+"""Ring operations, evaluation and normalization of RationalPoly, for tests.
 
-The package needs none of them: every routine it runs reads a
+They build test polynomials with known roots and read test values off
+them.  The package needs none of them: every routine it runs reads a
 polynomial's integer coefficients.  Each function here works on those
-integers too and returns through RationalPoly.from_ints.
+integers too and returns through RationalPoly.from_ints or a Fraction.
 """
 
+from fractions import Fraction
 from math import lcm
 
-from refined_inertia.ratpoly import RationalPoly
+from refined_inertia.ratpoly import RationalPoly, _homogeneous_value, as_ratio
 
 
 def one() -> RationalPoly:
@@ -56,3 +58,16 @@ def power(p: RationalPoly, exponent: int) -> RationalPoly:
 def from_roots(roots) -> RationalPoly:
     """Monic polynomial with the given rational roots (with multiplicity)."""
     return mul(*(sub(variable(), RationalPoly((r,))) for r in roots))
+
+
+def evaluate(p: RationalPoly, x) -> Fraction:
+    """p(x), exactly, for an int or Fraction x."""
+    s, t = as_ratio(x)
+    return Fraction(_homogeneous_value(p.num, s, t), p.den * t ** max(p.degree, 0))
+
+
+def monic(p: RationalPoly) -> RationalPoly:
+    """p over its leading coefficient; ValueError for the zero polynomial."""
+    if p.is_zero:
+        raise ValueError("cannot normalize the zero polynomial")
+    return RationalPoly.from_ints(p.num, p.num[-1])

@@ -48,7 +48,7 @@ from refined_inertia.realization import (
 )
 from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
-from polys import add
+from polys import add, evaluate
 
 ALL_PLUS_4 = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
 
@@ -225,9 +225,11 @@ class TestFalsifier:
     def test_tasks_carry_the_route_as_a_flag(self, pattern, family, jobs):
         # A task is plain data: the family flag picks the route inside the
         # chunk, so no task holds a function for the pool to pickle.
+        # The seed travels as the int the samplers take, not as the config.
         tasks = _falsify_tasks(pattern, 30, RealizationConfig(seed=5), jobs)
         assert len(tasks) == jobs
         assert all(task[1] is family for task in tasks)
+        assert all(type(task[2]) is int and task[2] == 5 for task in tasks)
         assert not any(callable(field) for task in tasks for field in task)
 
     def test_budget_zero_vacuous(self):
@@ -252,21 +254,28 @@ class TestFalsifier:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="jobs=2 runs in one process on one CPU")
     def test_unpicklable_task_raises_without_starting_a_pool(self):
-        # A config class defined in a function cannot be pickled.  Raised in
+        # A pattern class defined in a function cannot be pickled.  Raised in
         # the pool's feeder thread, that error once left pool.shutdown waiting
         # forever on workers that outlived the caller; the run goes in its own
-        # session so that a hang is killed with every worker it started.
+        # session so that a hang is killed with every worker it started.  The
+        # tasks carry the seed as an int, so a caller's config class, which
+        # never reaches the pool, runs at jobs=2 as it does at jobs=1.
         script = (
             "from refined_inertia import RealizationConfig, falsify_requires\n"
             "from refined_inertia.patterns import Sign, SignPattern\n"
             "def run():\n"
+            "    class LocalPattern(SignPattern):\n"
+            "        pass\n"
             "    class LocalConfig(RealizationConfig):\n"
             "        pass\n"
-            "    pattern = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])\n"
+            "    rows = [[Sign.PLUS] * 4 for _ in range(4)]\n"
             "    try:\n"
-            "        falsify_requires(pattern, 20, LocalConfig(seed=3), jobs=2)\n"
+            "        falsify_requires(LocalPattern(rows), 20, RealizationConfig(seed=3), jobs=2)\n"
             "    except Exception as exc:\n"
             "        print(type(exc).__name__, exc)\n"
+            "    one = falsify_requires(SignPattern(rows), 20, LocalConfig(seed=3), jobs=1)\n"
+            "    two = falsify_requires(SignPattern(rows), 20, LocalConfig(seed=3), jobs=2)\n"
+            "    print('config runs agree:', one == two)\n"
             "run()\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -286,7 +295,8 @@ class TestFalsifier:
             proc.communicate()
             pytest.fail("falsify_requires hung on a task that cannot be pickled")
         assert proc.returncode == 0, err
-        assert "LocalConfig" in out, out
+        assert "LocalPattern" in out, out
+        assert "config runs agree: True" in out, out
 
     def test_minimized_counterexample_stays_in_class(self):
         report = falsify_requires(ALL_PLUS_4, 60, RealizationConfig(seed=5))
@@ -492,7 +502,7 @@ class TestLemmaValidation:
             results = {r.check: r for r in validate_lemmas(arrow, i)}
             p = arrow_char_poly(arrow)
             b = sorted(arrow.b, reverse=True)
-            expected = {j: p.evaluate(-bj) for j, bj in enumerate(b, start=1)}
+            expected = {j: evaluate(p, -bj) for j, bj in enumerate(b, start=1)}
             assert results["L-excl"].details["char_poly_values"] == expected
             checked += 1
         assert checked >= 10
@@ -518,9 +528,7 @@ class TestLemmaValidation:
         checked = 0
         for k in range(108):
             i, n = 1 + k % 3, 5 + k % 6
-            arrow = realization.family_sample_arrow(
-                family_pattern(i, n), RealizationConfig(seed=_sample_seed(29, k))
-            )
+            arrow = realization.family_sample_arrow(family_pattern(i, n), _sample_seed(29, k))
             if len(set(arrow.b)) != len(arrow.b):
                 continue
             pairs = {r.check: r for r in validate_lemmas(arrow, i)}["L-delta"].details["pairs"]

@@ -26,7 +26,7 @@ from refined_inertia.cli import (
 )
 from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
-from refined_inertia.realization import matrix_to_json
+from refined_inertia.realization import ArrowMatrix, RealizationConfig, matrix_to_json
 from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -516,6 +516,22 @@ def test_analyze_stdout_does_not_depend_on_jobs(capsys, monkeypatch, family, bud
     assert outputs[0].err == ""
     assert len(outputs[0].out.splitlines()) == 6
     assert outputs[1:] == outputs[:1] * 2
+
+
+def test_lemma_redraw_exhaustion_is_one_line_exit_4(capsys, monkeypatch):
+    # Every draw repeats a b_j, so the suite runs out of redraws.  Its result
+    # is a function of its arguments, so that is a fault on valid input: a
+    # ValueError, reported on one line with exit 4, not a usage error.
+    repeated = ArrowMatrix([1, -1, -1, -1, -1], [2, 2, 3])
+    monkeypatch.setattr(analysis, "family_sample_arrow", lambda pattern, seed: repeated)
+    with pytest.raises(ValueError, match="too many resampling attempts") as info:
+        analysis.run_lemma_suite(1, 5, 2, RealizationConfig(seed=0))
+    assert info.type is ValueError
+    assert main(["lemmas", "-i", "1", "-n", "5", "--samples", "2", "--seed", "0"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: too many resampling attempts while enforcing distinct b\n"
+    assert "Traceback" not in captured.err
 
 
 MALFORMED_MATRICES = {

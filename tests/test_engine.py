@@ -36,7 +36,7 @@ from refined_inertia.realization import (
 )
 from refined_inertia.patterns import family_pattern
 
-from polys import add, from_roots, mul, neg, power
+from polys import add, evaluate, from_roots, mul, neg, power
 
 positive_rationals = st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7)
 nonzero_rationals = st.builds(
@@ -139,7 +139,7 @@ def test_det_rational_against_cofactor():
     for _ in range(60):
         n = rng.randint(1, 5)
         M = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        assert det_rational(M) == cofactor_char_poly(M).evaluate(0) * (-1) ** n
+        assert det_rational(M) == evaluate(cofactor_char_poly(M), 0) * (-1) ** n
 
 
 class TestExactInertia:
@@ -175,7 +175,8 @@ class TestExactInertia:
         monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: (0, [1]))
         with pytest.raises(InternalCheckError, match="impossible parity") as info:
             refined_inertia_exact(p)
-        assert self._reported_polynomial(info) == p.monic()
+        # p itself, in its canonical num / den, not a normalized copy
+        assert self._reported_polynomial(info) == p
 
     def test_index_beyond_axis_free_degree(self, monkeypatch):
         p = from_roots([-1, -2, 3])
@@ -394,6 +395,12 @@ class TestArrowShiftDet:
         assert "\n" not in message
         data = json.loads(message[message.index("{") :])
         assert ArrowMatrix(map(Fraction, data["a"]), map(Fraction, data["b"])) == arrow
+        # The reference is det(b_1 I + B) as the perturbed polynomial gives
+        # it, (-1)**n * p(-b_1), and the formula is the true determinant.
+        formula = message[message.index("formula ") + 8 : message.index(", reference")]
+        reference = message[message.index("reference ") + 10 : message.index("; arrow")]
+        assert Fraction(reference) == (-1) ** 5 * evaluate(perturbed, -3)
+        assert Fraction(formula) == self.shift_det(arrow, 1)
 
     def test_out_of_range_j(self):
         arrow = ArrowMatrix([1, 1, 1, 1], [1, 2])
@@ -432,4 +439,4 @@ def test_exact_engine_certifies_excluded_eigenvalues():
             continue
         p = arrow_char_poly(arrow)
         for bj in arrow.b:
-            assert p.evaluate(-bj) != 0
+            assert evaluate(p, -bj) != 0

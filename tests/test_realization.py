@@ -15,6 +15,7 @@ from refined_inertia.realization import (
     DegenerateMergeError,
     MembershipError,
     RealizationConfig,
+    _dyadic,
     _signed_draws,
     arrow_char_poly,
     deflate_repeated,
@@ -98,7 +99,7 @@ def _chunk_matches_the_rational_route(pattern, family, base, count):
         matrix = sample_realization(pattern, RealizationConfig(seed=_sample_seed(base, k)))
         inertia = refined_inertia_exact(char_poly(matrix))
         expected = ({inertia: 1}, None if inertia in members else k)
-        task = (pattern, family, RealizationConfig(seed=base), k, 1, members)
+        task = (pattern, family, base, k, 1, members)
         assert _falsify_chunk(task) == expected, f"base {base}, sample {k}"
 
 
@@ -106,15 +107,15 @@ def _chunk_matches_the_rational_route(pattern, family, base, count):
 @pytest.mark.parametrize("i", (1, 2, 3))
 def test_family_sample_char_poly_is_the_rational_route(i, n):
     # The integer draw path reads the same stream as sample_realization: its
-    # arrow is the matrix's arrow form, and the falsifier's family route
-    # (the spoke expansion of that arrow) certifies the same inertia as
-    # char_poly on the Fraction matrix.
+    # arrow, from the int seed, is the matrix's arrow form, and the
+    # falsifier's family route (the spoke expansion of that arrow)
+    # certifies the same inertia as char_poly on the Fraction matrix.
     pattern = family_pattern(i, n)
     for k in range(60):
-        cfg = RealizationConfig(seed=(10 * i + n) * 1000 + k)
-        arrow = to_arrow_form(sample_realization(pattern, cfg))
-        assert family_sample_arrow(pattern, cfg) == arrow
-        assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix()), f"seed {cfg.seed}"
+        seed = (10 * i + n) * 1000 + k
+        arrow = to_arrow_form(sample_realization(pattern, RealizationConfig(seed=seed)))
+        assert family_sample_arrow(pattern, seed) == arrow
+        assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix()), f"seed {seed}"
     _chunk_matches_the_rational_route(pattern, True, 10 * i + n, 60)
 
 
@@ -137,19 +138,19 @@ def _non_family_patterns():
 
 @pytest.mark.parametrize("pattern", _non_family_patterns(), ids=lambda p: "/".join(map("".join, p.to_json())))
 def test_sample_char_poly_is_the_rational_route(pattern):
-    # The integer rows read the same stream as the Fraction entries
-    # +-m / 2**e, and the falsifier's route for a pattern outside the
-    # families (Berkowitz on those rows) certifies the same inertia as
-    # char_poly on the matrix.
+    # The integer rows, from the int seed, read the same stream as the
+    # Fraction entries +-m / 2**e, and the falsifier's route for a pattern
+    # outside the families (Berkowitz on those rows) certifies the same
+    # inertia as char_poly on the matrix.
     assert family_index(pattern.rows) is None
     for k in range(60):
-        cfg = RealizationConfig(seed=pattern.n * 1000 + k)
-        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(pattern, cfg))
+        seed = pattern.n * 1000 + k
+        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(pattern, seed))
         expected = tuple(tuple(next(entries) if s else 0 for s in row) for row in pattern.rows)
-        rows, common = sample_rows(pattern, cfg)
+        rows, common = sample_rows(pattern, seed)
         assert common & (common - 1) == 0
         assert tuple(tuple(Fraction(x, common) for x in row) for row in rows) == expected
-        assert sample_realization(pattern, cfg) == expected
+        assert sample_realization(pattern, RealizationConfig(seed=seed)) == expected
     _chunk_matches_the_rational_route(pattern, False, pattern.n, 60)
 
 
@@ -202,8 +203,17 @@ class TestSampler:
         families = [family_pattern(i, n) for i in (1, 2, 3) for n in range(4, 11)]
         for pattern in families + [all_plus]:
             for seed in range(200):
-                draws = list(_signed_draws(pattern, RealizationConfig(seed=seed)))
+                draws = list(_signed_draws(pattern, seed))
                 assert draws == reference(pattern, seed)
+
+    def test_dyadic_of_no_draws(self):
+        assert _dyadic([]) == ([], 1)
+
+    def test_dyadic_brings_mixed_exponents_over_the_largest(self):
+        # -3/2, 5/8, 7/1 over 2**3: -12/8, 5/8, 56/8, as exact integers.
+        nums, den = _dyadic([(-3, 1), (5, 3), (7, 0)])
+        assert (nums, den) == ([-12, 5, 56], 8)
+        assert [Fraction(x, den) for x in nums] == [Fraction(-3, 2), Fraction(5, 8), 7]
 
     def test_golden_first_sample(self):
         """The draw is integer-only, so this matrix is the same on every platform."""
