@@ -9,6 +9,7 @@ identities the distinct-parameter analysis rests on.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -285,9 +286,11 @@ def _falsify_tasks(
 ) -> list[tuple]:
     """One request's _falsify_chunk tasks: jobs contiguous runs of the sample indices.
 
+    falsify_each samples run w in process w, this one being process 0.
     Every sample has the sign pattern it was drawn from, so the pattern is
     classified once, here, and each task carries the answer as a flag:
-    (pattern, family, seed, start, count, members), plain data that pickles.
+    (pattern, family, seed, start, count, members), plain data that pickles
+    for a worker started by spawn or forkserver.
     _falsify_chunk reads the flag to pick the family pattern's arrow route
     or the integer-row route; both read the one draw stream of
     realization._signed_draws, so the matrix that _falsify_report rebuilds
@@ -328,20 +331,101 @@ def _falsify_report(
     )
 
 
+class WorkerError(RuntimeError):
+    """A sampling process died before sending a result, or raised what does not survive pickling."""
+
+
+def _send_chunks(conn, tasks: list[tuple]) -> None:
+    """Body of a sampling process: send each task's chunk result through conn, in order.
+
+    An exception stops the process and is sent in place of the result, or,
+    if it does not survive pickling, a WorkerError with its type name and
+    message.  Nothing is printed: a reader that is gone leaves nothing to
+    report to.
+    """
+    from multiprocessing.reduction import ForkingPickler
+
+    try:
+        for task in tasks:
+            conn.send(_falsify_chunk(task))
+    except Exception as exc:
+        try:
+            payload = ForkingPickler.dumps(exc)
+            ForkingPickler.loads(payload)
+        except Exception:
+            payload = ForkingPickler.dumps(WorkerError(f"{type(exc).__name__}: {exc}"))
+        with contextlib.suppress(OSError):
+            conn.send_bytes(payload)
+
+
+def _run_chunks(task_lists: list[list[tuple]]) -> Iterator[list[tuple[dict, int | None]]]:
+    """Yield [_falsify_chunk(tasks[i]) for tasks in task_lists] for i = 0, 1, ... in order.
+
+    task_lists[0] runs here, each task when its step is asked for; each
+    further list runs in a multiprocessing.Process started here, which
+    sends every result, or the exception that stopped it, back through
+    one one-way Pipe.  Step i raises the first exception among its chunks,
+    in list order, or WorkerError if a worker died before sending.  However
+    the generator ends, every worker is joined, and one that still owes a
+    result is killed first.  multiprocessing.Process is looked up at call
+    time, so a test can swap in a thread-backed stand-in.
+    """
+    import multiprocessing
+
+    workers = []  # [process, reader, results it still owes]
+    try:
+        for tasks in task_lists[1:]:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            try:
+                process = multiprocessing.Process(target=_send_chunks, args=(writer, tasks), daemon=True)
+                process.start()
+            finally:
+                writer.close()  # the worker holds its own end, so its exit reads as EOF here
+            workers.append([process, reader, len(tasks)])
+        for i, task in enumerate(task_lists[0]):
+            results = [_falsify_chunk(task)]
+            for w, worker in enumerate(workers, 1):
+                process, reader, _ = worker
+                try:
+                    result = reader.recv()
+                except EOFError:
+                    process.join()
+                    pattern, _, _, start, count, _ = task_lists[w][i]
+                    raise WorkerError(
+                        f"a sampling process exited with code {process.exitcode} before it sent "
+                        f"samples {start}..{start + count - 1} of order {pattern.n}"
+                    ) from None
+                if isinstance(result, BaseException):
+                    worker[2] = 0  # the worker stopped at it
+                    raise result
+                worker[2] -= 1
+                results.append(result)
+            yield results
+    finally:
+        for process, reader, owed in workers:
+            if owed:
+                process.kill()
+            process.join()
+            reader.close()
+
+
 def falsify_each(
     requests: Iterable[tuple[SignPattern, RealizationConfig]], budget: int, jobs: int = 1
 ) -> Iterator[AnalysisReport]:
     """Yield falsify_requires(pattern, budget, cfg, jobs) for each (pattern, cfg), in order.
 
-    The worker count is clamped to [1, min(budget, CPU count)].  With one
-    worker every request is sampled in this process, lazily, when its
-    report is asked for.  With more, every request is planned at the first
-    report and its chunks go up front to one process pool, so the caller
-    can work on report k while the workers sample the later requests.  The
-    pool's module, which loads multiprocessing, is imported only then.
-    Closing the generator early cancels the chunks still queued and waits
-    for the running ones: no worker outlives it, so a caller that may stop
-    early closes it explicitly.
+    jobs counts the processes that sample, this one included, and is
+    clamped to [1, min(budget, CPU count)].  With one, every request is
+    sampled here, lazily, when its report is asked for.  With more, every
+    request is planned at the first report into jobs chunks, and jobs - 1
+    workers (_run_chunks, which imports multiprocessing) start then
+    and sample their chunk of every request in order, while this process
+    samples chunk 0 of each request when its report is asked for, so the
+    caller can work on report k while the workers run ahead.  A fault in
+    any chunk is raised at its request's report, with its own type and
+    message, and a worker that dies first raises WorkerError there.  No
+    worker outlives the generator: closing it early kills the workers
+    that still have work, so a caller that may stop early closes it.
     """
     jobs = max(1, min(jobs, budget, os.cpu_count() or 1))
     if jobs == 1:
@@ -349,21 +433,13 @@ def falsify_each(
             results = [_falsify_chunk(task) for task in _falsify_tasks(pattern, budget, cfg, 1)]
             yield _falsify_report(pattern, budget, cfg, results)
         return
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor
-
     planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
-    # A task that cannot be pickled raises here: in the pool's feeder thread
-    # it would leave shutdown waiting forever on workers that never get it.
-    # Only the tasks go to the pool, so only they are pickled.
-    pickle.dumps([tasks for _, _, tasks in planned])
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    chunks = _run_chunks([[tasks[w] for _, _, tasks in planned] for w in range(jobs)])
     try:
-        pending = [[pool.submit(_falsify_chunk, task) for task in tasks] for _, _, tasks in planned]
-        for (pattern, cfg, _), futures in zip(planned, pending):
-            yield _falsify_report(pattern, budget, cfg, [future.result() for future in futures])
+        for (pattern, cfg, _), results in zip(planned, chunks):
+            yield _falsify_report(pattern, budget, cfg, results)
     finally:
-        pool.shutdown(cancel_futures=True)
+        chunks.close()
 
 
 def falsify_requires(
@@ -376,11 +452,13 @@ def falsify_requires(
 
     Every sample is classified by the exact engine, so every histogram
     entry, and every outside verdict, is certified.  The samples are split
-    into at most jobs chunks (falsify_each clamps the count), which report
-    only the index of their first outside sample; that one sample is
-    rebuilt as a matrix by sample_realization and shrunk as a matrix.  The
-    sample multiset is a pure function of (pattern, budget, seed),
-    independent of the job count.  This is falsify_each's one-request case.
+    into one chunk per sampling process, this one included (jobs, which
+    falsify_each clamps), and each chunk reports only the index of its
+    first outside sample; that one sample is rebuilt as a matrix by
+    sample_realization and shrunk as a matrix.  The sample multiset is a
+    pure function of (pattern, budget, seed), independent of the job
+    count.  A worker that dies raises WorkerError.  This is falsify_each's
+    one-request case.
     """
     [report] = falsify_each([(pattern, cfg)], budget, jobs)
     return report

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .analysis import (
     Verdict,
     WitnessCertificationError,
+    WorkerError,
     canonical_dumps,
     falsify_each,
     falsify_requires,
@@ -48,7 +49,12 @@ _MINIMUM = {"order": 4, "budget": 0, "samples": 0, "jobs": 1}
 
 # What an engine fault raises; a check failure is reported as such.
 _CHECK_FAILURES = (InternalCheckError, WitnessCertificationError, MembershipError)
-_FAULTS = (*_CHECK_FAILURES, ValueError)
+_FAULTS = (*_CHECK_FAILURES, ValueError, WorkerError)
+
+_JOBS_HELP = (
+    "processes that sample, this one included, at most the budget and the CPU count; "
+    "a worker that dies is an internal error (exit 4), and none outlives the command"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +89,7 @@ def _build_parser() -> _Parser:
     p_falsify.add_argument("--pattern", required=True, help="pattern text file (.sp)")
     p_falsify.add_argument("--budget", type=int, required=True)
     p_falsify.add_argument("--seed", type=int, default=None)
-    p_falsify.add_argument("--jobs", type=int, default=1)
+    p_falsify.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_falsify.add_argument("--csv", help="also write the histogram as CSV here")
 
     p_lemmas = sub.add_parser("lemmas", help="validate the exact lemma checks over samples")
@@ -97,7 +103,7 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--n-range", required=True, help="orders as A..B, inclusive")
     p_analyze.add_argument("--budget", type=int, required=True)
     p_analyze.add_argument("--seed", type=int, default=None)
-    p_analyze.add_argument("--jobs", type=int, default=1)
+    p_analyze.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     return parser
 
@@ -212,10 +218,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_analyze(args) -> int:
     """Falsifier report and witness suite per order, one row each.
 
-    The reports come from one falsify_each generator, so with --jobs > 1
-    one process pool samples every order, and this process certifies the
-    witnesses of order n while the workers sample the later orders.  An
-    early exit closes the generator, which cancels the queued chunks.
+    The reports come from one falsify_each generator.  --jobs counts the
+    sampling processes, this one included: with --jobs > 1, the workers
+    start once and sample their chunk of every order, while this process
+    samples its own chunk of order n and certifies its witnesses.  An
+    early exit, at the last order or at a fault, closes the generator,
+    which kills the workers that still have work; a worker that died is
+    reported at its order as an internal error.
     """
     try:
         lo, hi = _parse_range(args.n_range)

@@ -1,15 +1,14 @@
 """Witness suites, the falsifier, and the lemma validators."""
 
-import concurrent.futures
 import importlib.util
 import json
+import multiprocessing
 import os
 import random
 import signal
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +19,12 @@ from refined_inertia import analysis, engine, realization
 from refined_inertia.analysis import (
     AnalysisReport,
     Verdict,
+    WorkerError,
     _falsify_tasks,
+    _run_chunks,
     _sample_seed,
     canonical_dumps,
+    falsify_each,
     falsify_requires,
     hn_set,
     run_lemma_suite,
@@ -157,6 +159,11 @@ class TestWitnesses:
             witness_suite(1, 3)
 
 
+class _TwoArgumentFault(Exception):
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
 class TestFalsifier:
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_families_consistent(self, i):
@@ -252,17 +259,20 @@ class TestFalsifier:
         parallel = falsify_requires(pattern, 60, cfg, jobs=3)
         assert canonical_dumps(serial.to_json_dict()) == canonical_dumps(parallel.to_json_dict())
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="jobs=2 runs in one process on one CPU")
     def test_unpicklable_task_raises_without_starting_a_pool(self):
-        # A pattern class defined in a function cannot be pickled.  Raised in
-        # the pool's feeder thread, that error once left pool.shutdown waiting
-        # forever on workers that outlived the caller; the run goes in its own
-        # session so that a hang is killed with every worker it started.  The
-        # tasks carry the seed as an int, so a caller's config class, which
-        # never reaches the pool, runs at jobs=2 as it does at jobs=1.
+        # A pattern class defined in a function cannot be pickled.  Under
+        # spawn, Process.start pickles the worker's tasks in this thread, so
+        # the error is raised before any work starts, and no worker is left;
+        # the run goes in its own session so that a hang is killed with
+        # every process it started.  The tasks carry the seed as an int, so
+        # a caller's config class, which never reaches a worker, runs at
+        # jobs=2 as it does at jobs=1.
         script = (
+            "import multiprocessing, os\n"
             "from refined_inertia import RealizationConfig, falsify_requires\n"
             "from refined_inertia.patterns import Sign, SignPattern\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "os.cpu_count = lambda: 2\n"
             "def run():\n"
             "    class LocalPattern(SignPattern):\n"
             "        pass\n"
@@ -273,10 +283,12 @@ class TestFalsifier:
             "        falsify_requires(LocalPattern(rows), 20, RealizationConfig(seed=3), jobs=2)\n"
             "    except Exception as exc:\n"
             "        print(type(exc).__name__, exc)\n"
+            "    print('workers left:', multiprocessing.active_children())\n"
             "    one = falsify_requires(SignPattern(rows), 20, LocalConfig(seed=3), jobs=1)\n"
             "    two = falsify_requires(SignPattern(rows), 20, LocalConfig(seed=3), jobs=2)\n"
             "    print('config runs agree:', one == two)\n"
-            "run()\n"
+            "if __name__ == '__main__':\n"
+            "    run()\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -289,14 +301,39 @@ class TestFalsifier:
             start_new_session=True,
         )
         try:
-            out, err = proc.communicate(timeout=30)
+            out, err = proc.communicate(timeout=60)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
             pytest.fail("falsify_requires hung on a task that cannot be pickled")
         assert proc.returncode == 0, err
         assert "LocalPattern" in out, out
+        assert "workers left: []" in out, out
         assert "config runs agree: True" in out, out
+
+    @pytest.mark.parametrize("where", ["local", "two-argument"])
+    def test_unpicklable_worker_exception_arrives_as_its_name_and_message(
+        self, monkeypatch, thread_processes, where
+    ):
+        # A class defined in a function does not pickle; _TwoArgumentFault
+        # pickles but cannot be rebuilt from its one message argument.
+        class LocalFault(Exception):
+            pass
+
+        fault = {"local": LocalFault("forced failure"), "two-argument": _TwoArgumentFault("forced", "failure")}
+        chunk = analysis._falsify_chunk
+
+        def fails_past_sample_0(task):
+            if task[3] > 0:
+                raise fault[where]
+            return chunk(task)
+
+        monkeypatch.setattr(analysis, "_falsify_chunk", fails_past_sample_0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        name = type(fault[where]).__name__
+        with pytest.raises(WorkerError, match=f"^{name}: forced failure$"):
+            falsify_requires(family_pattern(1, 5), 20, RealizationConfig(seed=0), jobs=2)
+        assert len(thread_processes) == 1
 
     def test_minimized_counterexample_stays_in_class(self):
         report = falsify_requires(ALL_PLUS_4, 60, RealizationConfig(seed=5))
@@ -324,7 +361,7 @@ class TestFalsifier:
                 seed=0,
             )
 
-    def test_family_counterexample_is_the_shrunk_first_outside_sample(self, monkeypatch):
+    def test_family_counterexample_is_the_shrunk_first_outside_sample(self, monkeypatch, thread_processes):
         # Samples 13 and 27 are forced outside the target set by their trace,
         # which a shrink move keeps exactly when it leaves the diagonal alone.
         pattern, n, budget = family_pattern(2, 6), 6, 40
@@ -343,9 +380,11 @@ class TestFalsifier:
             return RefinedInertia(n, 0, 0, 0) if -c[-2] / c[-1] in forced else exact(p)
 
         monkeypatch.setattr(analysis, "refined_inertia_exact", classify)
-        # Threads share the patched classifier on every platform.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+        # A worker thread shares the patched classifier on every platform;
+        # it samples 20..39, so sample 27 is classified there.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial, parallel = (falsify_requires(pattern, budget, cfg, jobs=j) for j in (1, 2))
+        assert len(thread_processes) == 1
         assert dict(serial.histogram)[RefinedInertia(n, 0, 0, 0)] == 2
         ce = serial.counterexample
         assert ce == analysis._shrink_counterexample(drawn[13], hn_set(n))
@@ -355,6 +394,70 @@ class TestFalsifier:
                 expected = drawn[13][r][r] if r == c else Sign.from_value(drawn[13][r][c])
                 assert ce[r][c] == expected, (r, c)
         assert canonical_dumps(serial.to_json_dict()) == canonical_dumps(parallel.to_json_dict())
+
+
+class TestWorkerLifetime:
+    """No worker process outlives falsify_each, however it ends."""
+
+    REQUESTS = [(family_pattern(1, n), RealizationConfig(seed=n)) for n in (4, 5, 6)]
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Real worker processes, recorded as they are made; three CPUs claimed."""
+        real = multiprocessing.Process
+        made = []
+
+        def record(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(multiprocessing, "Process", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return made
+
+    @staticmethod
+    def assert_reaped(started, count):
+        assert len(started) == count
+        assert all(process.exitcode is not None for process in started)
+        assert multiprocessing.active_children() == []
+
+    def test_exhausted(self, started):
+        reports = list(falsify_each(self.REQUESTS, 30, 3))
+        assert reports == [falsify_requires(pattern, 30, cfg) for pattern, cfg in self.REQUESTS]
+        self.assert_reaped(started, 2)
+
+    def test_closed_after_the_first_report(self, started):
+        pattern, cfg = self.REQUESTS[0]
+        reports = falsify_each(self.REQUESTS, 30, 3)
+        assert next(reports) == falsify_requires(pattern, 30, cfg)
+        reports.close()
+        self.assert_reaped(started, 2)
+
+    @pytest.mark.parametrize("where", [0, 1], ids=["this-process", "worker"])
+    def test_fault_in_a_chunk(self, started, where):
+        # The second step's chunk in task list `where` is not a task: it
+        # raises there, in this process or in the first worker.
+        tasks = _falsify_tasks(family_pattern(1, 5), 30, RealizationConfig(seed=0), 3)
+        lists = [[task, task] for task in tasks]
+        lists[where][1] = None
+        steps = _run_chunks(lists)
+        assert next(steps) == [analysis._falsify_chunk(task) for task in tasks]
+        with pytest.raises(TypeError, match="cannot unpack"):
+            next(steps)
+        self.assert_reaped(started, 2)
+
+    def test_failed_start_reaps_the_started(self, started, monkeypatch):
+        record = multiprocessing.Process
+
+        def second_fails(*args, **kwargs):
+            if started:
+                raise OSError("forced: no second worker")
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Process", second_fails)
+        with pytest.raises(OSError, match="forced: no second worker"):
+            next(falsify_each(self.REQUESTS, 30, 3))
+        self.assert_reaped(started, 1)
 
 
 FIXTURES = Path(__file__).parent / "fixtures" / "falsify"

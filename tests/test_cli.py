@@ -1,21 +1,20 @@
 """CLI behavior: outputs, exit codes, reproducibility."""
 
-import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refined_inertia import analysis, cli, engine
+from refined_inertia import analysis, cli, engine, realization
 from refined_inertia.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INTERNAL,
@@ -123,13 +122,13 @@ def test_numpy_is_imported_only_by_the_numeric_path(tmp_path):
 
 def test_process_pool_is_imported_only_when_a_pool_opens(all_plus_file):
     # A fresh interpreter: importing the CLI and a --jobs 1 falsify leave
-    # concurrent.futures.process (and multiprocessing with it) unloaded; a
-    # --jobs 2 falsify, on two CPUs, loads it and prints the same report.
+    # multiprocessing unloaded; a --jobs 2 falsify, on two CPUs, loads it
+    # to start its worker and prints the same report.
     script = (
         "import contextlib, io, os, sys\n"
         "import refined_inertia.cli as cli\n"
         "def loaded():\n"
-        "    return 'concurrent.futures.process' in sys.modules\n"
+        "    return 'multiprocessing' in sys.modules\n"
         "def falsify(jobs):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
@@ -418,72 +417,42 @@ def test_analyze_non_integer_range_bound(capsys, n_range):
     assert captured.err == f"error: range must look like A..B, got '{n_range}'\n"
 
 
-# -- worker pools --------------------------------------------------------------
-
-
-class _InlineExecutor(Executor):
-    """Runs each task when it is submitted, in the calling thread; starts no worker."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+# -- worker processes ----------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "budget, jobs, cpus, workers",
     [(500, 5000, 3, [3]), (2, 5000, 3, [2]), (500, 2, 3, [2]), (500, 5000, None, [])],
 )
-def test_falsify_workers_capped(pattern_file, capsys, monkeypatch, budget, jobs, cpus, workers):
-    # The cap is min(--jobs, --budget, CPU count); one worker needs no pool.
-    asked = []
-
-    def inline_pool(max_workers):
-        asked.append(max_workers)
-        return _InlineExecutor()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
+def test_falsify_workers_capped(
+    pattern_file, capsys, monkeypatch, thread_processes, budget, jobs, cpus, workers
+):
+    # The cap is min(--jobs, --budget, CPU count) sampling processes, this
+    # one included, so it starts one fewer; workers lists the cap when it
+    # is above one, and one sampling process starts no other.
     argv = ["falsify", "--pattern", pattern_file, "--budget", str(budget), "--seed", "2"]
     assert main(argv + ["--jobs", "1"]) == EXIT_OK
     serial = capsys.readouterr().out
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert main(argv + ["--jobs", str(jobs)]) == EXIT_OK
-    assert asked == workers
+    assert len(thread_processes) == max(workers, default=1) - 1
     assert capsys.readouterr().out == serial
 
 
-@pytest.fixture
-def thread_pools(monkeypatch):
-    """Swap the falsifier's process pool for threads; the list of pools opened."""
-    opened = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            self.shutdowns = []
-            opened.append(self)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            self.shutdowns.append(cancel_futures)
-            super().shutdown(wait, cancel_futures=cancel_futures)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+def test_analyze_opens_one_pool(capsys, monkeypatch, thread_processes):
+    # --jobs 2 starts one worker for the whole run: it samples the second
+    # half of every order, and it has returned when the run does.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return opened
-
-
-def test_analyze_opens_one_pool(capsys, thread_pools):
     argv = ["analyze", "-i", "3", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     assert main(argv + ["--jobs", "2"]) == EXIT_OK
-    assert len(thread_pools) == 1
-    assert thread_pools[0].shutdowns == [True]
+    [worker] = thread_processes
+    assert [task[0].n for task in worker.tasks] == [4, 5, 6, 7]
+    assert all(task[3:5] == (10, 10) for task in worker.tasks)
+    assert not worker.is_alive()
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
-def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thread_pools):
+def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thread_processes):
     exact = analysis.refined_inertia_exact
 
     def broken_at_order_5(p):
@@ -492,21 +461,115 @@ def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thr
         return exact(p)
 
     monkeypatch.setattr(analysis, "refined_inertia_exact", broken_at_order_5)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     assert main(argv + ["--jobs", "2"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[2:]
     assert [row.split()[:4] for row in rows] == [["4", "20", "yes", "yes"]]
     assert captured.err == "internal check failure at order 5: forced failure at degree 5\n"
-    assert len(thread_pools) == 1
-    assert thread_pools[0].shutdowns == [True]
+    [worker] = thread_processes
+    assert not worker.is_alive()
+
+
+def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thread_processes):
+    # Sample 13 of order 5 falls in the worker's chunk at --jobs 2 (samples
+    # 10..19) and in this process's at --jobs 1: its classifier fails in
+    # either, and the run stops at the same order with the same line.
+    target = realization.arrow_char_poly(
+        realization.family_sample_arrow(family_pattern(2, 5), analysis._sample_seed(0 + 5, 13))
+    )
+    exact = analysis.refined_inertia_exact
+
+    def broken_at_sample_13(p):
+        if p == target:
+            raise InternalCheckError("forced failure at sample 13")
+        return exact(p)
+
+    monkeypatch.setattr(analysis, "refined_inertia_exact", broken_at_sample_13)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == EXIT_INTERNAL
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == "internal check failure at order 5: forced failure at sample 13\n"
+    assert outputs[1] == outputs[0]
+    assert len(thread_processes) == 1
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="only a forked worker inherits the patch"
+)
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (
+            ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "20", "--seed", "0", "--jobs", "2"],
+            "family 1, orders 4..5, budget 20, seed 0\nn   samples  inside_target  all3_realized  verdict\n",
+            "internal error at order 4: a sampling process exited with code 1 before it sent samples 10..19 of order 4\n",
+        ),
+        (
+            ["falsify", "--pattern", "{pattern}", "--budget", "20", "--seed", "0", "--jobs", "2"],
+            "",
+            "internal error: a sampling process exited with code 1 before it sent samples 10..19 of order 5\n",
+        ),
+    ],
+    ids=["analyze", "falsify"],
+)
+def test_dead_worker_is_one_line_exit_4(pattern_file, capsys, monkeypatch, argv, out, err):
+    # The worker dies in its first chunk, without a word, and its pipe
+    # closes before the result arrives.
+    chunk = analysis._falsify_chunk
+
+    def dies_past_sample_0(task):
+        if task[3] > 0:
+            os._exit(1)
+        return chunk(task)
+
+    monkeypatch.setattr(analysis, "_falsify_chunk", dies_past_sample_0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    assert main([arg.format(pattern=pattern_file) for arg in argv]) == EXIT_INTERNAL
+    assert capsys.readouterr() == (out, err)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_analyze_stdout_does_not_depend_on_start_method(method):
+    # Under spawn and forkserver, every worker imports the package afresh
+    # and gets its tasks pickled; two CPUs are claimed so that --jobs 2
+    # starts one on any runner.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    script = (
+        "import multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "os.cpu_count = lambda: 2\n"
+        "from refined_inertia.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    argv = ["analyze", "-i", "3", "--n-range", "4..7", "--budget", "40", "--seed", "9", "--jobs"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script, method, *argv, jobs],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        for jobs in ("1", "2")
+    ]
+    assert [(proc.returncode, proc.stderr) for proc in outputs] == [(EXIT_OK, b"")] * 2
+    assert len(outputs[0].stdout.splitlines()) == 6
+    assert outputs[1].stdout == outputs[0].stdout
 
 
 @pytest.mark.parametrize("budget", ["40", "1", "0"])
 @pytest.mark.parametrize("family", ["1", "2", "3"])
 def test_analyze_stdout_does_not_depend_on_jobs(capsys, monkeypatch, family, budget):
-    # A real process pool, so a spawn start method runs it too.  Three CPUs
-    # are claimed so that --jobs 3 splits the budget three ways anywhere.
+    # Real worker processes, so a spawn start method runs them too.  Three
+    # CPUs are claimed so that --jobs 3 splits the budget three ways anywhere.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ["analyze", "-i", family, "--n-range", "4..7", "--budget", budget, "--seed", "9"]
     outputs = []
