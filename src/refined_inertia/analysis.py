@@ -301,11 +301,7 @@ def _falsify_tasks(
         raise ValueError("budget must be nonnegative")
     family = family_index(pattern.rows) is not None
     bounds = [budget * w // jobs for w in range(jobs + 1)]
-    return [
-        (pattern, family, cfg.seed, bounds[w], bounds[w + 1] - bounds[w], members)
-        for w in range(jobs)
-        if bounds[w + 1] > bounds[w]
-    ]
+    return [(pattern, family, cfg.seed, bounds[w], bounds[w + 1] - bounds[w], members) for w in range(jobs)]
 
 
 def _falsify_report(
@@ -368,12 +364,13 @@ def _run_chunks(task_lists: list[list[tuple]]) -> Iterator[list[tuple[dict, int 
     in list order, or WorkerError if a worker died before sending.  However
     the generator ends, every worker is joined, and one that still owes a
     result is killed first.  multiprocessing.Process is looked up at call
-    time, so a test can swap in a thread-backed stand-in.
+    time, so a test can swap in a thread-backed stand-in; multiprocessing
+    is imported only when there is a worker to start.
     """
-    import multiprocessing
-
     workers = []  # [process, reader, results it still owes]
     try:
+        if len(task_lists) > 1:
+            import multiprocessing
         for tasks in task_lists[1:]:
             reader, writer = multiprocessing.Pipe(duplex=False)
             try:
@@ -415,24 +412,18 @@ def falsify_each(
     """Yield falsify_requires(pattern, budget, cfg, jobs) for each (pattern, cfg), in order.
 
     jobs counts the processes that sample, this one included, and is
-    clamped to [1, min(budget, CPU count)].  With one, every request is
-    sampled here, lazily, when its report is asked for.  With more, every
-    request is planned at the first report into jobs chunks, and jobs - 1
-    workers (_run_chunks, which imports multiprocessing) start then
-    and sample their chunk of every request in order, while this process
-    samples chunk 0 of each request when its report is asked for, so the
-    caller can work on report k while the workers run ahead.  A fault in
+    clamped to [1, min(budget, CPU count)].  Every request is planned at
+    the first report into jobs chunks; jobs - 1 workers (_run_chunks,
+    which imports multiprocessing only for them) start then and sample
+    their chunk of every request in order, while this process samples
+    chunk 0 of each request when its report is asked for, so the caller
+    can work on report k while the workers run ahead.  A fault in
     any chunk is raised at its request's report, with its own type and
     message, and a worker that dies first raises WorkerError there.  No
     worker outlives the generator: closing it early kills the workers
     that still have work, so a caller that may stop early closes it.
     """
     jobs = max(1, min(jobs, budget, os.cpu_count() or 1))
-    if jobs == 1:
-        for pattern, cfg in requests:
-            results = [_falsify_chunk(task) for task in _falsify_tasks(pattern, budget, cfg, 1)]
-            yield _falsify_report(pattern, budget, cfg, results)
-        return
     planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
     chunks = _run_chunks([[tasks[w] for _, _, tasks in planned] for w in range(jobs)])
     try:

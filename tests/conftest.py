@@ -14,8 +14,8 @@ class ThreadProcess(threading.Thread):
     A started process keeps its own end of the pipe it is given after the
     caller closes the caller's copy, so the stand-in hands its target a
     duplicate and closes it when the target returns, as a process exit
-    would.  A thread cannot be killed: kill does nothing, and join waits
-    for the target to return.
+    would.  A thread cannot be killed: kill only records that it was
+    called, in killed, and join waits for the target to return.
     """
 
     def __init__(self, target, args, daemon):
@@ -23,6 +23,7 @@ class ThreadProcess(threading.Thread):
         self._conn = Connection(os.dup(conn.fileno()), readable=False)
         super().__init__(target=target, args=(self._conn, self.tasks), daemon=daemon)
         self.exitcode = None
+        self.killed = False
 
     def run(self):
         try:
@@ -32,7 +33,7 @@ class ThreadProcess(threading.Thread):
         self.exitcode = 0
 
     def kill(self):
-        pass
+        self.killed = True
 
 
 @pytest.fixture

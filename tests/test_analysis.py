@@ -301,7 +301,7 @@ class TestFalsifier:
             start_new_session=True,
         )
         try:
-            out, err = proc.communicate(timeout=60)
+            out, err = proc.communicate(timeout=30)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()

@@ -441,7 +441,8 @@ def test_falsify_workers_capped(
 
 def test_analyze_opens_one_pool(capsys, monkeypatch, thread_processes):
     # --jobs 2 starts one worker for the whole run: it samples the second
-    # half of every order, and it has returned when the run does.
+    # half of every order, and it has returned when the run does, without
+    # a kill, since it sent every result.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["analyze", "-i", "3", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     assert main(argv + ["--jobs", "2"]) == EXIT_OK
@@ -449,10 +450,14 @@ def test_analyze_opens_one_pool(capsys, monkeypatch, thread_processes):
     assert [task[0].n for task in worker.tasks] == [4, 5, 6, 7]
     assert all(task[3:5] == (10, 10) for task in worker.tasks)
     assert not worker.is_alive()
+    assert not worker.killed
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
 def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thread_processes):
+    # The fault is raised in this process's chunk of order 5 before the
+    # worker's result for that order is read, so the worker still owes
+    # orders 5..7 and is killed.
     exact = analysis.refined_inertia_exact
 
     def broken_at_order_5(p):
@@ -469,6 +474,7 @@ def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thr
     assert [row.split()[:4] for row in rows] == [["4", "20", "yes", "yes"]]
     assert captured.err == "internal check failure at order 5: forced failure at degree 5\n"
     [worker] = thread_processes
+    assert worker.killed
     assert not worker.is_alive()
 
 
@@ -495,7 +501,9 @@ def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thre
         outputs.append(capsys.readouterr())
     assert outputs[0].err == "internal check failure at order 5: forced failure at sample 13\n"
     assert outputs[1] == outputs[0]
-    assert len(thread_processes) == 1
+    # The worker stopped at its own fault and owes nothing, so it is not killed.
+    [worker] = thread_processes
+    assert not worker.killed
 
 
 @pytest.mark.skipif(
