@@ -44,11 +44,10 @@ from .realization import (
     sample_realization,
     sample_rows,
 )
-from .witness_fixtures import WITNESS_PARAMS
 
 
 class WitnessCertificationError(RuntimeError):
-    """A stored or constructed witness failed its exact certification."""
+    """A witness is outside its class, or the suite's certified inertias are not the target set."""
 
 
 def hn_set(n: int) -> frozenset[RefinedInertia]:
@@ -74,11 +73,6 @@ class WitnessSuite:
     pattern: SignPattern
     witnesses: tuple[tuple[RefinedInertia, ArrowMatrix], ...]
 
-    def __post_init__(self):
-        keys = [ri for ri, _ in self.witnesses]
-        if sorted(keys) != sorted(hn_set(self.pattern.n)):
-            raise ValueError("witness keys must be exactly the three target inertias")
-
     def to_json_dict(self) -> dict:
         return {
             "pattern": self.pattern.to_json(),
@@ -94,40 +88,60 @@ class WitnessSuite:
         }
 
 
-def _certified_witness(i: int, n: int, arrow: ArrowMatrix, expected: RefinedInertia) -> None:
-    if not arrow.in_family(i):
-        problem = "is outside the qualitative class"
-    else:
-        inertia = refined_inertia_exact(arrow_char_poly(arrow))
-        if inertia == expected:
-            return
-        problem = f"has inertia {inertia}, expected {expected}"
-    raise WitnessCertificationError(
-        f"witness for family {i}, order {n} {problem}; arrow {json.dumps(arrow.to_json())}"
-    )
+# Per family, the Hopf arrow's diagonal parameters (b_1, b_2) and spoke
+# weights (a_3, a_4); _hopf_bases solves p(i) = 0 for a_1 and a_2.
+_HOPF = {1: ((1, 2), (-1, -1)), 2: ((1, 2), (1, 1)), 3: ((1, -1), (1, -6))}
+
+
+def _hopf_bases(i: int) -> tuple[ArrowMatrix, ...]:
+    """Family i's 4x4 Hopf arrow, then the same arrow with a_1 - 1/10 and a_1 + 1/10.
+
+    Over x(x + b_1)(x + b_2), p(x) = det(xI - B) is
+    x - a_1 - a_2/x - sum_j a_{j+2}/(x + b_j), affine in each a_k.  So
+    p(i) = 0, the onset of a Hopf bifurcation at frequency 1, has one
+    rational solution, from its real and imaginary parts:
+    a_1 = -sum_j a_{j+2} b_j / (b_j^2 + 1) and
+    a_2 = -1 - sum_j a_{j+2} / (b_j^2 + 1).
+    """
+    b, spokes = _HOPF[i]
+    a1 = -sum(Fraction(w * c, c * c + 1) for w, c in zip(spokes, b))
+    a2 = -1 - sum(Fraction(w, c * c + 1) for w, c in zip(spokes, b))
+    steps = (0, Fraction(-1, 10), Fraction(1, 10))
+    return tuple(ArrowMatrix((a1 + step, a2, *spokes), b) for step in steps)
 
 
 def witness_suite(i: int, n: int) -> WitnessSuite:
     """Certified witnesses for all three target inertias at order n >= 4.
 
-    The parameter values are frozen 4x4 fixtures, derived once by seeded
-    search (open-condition inertias) and coefficient matching (the
-    imaginary pair).  For n >= 5 each is lifted by the spoke-replication
-    embedding, whose characteristic polynomial is (x + b_1)^(n-4) times the
-    base one: n-4 is added to the negative count and nothing else changes.
-    Each witness is certified once, exactly, at order n; embed_witness
-    checks the base's class, and family_pattern checks i and n.
+    The bases are family i's 4x4 Hopf arrow, whose characteristic
+    polynomial vanishes at x = i, and the same arrow with a_1 moved 1/10
+    either way, which moves that pair into one open half-plane or the
+    other (_hopf_bases).  For n >= 5 each is lifted by the spoke-replication
+    embedding, whose characteristic polynomial is (x + b_1)^(n-4) times
+    the base one, with b_1 > 0.  Each witness is certified once, exactly,
+    at order n, and keyed by its certified inertia.  A base outside the
+    class, or three inertias that are not hn_set(n), raise
+    WitnessCertificationError naming the family, the order and a base
+    arrow; family_pattern checks i and n.
     """
     pattern = family_pattern(i, n)
+    bases = _hopf_bases(i)
     entries = []
-    for (n_plus, n_minus, n_zero, two_n_p), (a, b) in WITNESS_PARAMS[i].items():
-        arrow = ArrowMatrix([Fraction(x) for x in a], [Fraction(x) for x in b])
-        if n > 4:
-            arrow = embed_witness(arrow, n, i)
-        inertia = RefinedInertia(n_plus, n_minus + (n - 4), n_zero, two_n_p)
-        _certified_witness(i, n, arrow, inertia)
-        entries.append((inertia, arrow))
+    for base in bases:
+        if not base.in_family(i):
+            raise WitnessCertificationError(
+                f"witness for family {i}, order {n} is outside the qualitative class; "
+                f"arrow {json.dumps(base.to_json())}"
+            )
+        arrow = embed_witness(base, n, i) if n > 4 else base
+        entries.append((refined_inertia_exact(arrow_char_poly(arrow)), arrow))
     entries.sort(key=lambda pair: pair[0])
+    inertias = [ri for ri, _ in entries]
+    if inertias != sorted(hn_set(n)):
+        raise WitnessCertificationError(
+            f"witnesses for family {i}, order {n} certify {', '.join(map(str, inertias))}, "
+            f"not the target set; Hopf arrow {json.dumps(bases[0].to_json())}"
+        )
     return WitnessSuite(pattern, tuple(entries))
 
 

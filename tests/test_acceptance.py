@@ -112,7 +112,7 @@ def test_criterion_2_allows_property():
 
 
 def test_criterion_3_embedding_identity():
-    with criterion("criterion 3: embedding char-poly identity, nine fixtures, orders 5..10"):
+    with criterion("criterion 3: embedding char-poly identity, nine bases, orders 5..10"):
         for i in (1, 2, 3):
             for base_inertia, base in witness_suite(i, 4).witnesses:
                 base_poly = char_poly(base.to_matrix())

@@ -1,6 +1,5 @@
 """Witness suites, the falsifier, and the lemma validators."""
 
-import importlib.util
 import json
 import multiprocessing
 import os
@@ -19,6 +18,7 @@ from refined_inertia import analysis, engine, realization
 from refined_inertia.analysis import (
     AnalysisReport,
     Verdict,
+    WitnessCertificationError,
     WorkerError,
     _falsify_tasks,
     _run_chunks,
@@ -48,7 +48,6 @@ from refined_inertia.realization import (
     sample_realization,
     to_arrow_form,
 )
-from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 from polys import add, evaluate
 
@@ -62,15 +61,6 @@ def _random_pattern(n: int, seed: int) -> SignPattern:
 
 # Patterns outside the three families, whose samples take the integer-row draw.
 RANDOM_5, RANDOM_7 = _random_pattern(5, 515), _random_pattern(7, 717)
-
-
-def _load_derive_tool():
-    """Import tools/derive_witness_fixtures.py, which is a script, not a package module."""
-    script = Path(__file__).resolve().parents[1] / "tools" / "derive_witness_fixtures.py"
-    spec = importlib.util.spec_from_file_location("derive_witness_fixtures", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestHnSet:
@@ -137,20 +127,26 @@ class TestWitnesses:
         assert len(calls) == 3
         assert all(p.degree == n for p in calls)
 
-    def test_imaginary_pair_constructive_route(self):
-        derive = _load_derive_tool()
-        arrow = derive.construct_imaginary_pair_witness(2, seed=4, budget=derive.BUDGET)
-        assert refined_inertia_exact(char_poly(arrow.to_matrix())) == RefinedInertia(0, 2, 0, 2)
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_hopf_witness_vanishes_at_i(self, i, n):
+        # p(i) = E(-1) + i O(-1), where p(x) = E(x^2) + x O(x^2).
+        witnesses = dict(witness_suite(i, n).witnesses)
+        hopf = witnesses[RefinedInertia(0, n - 2, 0, 2)]
+        p = arrow_char_poly(hopf)
+        even, odd = (RationalPoly.from_ints(p.num[k::2], p.den) for k in (0, 1))
+        assert evaluate(even, -1) == evaluate(odd, -1) == 0
+        # The open-condition witnesses move only a_1, by 1/10 either way.
+        sides = [witnesses[RefinedInertia(0, n, 0, 0)], witnesses[RefinedInertia(2, n - 2, 0, 0)]]
+        assert sorted(arrow.a[0] - hopf.a[0] for arrow in sides) == [Fraction(-1, 10), Fraction(1, 10)]
+        assert all(arrow.a[1:] == hopf.a[1:] and arrow.b == hopf.b for arrow in sides)
 
-    def test_search_finds_open_condition_witness(self):
-        derive = _load_derive_tool()
-        target = RefinedInertia(0, 4, 0, 0)
-        arrow = derive.search_4x4_witness(1, target, seed=12, budget=derive.BUDGET)
-        assert sgn_of_matrix(arrow.to_matrix()) == family_pattern(1, 4)
-        assert refined_inertia_exact(char_poly(arrow.to_matrix())) == target
-
-    def test_fixture_derivation_reproduces_witness_params(self):
-        assert _load_derive_tool().derive_witness_params() == WITNESS_PARAMS
+    def test_hopf_arrow_whose_sides_agree_raises(self, monkeypatch):
+        # With spokes (1, -5) the even part has a double root at x^2 = -1, so
+        # moving a_1 either way certifies (2, 2, 0, 0).
+        monkeypatch.setitem(analysis._HOPF, 3, ((1, -1), (1, -5)))
+        with pytest.raises(WitnessCertificationError, match="family 3, order 4 certify"):
+            witness_suite(3, 4)
 
     def test_bad_family_index(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from refined_inertia.cli import (
 from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
 from refined_inertia.realization import ArrowMatrix, RealizationConfig, matrix_to_json
-from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -329,21 +328,20 @@ def test_analyze_witness_internal_check_marks_row(capsys, monkeypatch):
 
 
 def _break_witness_fixture(monkeypatch):
-    """Flip the sign of a_2 in family 1's (0, 4, 0, 0) fixture, out of the class."""
-    a, b = WITNESS_PARAMS[1][(0, 4, 0, 0)]
-    monkeypatch.setitem(WITNESS_PARAMS[1], (0, 4, 0, 0), ((a[0], a[1].lstrip("-")) + a[2:], b))
+    """Give family 1's Hopf arrow spokes (-3, -3), which make a_2 = 11/10 > 0, out of the class."""
+    monkeypatch.setitem(analysis._HOPF, 1, ((1, 2), (-3, -3)))
 
 
 @pytest.mark.parametrize("order", ["4", "6"])
 def test_witness_outside_class_exits_4(capsys, monkeypatch, order):
-    # Order 4 certifies the fixture itself; order 6 meets it in embed_witness.
+    # The base is checked before it is lifted, so both orders name it.
     _break_witness_fixture(monkeypatch)
     assert main(["witness", "-i", "1", "-n", order]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("internal check failure: ")
-    assert 'arrow {"a": ["2/3", "2/1", ' in captured.err
+    assert captured.err.startswith(f"internal check failure: witness for family 1, order {order} ")
+    assert 'arrow {"a": ["27/10", "11/10", "-3/1", "-3/1"], ' in captured.err
 
 
 def test_analyze_witness_outside_class_marks_row(capsys, monkeypatch):
@@ -641,6 +639,9 @@ USAGE_ERRORS = {
     "family-order-3": ["family", "-i", "1", "-n", "3"],
     "lemmas-order-3": ["lemmas", "-i", "1", "-n", "3", "--samples", "1", "--seed", "0"],
     "lemmas-negative-samples": ["lemmas", "-i", "1", "-n", "5", "--samples", "-1", "--seed", "0"],
+    # Past order 338 a tie-free draw of the b_j is unlikely.
+    "lemmas-order-339": ["lemmas", "-i", "1", "-n", "339", "--samples", "1", "--seed", "0"],
+    "lemmas-order-2000": ["lemmas", "-i", "1", "-n", "2000", "--samples", "1", "--seed", "1"],
     # Bounds are checked before the pattern file is read.
     "falsify-missing-file-negative-budget": ["falsify", "--pattern", "{missing}", "--budget", "-1"],
     "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from refined_inertia.analysis import _falsify_chunk, _sample_seed, hn_set
+from refined_inertia.analysis import _falsify_chunk, _sample_seed, hn_set, witness_suite
 from refined_inertia.engine import char_poly, det_rational, refined_inertia_exact
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
@@ -29,7 +29,6 @@ from refined_inertia.realization import (
     sample_rows,
     to_arrow_form,
 )
-from refined_inertia.witness_fixtures import WITNESS_PARAMS
 
 from polys import from_roots, mul, power
 
@@ -296,9 +295,8 @@ class TestEmbedWitness:
     def test_integer_lift_is_the_fraction_lift(self, n):
         # The lift scales the arrow's integers; the Fraction route it
         # replaced divided a_3 and rebuilt the arrow from rationals.
-        for i, params in WITNESS_PARAMS.items():
-            for a, b in params.values():
-                base = ArrowMatrix([Fraction(x) for x in a], [Fraction(x) for x in b])
+        for i in (1, 2, 3):
+            for _, base in witness_suite(i, 4).witnesses:
                 share = base.a[2] / (n - 3)
                 expected = ArrowMatrix(
                     (base.a[0], base.a[1]) + (share,) * (n - 3) + (base.a[3],),
