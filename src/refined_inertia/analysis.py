@@ -496,8 +496,11 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     parameters (ArrowMatrix.in_family).  The matrix is then permuted so the
     diagonal parameters descend, which is the normalization the sign table
     assumes.  Its characteristic polynomial comes once from Berkowitz's
-    recurrence on the arrow's integer rows (a permutation similarity keeps
-    it), and L-det requires it to equal the spoke expansion
+    recurrence on the arrow's integer rows, with rows and columns reversed
+    so the dense hub comes last: every leading block is then diagonal with
+    a zero border column, so each step but the hub's is one O(k)
+    multiplication (both permutations are similarities, which keep p).
+    L-det requires p to equal the spoke expansion
     (arrow_char_poly) and to give every closed-form shift determinant
     (arrow_shift_det); L-sign and L-excl read those certified values.
     L-delta classifies an integer Taylor shift of the same polynomial
@@ -517,7 +520,8 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     n = arrow.n
     a, b = _sorted_descending(arrow.a_num, arrow.b_num)
     arrow = ArrowMatrix.from_ints(a, arrow.a_den, b, arrow.b_den)
-    p = _integer_char_poly(*arrow.integer_rows())
+    rows, scale = arrow.integer_rows()
+    p = _integer_char_poly([row[::-1] for row in reversed(rows)], scale)
     inertia = refined_inertia_exact(p)
     checks: list[LemmaCheck] = []
 
@@ -604,6 +608,14 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     return checks
 
 
+# Largest order run_lemma_suite accepts, checked before any draw.  The suite
+# redraws a sample whose b_j repeat, and each b_j is one of 4096 * 20 =
+# 81 920 dyadic magnitudes, so k = n - 2 of them come out distinct with
+# probability about exp(-k^2 / 163 840), which is at least 1/2 up to
+# k = 336.
+LEMMAS_MAX_ORDER = 338
+
+
 @dataclass(frozen=True)
 class LemmaSuiteReport:
     family: int
@@ -628,10 +640,13 @@ def run_lemma_suite(
     read from its integer draws (family_sample_arrow), with the a_k and the
     b_j each over one power-of-two denominator, and validate_lemmas runs on
     that arrow as drawn: no sample becomes a Fraction matrix.  Raises
-    ValueError for a negative sample count and when the redraws run out.
+    ValueError, before any draw, for a negative sample count and for an
+    order above LEMMAS_MAX_ORDER, and when the redraws run out.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if n > LEMMAS_MAX_ORDER:
+        raise ValueError(f"lemma suite order must be <= {LEMMAS_MAX_ORDER}, got {n}")
     pattern = family_pattern(i, n)
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()

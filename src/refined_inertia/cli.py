@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
+    LEMMAS_MAX_ORDER,
     Verdict,
     WitnessCertificationError,
     WorkerError,
@@ -46,13 +47,6 @@ EXIT_INTERNAL = 4
 
 # Lower bounds of the bounded integer options, checked by main before dispatch.
 _MINIMUM = {"order": 4, "budget": 0, "samples": 0, "jobs": 1}
-
-# Upper bound of lemmas --order, checked before any draw.  The suite
-# redraws a sample whose b_j repeat, and each b_j is one of 4096 * 20 =
-# 81 920 dyadic magnitudes, so k = n - 2 of them come out distinct with
-# probability about exp(-k^2 / 163 840), which is at least 1/2 up to
-# k = 336.
-_LEMMAS_MAX_ORDER = 338
 
 # What an engine fault raises; a check failure is reported as such.
 _CHECK_FAILURES = (InternalCheckError, WitnessCertificationError, MembershipError)
@@ -201,8 +195,8 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    if args.order > _LEMMAS_MAX_ORDER:
-        print(f"error: lemmas --order must be <= {_LEMMAS_MAX_ORDER}, got {args.order}", file=sys.stderr)
+    if args.order > LEMMAS_MAX_ORDER:
+        print(f"error: lemmas --order must be <= {LEMMAS_MAX_ORDER}, got {args.order}", file=sys.stderr)
         return EXIT_USAGE
     cfg = RealizationConfig(seed=args.seed)
     report = run_lemma_suite(args.family, args.order, args.samples, cfg)

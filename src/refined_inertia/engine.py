@@ -108,12 +108,18 @@ def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
     from Berkowitz's division-free recurrence over the integers: bordering
     the leading k x k block M by column c, row r and corner a multiplies
     its characteristic polynomial by the lower-triangular Toeplitz matrix
-    with first column (1, -a, -r c, -r M c, ..., -r M^(k-1) c).
+    with first column (1, -a, -r c, -r M c, ..., -r M^(k-1) c).  When c or
+    r is zero, every -r M^m c is, so the step is one multiplication by
+    (y - a), in O(k), with no block or Krylov product formed.  An arrowhead
+    whose hub comes last takes that step everywhere but at the hub.
     """
     poly = [1]  # det(yI - M) for the leading block, highest power first
     for k in range(len(A)):
-        block = [A[i][:k] for i in range(k)]
         col = [A[i][k] for i in range(k)]
+        if not (any(col) and any(A[k][:k])):
+            poly = [x - A[k][k] * y for x, y in zip([*poly, 0], [0, *poly])]
+            continue
+        block = [A[i][:k] for i in range(k)]
         toeplitz = [1, -A[k][k]]
         for m in range(k):
             if m:  # col becomes M^m c; no entry reads M^k c, so it is never formed

@@ -641,6 +641,32 @@ class TestLemmaValidation:
             checked += 1
         assert checked >= 100
 
+    @pytest.mark.parametrize("n", [5, 10, 40])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_hub_last_polynomial_is_the_arrows(self, i, n, monkeypatch):
+        # validate_lemmas hands Berkowitz the rows with the hub last, so
+        # every border column before the hub's is zero; its polynomial is
+        # the spoke expansion's and the hub-first kernel's.  The checks that
+        # follow are cut off, since L-delta's shifts dominate at order 40.
+        class Built(Exception):
+            pass
+
+        built = []
+
+        def capture(rows, scale):
+            built.append((rows, engine._integer_char_poly(rows, scale)))
+            raise Built
+
+        monkeypatch.setattr(analysis, "_integer_char_poly", capture)
+        arrow = realization.family_sample_arrow(family_pattern(i, n), _sample_seed(7, 0))
+        assert len(set(arrow.b_num)) == n - 2
+        with pytest.raises(Built):
+            validate_lemmas(arrow, i)
+        (rows, p), = built
+        assert all(not any(rows[r][k] for r in range(k)) for k in range(n - 1))
+        assert p == arrow_char_poly(arrow)
+        assert p == engine._integer_char_poly(*arrow.integer_rows())
+
     def test_suite_runner(self):
         report = run_lemma_suite(3, 5, 25, RealizationConfig(seed=6))
         assert report.all_passed
@@ -650,6 +676,20 @@ class TestLemmaValidation:
     def test_suite_runner_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="nonnegative"):
             run_lemma_suite(1, 5, -3, RealizationConfig(seed=0))
+
+    def test_suite_runner_refuses_orders_above_the_bound_before_any_draw(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def refuse(pattern, seed):
+            raise Drawn
+
+        monkeypatch.setattr(analysis, "family_sample_arrow", refuse)
+        assert analysis.LEMMAS_MAX_ORDER == 338
+        with pytest.raises(ValueError, match=r"order must be <= 338, got 339$"):
+            run_lemma_suite(1, 339, 1, RealizationConfig(seed=1))
+        with pytest.raises(Drawn):  # the bound itself is allowed
+            run_lemma_suite(1, 338, 1, RealizationConfig(seed=1))
 
     def test_suite_runner_reads_the_integer_draw(self, monkeypatch):
         # The arrow form comes from family_sample_arrow and every check runs

@@ -120,6 +120,87 @@ def test_integer_kernel_on_arrowheads_with_zero_entries():
             assert engine._integer_char_poly(A, common) == cofactor_char_poly(M)
 
 
+def _border_steps(A):
+    """Bordering steps k >= 1 whose border column, and whose border row, is zero."""
+    n = len(A)
+    zero_col = {k for k in range(1, n) if not any(A[i][k] for i in range(k))}
+    zero_row = {k for k in range(1, n) if not any(A[k][:k])}
+    return zero_col, zero_row
+
+
+def _kernel_matches_oracle(A, common):
+    M = [[Fraction(x, common) for x in row] for row in A]
+    return engine._integer_char_poly(A, common) == cofactor_char_poly(M)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_integer_kernel_on_hub_last_arrowheads(n):
+    # Rows and columns reversed put the dense hub last, as the lemma checks
+    # do: every step before the hub's borders a diagonal block by a zero
+    # column, so only the last step forms Krylov products.
+    rng = random.Random(700 + n)
+    for _ in range(20):
+        a = [rng.randint(-6, 6)] + [rng.choice((-5, -2, 1, 4)) for _ in range(n - 1)]
+        hub = [rng.choice((-3, -1, 1, 2)) for _ in range(n - 1)]
+        diagonal = [rng.randint(-5, 5) for _ in range(n - 2)]
+        arrow = [[a[0], *hub]] + [[a[k]] + [0] * (n - 1) for k in range(1, n)]
+        for k, d in enumerate(diagonal, start=2):
+            arrow[k][k] = d
+        A = [row[::-1] for row in reversed(arrow)]
+        zero_col, _ = _border_steps(A)
+        assert zero_col >= set(range(1, n - 1)) and n - 1 not in zero_col
+        for common in (1, 4):
+            assert _kernel_matches_oracle(A, common)
+            assert engine._integer_char_poly(A, common) == engine._integer_char_poly(arrow, common)
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["block-lower", "block-upper"])
+def test_integer_kernel_on_block_triangular_matrices(lower):
+    # A block lower-triangular matrix has a zero border column where its
+    # second diagonal block starts, with a nonzero row beside it; a block
+    # upper-triangular one has the zero row alone.
+    rng = random.Random(710 + lower)
+    for n in range(2, 7):
+        for split in range(1, n):
+            A = [[rng.choice((-4, -2, -1, 1, 3, 5)) for _ in range(n)] for _ in range(n)]
+            for i in range(split):
+                for j in range(split, n):
+                    if lower:
+                        A[i][j] = 0
+                    else:
+                        A[j][i] = 0
+            zero_col, zero_row = _border_steps(A)
+            assert (split in zero_col, split in zero_row) == (lower, not lower)
+            for common in (1, 3):
+                assert _kernel_matches_oracle(A, common)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_integer_kernel_on_the_zero_matrix(n):
+    A = [[0] * n for _ in range(n)]
+    assert engine._integer_char_poly(A, 5) == RationalPoly([0] * n + [1])
+    assert _kernel_matches_oracle(A, 5)
+
+
+@pytest.mark.parametrize("entry", [-7, 0, 3])
+def test_integer_kernel_at_order_1(entry):
+    assert engine._integer_char_poly([[entry]], 2) == RationalPoly((Fraction(-entry, 2), 1))
+    assert _kernel_matches_oracle([[entry]], 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_kernel_is_permutation_invariant(n):
+    # P A P^T is similar to A, and a sparse A puts zero border columns or
+    # rows in different steps under different orders.
+    rng = random.Random(720 + n)
+    for _ in range(25):
+        A = [[rng.choice((0, 0, 0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+        common = rng.randint(1, 4)
+        perm = rng.sample(range(n), n)
+        permuted = [[A[p][q] for q in perm] for p in perm]
+        assert engine._integer_char_poly(permuted, common) == engine._integer_char_poly(A, common)
+
+
 def test_char_poly_constant_term_is_det_of_negated_matrix():
     arrow = ArrowMatrix([1, 1, 1, 1], [1, 2])
     M = arrow.to_matrix()
