@@ -4,7 +4,9 @@ This is the layer that turns the engine into verdicts about the three
 arrowhead families: certified witnesses showing every target inertia is
 realized ("allows"), seeded sampling hunting for a certified inertia
 outside the target set ("requires" falsification), and exact checks of the
-identities the distinct-parameter analysis rests on.
+identities the distinct-parameter analysis rests on.  A falsifier sample
+stays integers from its draws to its four counts, a 4-tuple; only a
+report turns the merged counts into RefinedInertia.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from .engine import (
     InternalCheckError,
     RefinedInertia,
+    _inertia_counts,
     _integer_char_poly,
     _shifted_inertia,
     arrow_shift_det,
@@ -30,12 +33,13 @@ from .engine import (
     refined_inertia_exact,
 )
 from .patterns import SignPattern, family_pattern
-from .ratpoly import RationalPoly
 from .realization import (
     ArrowMatrix,
     MembershipError,
     RationalMatrix,
     RealizationConfig,
+    _family_draw,
+    _spoke_expansion,
     arrow_char_poly,
     embed_witness,
     family_index,
@@ -61,6 +65,11 @@ def hn_set(n: int) -> frozenset[RefinedInertia]:
             RefinedInertia(2, n - 2, 0, 0),
         )
     )
+
+
+def _hn_counts(n: int) -> frozenset[tuple[int, int, int, int]]:
+    """hn_set(n) as 4-tuples of counts, the keys the falsifier's chunks use."""
+    return frozenset(ri.as_tuple() for ri in hn_set(n))
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -214,37 +223,43 @@ def _sample_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _exact_inertia(p: RationalPoly) -> RefinedInertia:
-    """Exact inertia of a falsifier sample or shrink candidate, from its characteristic polynomial.
+def _exact_inertia(num: Sequence[int]) -> tuple[int, int, int, int]:
+    """Inertia counts of a falsifier sample or shrink candidate, as a 4-tuple.
 
-    This is how the falsifier classifies every one: _falsify_chunk builds
-    a sample's polynomial from its integer draws, and _shrink_counterexample
-    a candidate's by char_poly.
+    num holds the integer coefficients of a positive multiple of its
+    characteristic polynomial, low to high.  This is how the falsifier
+    classifies every one: _falsify_chunk builds a sample's from its
+    integer draws, and _shrink_counterexample a candidate's by char_poly.
+    An internal-check failure names num over 1, a polynomial that
+    reproduces it through refined_inertia_exact.
     """
-    return refined_inertia_exact(p)
+    return _inertia_counts(num)
 
 
 def _falsify_chunk(args) -> tuple[dict, int | None]:
     """Histogram of samples start..start+count-1 and the index of the first outside one.
 
-    Each sample goes from its integer draws straight to its characteristic
-    polynomial, and none becomes a Fraction: when the task's family flag is
-    set, by the spoke expansion of its arrow (arrow_char_poly of
-    family_sample_arrow), and otherwise by Berkowitz on its integer rows
-    (sample_rows).
+    Each sample goes from its integer draws to integer coefficients of its
+    characteristic polynomial and on to its four counts, which key the
+    histogram and are looked up in the task's members, a set of 4-tuples.
+    When the task's family flag is set, the draws are the arrow's integers
+    (realization._family_draw) and the coefficients come from the spoke
+    expansion (realization._spoke_expansion); no ArrowMatrix, RationalPoly
+    or RefinedInertia is built.  Otherwise Berkowitz runs on the integer
+    rows (sample_rows).  No sample becomes a Fraction.
     """
     pattern, family, seed, start, count, members = args
     histogram: Counter = Counter()
     first_outside: int | None = None
     for k in range(start, start + count):
         if family:
-            p = arrow_char_poly(family_sample_arrow(pattern, _sample_seed(seed, k)))
+            num, _ = _spoke_expansion(*_family_draw(pattern, _sample_seed(seed, k)))
         else:
-            p = _integer_char_poly(*sample_rows(pattern, _sample_seed(seed, k)))
-        inertia = _exact_inertia(p)
-        if inertia not in members and first_outside is None:
+            num = _integer_char_poly(*sample_rows(pattern, _sample_seed(seed, k))).num
+        counts = _exact_inertia(num)
+        if counts not in members and first_outside is None:
             first_outside = k
-        histogram[inertia] += 1
+        histogram[counts] += 1
     return dict(histogram), first_outside
 
 
@@ -253,11 +268,12 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
 
     Every move keeps each entry's sign, so every candidate stays in the
     qualitative class of matrix.  Each candidate is classified as a matrix,
-    through char_poly, whatever its pattern.
+    through char_poly, whatever its pattern; members is a set of 4-tuples,
+    as in a _falsify_chunk task.
     """
 
     def still_outside(rows) -> bool:
-        return _exact_inertia(char_poly(rows)) not in members
+        return _exact_inertia(char_poly(rows).num) not in members
 
     work = [list(row) for row in matrix]
     n = len(work)
@@ -304,13 +320,14 @@ def _falsify_tasks(
     Every sample has the sign pattern it was drawn from, so the pattern is
     classified once, here, and each task carries the answer as a flag:
     (pattern, family, seed, start, count, members), plain data that pickles
-    for a worker started by spawn or forkserver.
-    _falsify_chunk reads the flag to pick the family pattern's arrow route
+    for a worker started by spawn or forkserver; members is _hn_counts,
+    the target set as the 4-tuples of counts that key the histograms.
+    _falsify_chunk reads the flag to pick the family pattern's spoke route
     or the integer-row route; both read the one draw stream of
     realization._signed_draws, so the matrix that _falsify_report rebuilds
     for an outside sample is the sample that was classified.
     """
-    members = hn_set(pattern.n)
+    members = _hn_counts(pattern.n)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     family = family_index(pattern.rows) is not None
@@ -321,7 +338,10 @@ def _falsify_tasks(
 def _falsify_report(
     pattern: SignPattern, budget: int, cfg: RealizationConfig, results: list[tuple[dict, int | None]]
 ) -> AnalysisReport:
-    """Merge one request's chunk results, shrink its first outside sample, pick the verdict."""
+    """Merge one request's chunk results, shrink its first outside sample, pick the verdict.
+
+    The merged histogram's 4-tuple keys become one RefinedInertia each.
+    """
     histogram: Counter = Counter()
     for hist, _ in results:
         histogram.update(hist)
@@ -330,11 +350,11 @@ def _falsify_report(
     counterexample = None
     if outside:
         sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, min(outside)))
-        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), hn_set(pattern.n))
+        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), _hn_counts(pattern.n))
     return AnalysisReport(
         pattern=pattern,
         samples=budget,
-        histogram=tuple(sorted(histogram.items())),
+        histogram=tuple((RefinedInertia(*counts), count) for counts, count in sorted(histogram.items())),
         verdict=Verdict.COUNTEREXAMPLE if outside else Verdict.CONSISTENT,
         counterexample=counterexample,
         seed=cfg.seed,
@@ -499,7 +519,8 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     recurrence on the arrow's integer rows, with rows and columns reversed
     so the dense hub comes last: every leading block is then diagonal with
     a zero border column, so each step but the hub's is one O(k)
-    multiplication (both permutations are similarities, which keep p).
+    multiplication, and the hub's reads power sums over that diagonal
+    (both permutations are similarities, which keep p).
     L-det requires p to equal the spoke expansion
     (arrow_char_poly) and to give every closed-form shift determinant
     (arrow_shift_det); L-sign and L-excl read those certified values.

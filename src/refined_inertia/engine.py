@@ -4,10 +4,14 @@ The exact path never touches floating point.  char_poly reads a matrix
 through :func:`~refined_inertia.realization.rational_rows`, as integer
 rows over one common denominator, for the Berkowitz kernel, and
 :func:`refined_inertia_exact` certifies the four counts from the
-polynomial's integers: the zero roots off the trailing coefficients,
-everything else from the one remainder-chain routine,
-:func:`~refined_inertia.ratpoly.cauchy_index_line`.  The argument is
-written once, in those two functions' docstrings.
+polynomial's integers by :func:`_inertia_counts`: the zero roots off the
+trailing coefficients, everything else from the one remainder-chain
+routine, :func:`~refined_inertia.ratpoly.cauchy_index_line`.  The
+argument is written once, in the docstrings of _inertia_counts and
+cauchy_index_line.  _inertia_counts takes integer coefficients at any
+nonzero scale and returns a plain 4-tuple, so the falsifier and the
+shifted counts call it on unreduced integers and build no
+RationalPoly or RefinedInertia.
 
 The numeric path is a dense eigensolve with a relative axis tolerance; it
 alone uses numpy, imported on first use, so the exact core runs on the
@@ -110,21 +114,36 @@ def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
     its characteristic polynomial by the lower-triangular Toeplitz matrix
     with first column (1, -a, -r c, -r M c, ..., -r M^(k-1) c).  When c or
     r is zero, every -r M^m c is, so the step is one multiplication by
-    (y - a), in O(k), with no block or Krylov product formed.  An arrowhead
-    whose hub comes last takes that step everywhere but at the hub.
+    (y - a), in O(k), with no block or Krylov product formed.  While M is
+    diagonal, -r M^m c is the power sum -sum_i r_i c_i d_i^m over its
+    diagonal d, in O(k) per entry.  M stays diagonal until the first
+    border with a nonzero entry off the corner, which every later block
+    contains.  An arrowhead whose hub comes last takes the zero-border step
+    everywhere but at the hub, and the power sums there.
     """
     poly = [1]  # det(yI - M) for the leading block, highest power first
+    diagonal = True  # whether the leading block M is diagonal
     for k in range(len(A)):
-        col = [A[i][k] for i in range(k)]
-        if not (any(col) and any(A[k][:k])):
+        row, col = A[k][:k], [A[i][k] for i in range(k)]
+        if not (any(col) and any(row)):
             poly = [x - A[k][k] * y for x, y in zip([*poly, 0], [0, *poly])]
+            diagonal = diagonal and not (any(col) or any(row))
             continue
-        block = [A[i][:k] for i in range(k)]
         toeplitz = [1, -A[k][k]]
-        for m in range(k):
-            if m:  # col becomes M^m c; no entry reads M^k c, so it is never formed
-                col = [sum(map(mul, row, col)) for row in block]
-            toeplitz.append(-sum(map(mul, A[k], col)))
+        if diagonal:
+            d = [A[i][i] for i in range(k)]
+            w = list(map(mul, row, col))  # r_i c_i d_i^m at step m
+            for m in range(k):
+                if m:
+                    w = list(map(mul, w, d))
+                toeplitz.append(-sum(w))
+            diagonal = False
+        else:
+            block = [A[i][:k] for i in range(k)]
+            for m in range(k):
+                if m:  # col becomes M^m c; no entry reads M^k c, so it is never formed
+                    col = [sum(map(mul, r, col)) for r in block]
+                toeplitz.append(-sum(map(mul, row, col)))
         poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
     n = len(A)
     return RationalPoly.from_ints(
@@ -156,35 +175,47 @@ def det_rational(matrix: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], common**n)
 
 
-def _poly_json(p: RationalPoly) -> str:
-    """One-line JSON of p, for internal-check messages: coefficients low to high."""
-    return "polynomial " + json.dumps({"num": list(p.num), "den": p.den})
+def _poly_json(num: Sequence[int], den: int) -> str:
+    """One-line JSON of num / den, for internal-check messages: coefficients low to high."""
+    return "polynomial " + json.dumps({"num": list(num), "den": den})
 
 
 def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
     """Refined inertia of the root multiset of p, certified over the rationals.
 
-    Everything runs on p's integer numerators, since a nonzero scaling keeps
-    every root.  Zero roots come off the trailing coefficients, leaving q
-    with q(0) != 0, and q(i*w) splits into Re = E(w**2) and Im = w*O(w**2).
-    One remainder chain of these parity parts, on the half-length lists E
-    and O in u = w**2, gives the Cauchy index that splits the axis-free
-    roots between the open half-planes, and ends in gcd(Re, Im) = T(w**2).
-    A real root w of that tail is an imaginary root i*w of q, with the same
-    multiplicity, and w != 0 because q(0) != 0; so the real roots of
-    T(w**2), with multiplicity, count the imaginary pairs.  The same chain
-    on (T, T') counts them without multiplicity: T(w**2) is even and
-    w*T'(w**2), half its w-derivative, is odd, so the index is Sturm's count.
-    T(0) != 0 because T divides E and E(0) = q(0), so that chain's tail is
-    gcd(T, T')(w**2), whose real roots are T's one multiplicity lower;
-    running it down to a constant tail adds each root once per level.
-    The axis-free degree m has the parity of deg q, which therefore decides
-    whether Re or Im sits in the denominator.
+    The counts of _inertia_counts on p's integer numerators, since a
+    nonzero scaling keeps every root.
     """
     if p.is_zero:
         raise ValueError("refined inertia of the zero polynomial is undefined")
-    n_zero = next(k for k, c in enumerate(p.num) if c)
-    q = p.num[n_zero:]
+    return RefinedInertia(*_inertia_counts(p.num, p.den))
+
+
+def _inertia_counts(num: Sequence[int], den: int = 1) -> tuple[int, int, int, int]:
+    """(n_plus, n_minus, n_zero, two_n_p) of the roots of sum(num[k] * x**k).
+
+    num's last entry must be nonzero, and any nonzero multiple of num has
+    the same roots; den only names the polynomial num / den in an
+    internal-check message, so that the message reproduces the failure
+    through refined_inertia_exact.  Zero roots come off the trailing
+    coefficients, leaving q with q(0) != 0, and q(i*w) splits into
+    Re = E(w**2) and Im = w*O(w**2).  One remainder chain of these parity
+    parts, on the half-length lists E and O in u = w**2, gives the Cauchy
+    index that splits the axis-free roots between the open half-planes,
+    and ends in gcd(Re, Im) = T(w**2).  A real root w of that tail is an
+    imaginary root i*w of q, with the same multiplicity, and w != 0
+    because q(0) != 0; so the real roots of T(w**2), with multiplicity,
+    count the imaginary pairs.  The same chain on (T, T') counts them
+    without multiplicity: T(w**2) is even and w*T'(w**2), half its
+    w-derivative, is odd, so the index is Sturm's count.  T(0) != 0
+    because T divides E and E(0) = q(0), so that chain's tail is
+    gcd(T, T')(w**2), whose real roots are T's one multiplicity lower;
+    running it down to a constant tail adds each root once per level.
+    The axis-free degree m has the parity of deg q, which therefore
+    decides whether Re or Im sits in the denominator.
+    """
+    n_zero = next(k for k, c in enumerate(num) if c)
+    q = num[n_zero:]
     even, odd = list(q[0::2]), list(q[1::2])
     even[1::2] = [-c for c in even[1::2]]
     odd[1::2] = [-c for c in odd[1::2]]
@@ -200,13 +231,13 @@ def refined_inertia_exact(p: RationalPoly) -> RefinedInertia:
         two_n_p += distinct
     m = degree - two_n_p
     if (m + diff) % 2 != 0:
-        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(p)}")
+        raise InternalCheckError(f"half-plane split has impossible parity; {_poly_json(num, den)}")
     if abs(diff) > m:
         raise InternalCheckError(
             f"half-plane difference {diff} exceeds the axis-free degree {m}; "
-            f"{_poly_json(p)}"
+            f"{_poly_json(num, den)}"
         )
-    return RefinedInertia((m - diff) // 2, (m + diff) // 2, n_zero, two_n_p)
+    return (m - diff) // 2, (m + diff) // 2, n_zero, two_n_p
 
 
 def _classify_eigenvalues(
@@ -285,12 +316,13 @@ def count_eigen_re_leq(matrix: Sequence[Sequence], r) -> int:
 def _shifted_inertia(p: RationalPoly, r: Rational) -> RefinedInertia:
     """Refined inertia of p(x - r), the characteristic polynomial of rI + B if p is B's.
 
-    For -r = s / t it classifies _shifted(p.num, s, t), whose roots are those
-    of p(x - r) times t > 0, so every count is that of p(x - r); the t**k
-    rescale and the gcd normalization of p(x - r) itself are never done.
+    For -r = s / t it counts the roots of _shifted(p.num, s, t) by
+    _inertia_counts; they are those of p(x - r) times t > 0, so every count
+    is that of p(x - r).  Neither the t**k rescale nor any normalization of
+    p(x - r) is done.
     """
     s, t = as_ratio(-r)
-    return refined_inertia_exact(RationalPoly.from_ints(_shifted(p.num, s, t)))
+    return RefinedInertia(*_inertia_counts(_shifted(p.num, s, t)))
 
 
 def arrow_shift_det(arrow: ArrowMatrix, j: int, reference: RationalPoly) -> Fraction:

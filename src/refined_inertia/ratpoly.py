@@ -13,7 +13,9 @@ their least common denominator; the polynomial constructor, the
 arrowhead constructor and the matrix reader all call it.
 No pipeline adds, multiplies, evaluates or normalizes polynomials, so
 a polynomial is only built and shifted; the sign of p at s/t comes from
-the integer Horner kernel :func:`_homogeneous_value`.
+the integer Horner kernel :func:`_homogeneous_value`.  The falsifier
+builds none per sample: its integer coefficient lists go straight to the
+engine's counting kernel, which needs no normalized form.
 The one Taylor-shift kernel, :func:`_shifted`, returns an integer
 polynomial whose roots are those of p(x + s/t) times t > 0, so the shifted
 root counts read it directly; ``RationalPoly.taylor_shift`` rescales it to

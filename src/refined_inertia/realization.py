@@ -6,14 +6,17 @@ det_rational, matrix_to_json and to_arrow_form share) and its one
 Fraction view (_fraction_rows, behind ArrowMatrix.to_matrix and
 sample_realization); the arrowhead parameters themselves (ArrowMatrix,
 integers over one common denominator for the a_k and another for the
-b_j, with their spoke-expansion characteristic polynomial and the sign
+b_j, with their spoke-expansion characteristic polynomial,
+arrow_char_poly over the integer kernel _spoke_expansion, and the sign
 rule for family membership); sampling a qualitative class Q(P) with
 exact dyadic entries drawn from integers alone (no floating point, so a
 seed fixes the samples on every platform).  A sample is its integer
 seed: one draw generator yields its (+-m, e) pairs and one reader,
 _dyadic, brings them over one power of two, as matrix rows (sample_rows)
-or, for a family pattern, as arrowhead parameters (family_sample_arrow);
-RealizationConfig carries the seed only at the public API.  Then the
+or, for a family pattern, as the arrowhead parameters' integers
+(_family_draw, which the falsifier reads directly and
+family_sample_arrow wraps in an ArrowMatrix); RealizationConfig carries
+the seed only at the public API.  Then the
 diagonal-similarity normalization onto the arrowhead form (unit first
 row, dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the
 witness embedding that lifts a 4x4 realization to any larger order by
@@ -166,6 +169,17 @@ class ArrowMatrix:
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     """Characteristic polynomial det(xI - B) of the arrowhead form, by the spoke expansion.
 
+    The polynomial of _spoke_expansion on the arrow's integers, normalized.
+    Tests pin this closed form against the generic Berkowitz route.
+    """
+    return RationalPoly.from_ints(*_spoke_expansion(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den))
+
+
+def _spoke_expansion(
+    a: Sequence[int], c: int, b: Sequence[int], q: int
+) -> tuple[list[int], int]:
+    """(num, den) with det(xI - B) = sum(num[k] x**k) / den, for the arrow a / c, b / q.
+
     det(xI - B) = (x - a1) * x * prod_j (x + b_j)
                   - a2 * prod_j (x + b_j)
                   - sum_j a_{j+2} * x * prod_{m != j} (x + b_m)
@@ -178,15 +192,14 @@ def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
 
     with F(y) = prod_j (y + p_j) monic, so each spoke quotient comes from
     exact synthetic division and no power of q enters the O(n^2) loops;
-    the coefficient of x^k is G_k q^k / (c q^n).  Tests pin this closed
-    form against the generic Berkowitz route.
+    the coefficient of x^k is G_k q^k / (c q^n).  num is not reduced: it
+    is den > 0 times the monic polynomial, so its leading entry is den.
     """
-    a, c, q = arrow.a_num, arrow.a_den, arrow.b_den
     full = [1]  # F, low to high
-    for p in arrow.b_num:
+    for p in b:
         full = [p * lo + hi for lo, hi in zip(full + [0], [0] + full)]
     spokes = [0] * (len(full) - 1)  # sum_j A_{j+2} F / (y + p_j)
-    for weight, p in zip(a[2:], arrow.b_num):
+    for weight, p in zip(a[2:], b):
         quotient = full[-1]  # coefficients of F / (y + p), from the top down
         for k in range(len(full) - 2, -1, -1):
             spokes[k] += weight * quotient
@@ -202,7 +215,7 @@ def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     for gk in g:
         num.append(gk * scale)
         scale *= q
-    return RationalPoly.from_ints(num, c * scale // q)
+    return num, c * scale // q
 
 
 def family_index(matrix: Sequence[Sequence]) -> int | None:
@@ -281,16 +294,25 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
 def family_sample_arrow(pattern: SignPattern, seed: int) -> ArrowMatrix:
     """The arrow form of the sample for seed, as to_arrow_form reads it, from the integer draws alone.
 
-    pattern must be a family pattern; nothing is checked.  Its draws come
-    row-major: the first row, then B_k1 and, from k = 3 on, B_kk.  Then
-    a_1 = B_11, a_k = B_1k * B_k1 and b_j = -B_{j+2,j+2}, all dyadic; the
-    a_k and the b_j each go over their own power of two by _dyadic.
+    pattern must be a family pattern; nothing is checked.  The arrow's
+    integers are _family_draw's.
+    """
+    return ArrowMatrix.from_ints(*_family_draw(pattern, seed))
+
+
+def _family_draw(pattern: SignPattern, seed: int) -> tuple[list[int], int, list[int], int]:
+    """(a, a_den, b, b_den): the arrow of the sample for seed is a / a_den, b / b_den.
+
+    The draws of a family pattern come row-major: the first row, then B_k1
+    and, from k = 3 on, B_kk.  Then a_1 = B_11, a_k = B_1k * B_k1 and
+    b_j = -B_{j+2,j+2}, all dyadic; the a_k and the b_j each go over their
+    own power of two by _dyadic.
     """
     draws = list(_signed_draws(pattern, seed))
     head, rest = draws[: pattern.n], draws[pattern.n :]  # rest: B_21, B_31, B_33, B_41, B_44, ...
     column, diagonal = rest[:1] + rest[1::2], rest[2::2]
     a = head[:1] + [(p * m, f + e) for (p, f), (m, e) in zip(head[1:], column)]
-    return ArrowMatrix.from_ints(*_dyadic(a), *_dyadic([(-m, e) for m, e in diagonal]))
+    return (*_dyadic(a), *_dyadic([(-m, e) for m, e in diagonal]))
 
 
 # -- arrowhead normalization -------------------------------------------------

@@ -170,6 +170,36 @@ class TestFalsifier:
         assert all(ri in hn for ri, _ in report.histogram)
         assert sum(c for _, c in report.histogram) == 200
 
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_family_chunk_builds_no_arrow_polynomial_or_inertia(self, i, monkeypatch):
+        # A family sample goes from its integer draws to its four counts:
+        # no ArrowMatrix, RationalPoly or RefinedInertia is constructed.
+        # Every constructor of the first two runs _set; the control calls
+        # below show that each counter sees one construction.
+        built = Counter()
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args):
+                built[cls.__name__] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(ArrowMatrix, "_set")
+        counting(RationalPoly, "_set")
+        counting(RefinedInertia, "__init__")
+        pattern = family_pattern(i, 10)
+        refined_inertia_exact(arrow_char_poly(realization.family_sample_arrow(pattern, 1)))
+        assert built == {"ArrowMatrix": 1, "RationalPoly": 1, "RefinedInertia": 1}
+        task = _falsify_tasks(pattern, 40, RealizationConfig(seed=i), 1)[0]
+        built.clear()
+        histogram, _ = analysis._falsify_chunk(task)
+        assert built == {}
+        assert sum(histogram.values()) == 40
+        assert all(type(key) is tuple and len(key) == 4 for key in histogram)
+
     @pytest.mark.parametrize(
         "pattern",
         [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6, 10)]
@@ -369,13 +399,12 @@ class TestFalsifier:
         traces = [sum(sample[r][r] for r in range(n)) for sample in drawn]
         forced = {traces[13], traces[27]}
         assert sum(t in forced for t in traces) == 2
-        exact = analysis.refined_inertia_exact
+        exact = analysis._exact_inertia
 
-        def classify(p):
-            c = p.coeffs
-            return RefinedInertia(n, 0, 0, 0) if -c[-2] / c[-1] in forced else exact(p)
+        def classify(num):
+            return (n, 0, 0, 0) if Fraction(-num[-2], num[-1]) in forced else exact(num)
 
-        monkeypatch.setattr(analysis, "refined_inertia_exact", classify)
+        monkeypatch.setattr(analysis, "_exact_inertia", classify)
         # A worker thread shares the patched classifier on every platform;
         # it samples 20..39, so sample 27 is classified there.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -383,7 +412,7 @@ class TestFalsifier:
         assert len(thread_processes) == 1
         assert dict(serial.histogram)[RefinedInertia(n, 0, 0, 0)] == 2
         ce = serial.counterexample
-        assert ce == analysis._shrink_counterexample(drawn[13], hn_set(n))
+        assert ce == analysis._shrink_counterexample(drawn[13], analysis._hn_counts(n))
         assert sgn_of_matrix(ce) == pattern
         for r in range(n):
             for c in range(n):

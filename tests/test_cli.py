@@ -25,6 +25,7 @@ from refined_inertia.cli import (
 )
 from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
+from refined_inertia.ratpoly import RationalPoly, _primitive
 from refined_inertia.realization import ArrowMatrix, RealizationConfig, matrix_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -456,14 +457,14 @@ def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thr
     # The fault is raised in this process's chunk of order 5 before the
     # worker's result for that order is read, so the worker still owes
     # orders 5..7 and is killed.
-    exact = analysis.refined_inertia_exact
+    exact = analysis._exact_inertia
 
-    def broken_at_order_5(p):
-        if p.degree == 5:
+    def broken_at_order_5(num):
+        if len(num) - 1 == 5:
             raise InternalCheckError("forced failure at degree 5")
-        return exact(p)
+        return exact(num)
 
-    monkeypatch.setattr(analysis, "refined_inertia_exact", broken_at_order_5)
+    monkeypatch.setattr(analysis, "_exact_inertia", broken_at_order_5)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     assert main(argv + ["--jobs", "2"]) == EXIT_INTERNAL
@@ -483,14 +484,14 @@ def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thre
     target = realization.arrow_char_poly(
         realization.family_sample_arrow(family_pattern(2, 5), analysis._sample_seed(0 + 5, 13))
     )
-    exact = analysis.refined_inertia_exact
+    exact = analysis._exact_inertia
 
-    def broken_at_sample_13(p):
-        if p == target:
+    def broken_at_sample_13(num):
+        if RationalPoly.from_ints(num, num[-1]) == target:
             raise InternalCheckError("forced failure at sample 13")
-        return exact(p)
+        return exact(num)
 
-    monkeypatch.setattr(analysis, "refined_inertia_exact", broken_at_sample_13)
+    monkeypatch.setattr(analysis, "_exact_inertia", broken_at_sample_13)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     outputs = []
@@ -502,6 +503,46 @@ def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thre
     # The worker stopped at its own fault and owes nothing, so it is not killed.
     [worker] = thread_processes
     assert not worker.killed
+
+
+def test_falsifier_check_failure_names_a_polynomial_that_reproduces_it(capsys, monkeypatch, thread_processes):
+    # The chain miscounts one sample's half-plane split, sample 13 of order
+    # 5, at any positive scale.  The falsifier never normalizes that
+    # sample's polynomial, so its one line names a positive multiple of
+    # it, on which refined_inertia_exact fails the same check; --jobs 2
+    # meets the sample in the worker and prints the same line.
+    target = realization.arrow_char_poly(
+        realization.family_sample_arrow(family_pattern(2, 5), analysis._sample_seed(0 + 5, 13))
+    )
+    chain = engine.cauchy_index_line
+    first_calls = []
+    monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: first_calls.append(args) or chain(*args))
+    engine.refined_inertia_exact(target)
+    f0, f1, _ = first_calls[0]
+    miscounted = (_primitive(f0), _primitive(f1))
+
+    def miscounting(f0, f1, f0_odd):
+        index, tail = chain(f0, f1, f0_odd)
+        return index + ((_primitive(f0), _primitive(f1)) == miscounted), tail
+
+    monkeypatch.setattr(engine, "cauchy_index_line", miscounting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == EXIT_INTERNAL
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    [line] = outputs[0].err.splitlines()
+    prefix = "internal check failure at order 5: half-plane split has impossible parity; polynomial "
+    assert line.startswith(prefix)
+    data = json.loads(line[len(prefix) :])
+    named = RationalPoly.from_ints(data["num"], data["den"])
+    assert data["num"][-1] * data["den"] > 0
+    assert RationalPoly.from_ints(data["num"], data["num"][-1]) == target
+    with pytest.raises(InternalCheckError, match="impossible parity") as info:
+        engine.refined_inertia_exact(named)
+    assert f"polynomial {json.dumps(data)}" in str(info.value)
 
 
 @pytest.mark.skipif(

@@ -44,6 +44,68 @@ nonzero_rationals = st.builds(
 )
 
 
+# Factors whose roots are known by construction: each item is (kind, data)
+# for _with_known_roots.
+known_root_factors = st.lists(
+    st.one_of(
+        nonzero_rationals.map(lambda r: ("real", r)),
+        st.integers(min_value=1, max_value=3).map(lambda k: ("zero", k)),
+        st.tuples(positive_rationals, st.integers(min_value=1, max_value=3)).map(lambda cm: ("axis", cm)),
+        st.tuples(nonzero_rationals, positive_rationals).map(lambda ab: ("complex", ab)),
+        st.tuples(positive_rationals, st.integers(min_value=1, max_value=2)).map(
+            lambda cm: ("plus_minus", cm)
+        ),
+        st.tuples(positive_rationals, positive_rationals, st.integers(min_value=1, max_value=2)).map(
+            lambda abm: ("opposite_quadruple", abm)
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _with_known_roots(factors, lead):
+    """(p, counts): lead times the product of the factors, and its refined inertia as a 4-tuple.
+
+    Each factor's roots are known by construction, so the counts do not
+    depend on the engine under test.  Repeated axis, plus_minus and
+    opposite_quadruple factors leave roots in every level of the tail's
+    gcd chain, not all of them on the axis.
+    """
+    p = RationalPoly((lead,))
+    counts = [0, 0, 0, 0]  # n_plus, n_minus, n_zero, two_n_p
+    for kind, data in factors:
+        if kind == "real":  # x - r
+            p = mul(p, RationalPoly((-data, 1)))
+            counts[0 if data > 0 else 1] += 1
+        elif kind == "zero":  # x^k
+            p = mul(p, RationalPoly((0,) * data + (1,)))
+            counts[2] += data
+        elif kind == "axis":  # (x^2 + c)^m: roots +-i*sqrt(c), m times
+            c, m = data
+            p = mul(p, power(RationalPoly((c, 0, 1)), m))
+            counts[3] += 2 * m
+        elif kind == "complex":  # x^2 - 2*alpha*x + alpha^2 + beta^2: alpha +- i*beta
+            alpha, beta = data
+            p = mul(p, RationalPoly((alpha**2 + beta**2, -2 * alpha, 1)))
+            counts[0 if alpha > 0 else 1] += 2
+        elif kind == "opposite_quadruple":  # roots +-alpha +- i*beta, m times
+            # gcd(Re, Im) of q(i*w) keeps this factor's image, which has
+            # no real roots: a nonconstant chain tail with no axis pair
+            alpha, beta, m = data
+            norm = alpha**2 + beta**2
+            quadruple = mul(RationalPoly((norm, -2 * alpha, 1)), RationalPoly((norm, 2 * alpha, 1)))
+            p = mul(p, power(quadruple, m))
+            counts[0] += 2 * m
+            counts[1] += 2 * m
+        else:  # (x^2 - c)^m: roots +-sqrt(c), m times
+            c, m = data
+            p = mul(p, power(RationalPoly((-c, 0, 1)), m))
+            counts[0] += m
+            counts[1] += m
+    return p, tuple(counts)
+
+
 def cofactor_char_poly(matrix):
     """Independent oracle: det(xI - B) by cofactor expansion over poly entries."""
     n = len(matrix)
@@ -201,6 +263,30 @@ def test_integer_kernel_is_permutation_invariant(n):
         assert engine._integer_char_poly(permuted, common) == engine._integer_char_poly(A, common)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_integer_kernel_on_diagonal_leading_blocks(n):
+    # While the leading block is diagonal, a dense border's Krylov entries
+    # are power sums over its diagonal, here with zero and repeated
+    # entries.  Each matrix keeps its leading block diagonal up to a split;
+    # in half of them the split's border is zero on its column side only,
+    # so its row ends the diagonal block there and the next dense border
+    # must form Krylov products.
+    rng = random.Random(730 + n)
+    for split in range(1, n):
+        for one_sided in (False, True):
+            for _ in range(4):
+                A = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+                for i in range(split):
+                    A[i][:split] = [0] * split
+                    A[i][i] = rng.choice((0, 2, 2, -3))
+                if one_sided:
+                    for i in range(split):
+                        A[i][split] = 0
+                    A[split][0] = rng.choice((-2, 1, 3))
+                for common in (1, 3):
+                    assert _kernel_matches_oracle(A, common)
+
+
 def test_char_poly_constant_term_is_det_of_negated_matrix():
     arrow = ArrowMatrix([1, 1, 1, 1], [1, 2])
     M = arrow.to_matrix()
@@ -314,65 +400,24 @@ class TestExactInertia:
         assert refined_inertia_exact(RationalPoly((-2, 0, 0, 0, 1))) == RefinedInertia(1, 1, 0, 2)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                nonzero_rationals.map(lambda r: ("real", r)),
-                st.integers(min_value=1, max_value=3).map(lambda k: ("zero", k)),
-                st.tuples(positive_rationals, st.integers(min_value=1, max_value=3)).map(
-                    lambda cm: ("axis", cm)
-                ),
-                st.tuples(nonzero_rationals, positive_rationals).map(lambda ab: ("complex", ab)),
-                st.tuples(positive_rationals, st.integers(min_value=1, max_value=2)).map(
-                    lambda cm: ("plus_minus", cm)
-                ),
-                st.tuples(
-                    positive_rationals, positive_rationals, st.integers(min_value=1, max_value=2)
-                ).map(lambda abm: ("opposite_quadruple", abm)),
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        nonzero_rationals,
-    )
+    @given(known_root_factors, nonzero_rationals)
     @example(factors=[("axis", (1, 3)), ("axis", (4, 2)), ("plus_minus", (2, 2))], lead=1)
     def test_known_root_multisets(self, factors, lead):
-        # Each factor's roots are known by construction, so the expected
-        # counts do not depend on the engine under test.  Repeated axis,
-        # plus_minus and opposite_quadruple factors leave roots in every
-        # level of the tail's gcd chain, not all of them on the axis.
-        p = RationalPoly((lead,))
-        counts = [0, 0, 0, 0]  # n_plus, n_minus, n_zero, two_n_p
-        for kind, data in factors:
-            if kind == "real":  # x - r
-                p = mul(p, RationalPoly((-data, 1)))
-                counts[0 if data > 0 else 1] += 1
-            elif kind == "zero":  # x^k
-                p = mul(p, RationalPoly((0,) * data + (1,)))
-                counts[2] += data
-            elif kind == "axis":  # (x^2 + c)^m: roots +-i*sqrt(c), m times
-                c, m = data
-                p = mul(p, power(RationalPoly((c, 0, 1)), m))
-                counts[3] += 2 * m
-            elif kind == "complex":  # x^2 - 2*alpha*x + alpha^2 + beta^2: alpha +- i*beta
-                alpha, beta = data
-                p = mul(p, RationalPoly((alpha**2 + beta**2, -2 * alpha, 1)))
-                counts[0 if alpha > 0 else 1] += 2
-            elif kind == "opposite_quadruple":  # roots +-alpha +- i*beta, m times
-                # gcd(Re, Im) of q(i*w) keeps this factor's image, which has
-                # no real roots: a nonconstant chain tail with no axis pair
-                alpha, beta, m = data
-                norm = alpha**2 + beta**2
-                quadruple = mul(RationalPoly((norm, -2 * alpha, 1)), RationalPoly((norm, 2 * alpha, 1)))
-                p = mul(p, power(quadruple, m))
-                counts[0] += 2 * m
-                counts[1] += 2 * m
-            else:  # (x^2 - c)^m: roots +-sqrt(c), m times
-                c, m = data
-                p = mul(p, power(RationalPoly((-c, 0, 1)), m))
-                counts[0] += m
-                counts[1] += m
-        assert refined_inertia_exact(p).as_tuple() == tuple(counts)
+        p, counts = _with_known_roots(factors, lead)
+        assert refined_inertia_exact(p).as_tuple() == counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(known_root_factors, nonzero_rationals)
+    @example(factors=[("zero", 2), ("axis", (3, 2)), ("opposite_quadruple", (1, 2, 2))], lead=1)
+    @example(factors=[("zero", 1), ("axis", (1, 3)), ("opposite_quadruple", (2, 1, 1))], lead=-5)
+    def test_integer_counts_ignore_the_scale(self, factors, lead):
+        # The falsifier counts roots from integer coefficients it never
+        # normalizes, so any nonzero multiple, of either sign and past 64
+        # bits, must give refined_inertia_exact's counts.
+        p, counts = _with_known_roots(factors, lead)
+        assert refined_inertia_exact(p).as_tuple() == counts
+        for c in (7, -1, 2**64 + 1):
+            assert engine._inertia_counts([c * x for x in p.num]) == counts
 
     @settings(max_examples=80, deadline=None)
     @given(
