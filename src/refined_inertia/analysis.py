@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -38,7 +39,10 @@ from .realization import (
     MembershipError,
     RationalMatrix,
     RealizationConfig,
+    _draw_rows,
     _family_draw,
+    _signed_draws,
+    _signs,
     _spoke_expansion,
     arrow_char_poly,
     embed_witness,
@@ -46,7 +50,6 @@ from .realization import (
     family_sample_arrow,
     matrix_to_json,
     sample_realization,
-    sample_rows,
 )
 
 
@@ -226,12 +229,12 @@ def _sample_seed(base: int, index: int) -> int:
 def _exact_inertia(num: Sequence[int]) -> tuple[int, int, int, int]:
     """Inertia counts of a falsifier sample or shrink candidate, as a 4-tuple.
 
-    num holds the integer coefficients of a positive multiple of its
-    characteristic polynomial, low to high.  This is how the falsifier
-    classifies every one: _falsify_chunk builds a sample's from its
-    integer draws, and _shrink_counterexample a candidate's by char_poly.
-    An internal-check failure names num over 1, a polynomial that
-    reproduces it through refined_inertia_exact.
+    num holds the integer coefficients, low to high, of a polynomial whose
+    roots are a positive multiple of the eigenvalues, which keeps every
+    count.  This is how the falsifier classifies every one: _falsify_chunk
+    builds a sample's from its integer draws, and _shrink_counterexample a
+    candidate's by char_poly.  An internal-check failure names num over 1,
+    a polynomial that reproduces it through refined_inertia_exact.
     """
     return _inertia_counts(num)
 
@@ -239,23 +242,30 @@ def _exact_inertia(num: Sequence[int]) -> tuple[int, int, int, int]:
 def _falsify_chunk(args) -> tuple[dict, int | None]:
     """Histogram of samples start..start+count-1 and the index of the first outside one.
 
-    Each sample goes from its integer draws to integer coefficients of its
-    characteristic polynomial and on to its four counts, which key the
-    histogram and are looked up in the task's members, a set of 4-tuples.
-    When the task's family flag is set, the draws are the arrow's integers
-    (realization._family_draw) and the coefficients come from the spoke
-    expansion (realization._spoke_expansion); no ArrowMatrix, RationalPoly
-    or RefinedInertia is built.  Otherwise Berkowitz runs on the integer
-    rows (sample_rows).  No sample becomes a Fraction.
+    The pattern's nonzero signs are read, and one generator made, once per
+    call; each sample reseeds that generator (realization._signed_draws),
+    so chunks that run at the same time never share one.  Each sample goes
+    from its integer draws to the integer coefficients of a polynomial
+    with its eigenvalues' refined inertia and on to its four counts, which
+    key the histogram and are looked up in the task's members, a set of
+    4-tuples.  When the task's family flag is set, the draws are read as
+    the arrow's integers (realization._family_draw) and the polynomial is
+    the spoke expansion's G(y), whose roots are b_den > 0 times the
+    eigenvalues (realization._spoke_expansion); no ArrowMatrix,
+    RationalPoly or RefinedInertia is built.  Otherwise Berkowitz runs on
+    the draws laid out as integer rows (realization._draw_rows).  No sample
+    becomes a Fraction.
     """
     pattern, family, seed, start, count, members = args
+    signs, rng = _signs(pattern), random.Random(seed)  # seeded to skip an OS entropy read
     histogram: Counter = Counter()
     first_outside: int | None = None
     for k in range(start, start + count):
+        draws = _signed_draws(signs, _sample_seed(seed, k), rng)
         if family:
-            num, _ = _spoke_expansion(*_family_draw(pattern, _sample_seed(seed, k)))
+            num = _spoke_expansion(*_family_draw(draws))
         else:
-            num = _integer_char_poly(*sample_rows(pattern, _sample_seed(seed, k))).num
+            num = _integer_char_poly(*_draw_rows(pattern, draws)).num
         counts = _exact_inertia(num)
         if counts not in members and first_outside is None:
             first_outside = k

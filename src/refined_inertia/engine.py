@@ -9,9 +9,10 @@ trailing coefficients, everything else from the one remainder-chain
 routine, :func:`~refined_inertia.ratpoly.cauchy_index_line`.  The
 argument is written once, in the docstrings of _inertia_counts and
 cauchy_index_line.  _inertia_counts takes integer coefficients at any
-nonzero scale and returns a plain 4-tuple, so the falsifier and the
-shifted counts call it on unreduced integers and build no
-RationalPoly or RefinedInertia.
+nonzero scale and returns a plain 4-tuple, so the shifted counts call it
+on unreduced integers, and the falsifier on a family sample's spoke
+expansion G(y), whose roots are a positive multiple of the eigenvalues,
+and neither builds a RationalPoly or RefinedInertia.
 
 The numeric path is a dense eigensolve with a relative axis tolerance; it
 alone uses numpy, imported on first use, so the exact core runs on the

@@ -7,14 +7,16 @@ Fraction view (_fraction_rows, behind ArrowMatrix.to_matrix and
 sample_realization); the arrowhead parameters themselves (ArrowMatrix,
 integers over one common denominator for the a_k and another for the
 b_j, with their spoke-expansion characteristic polynomial,
-arrow_char_poly over the integer kernel _spoke_expansion, and the sign
-rule for family membership); sampling a qualitative class Q(P) with
-exact dyadic entries drawn from integers alone (no floating point, so a
-seed fixes the samples on every platform).  A sample is its integer
-seed: one draw generator yields its (+-m, e) pairs and one reader,
-_dyadic, brings them over one power of two, as matrix rows (sample_rows)
-or, for a family pattern, as the arrowhead parameters' integers
-(_family_draw, which the falsifier reads directly and
+arrow_char_poly, which rescales the integer kernel _spoke_expansion's
+G(y), and the sign rule for family membership); sampling a qualitative
+class Q(P) with exact dyadic entries drawn from integers alone (no
+floating point, so a seed fixes the samples on every platform).  A
+sample is its integer seed: one draw loop, _signed_draws, reseeds a
+caller's generator and returns the (+-m, e) pairs for the pattern's
+nonzero signs (_signs) as one list, and one reader, _dyadic, brings
+them over one power of two, as matrix rows (_draw_rows, behind
+sample_rows) or, for a family pattern, as the arrowhead parameters'
+integers (_family_draw, which the falsifier reads directly and
 family_sample_arrow wraps in an ArrowMatrix); RealizationConfig carries
 the seed only at the public API.  Then the
 diagonal-similarity normalization onto the arrowhead form (unit first
@@ -32,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .patterns import SignPattern, family_pattern, sgn_of_matrix
 from .ratpoly import RationalPoly, over_common
@@ -169,16 +171,17 @@ class ArrowMatrix:
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     """Characteristic polynomial det(xI - B) of the arrowhead form, by the spoke expansion.
 
-    The polynomial of _spoke_expansion on the arrow's integers, normalized.
-    Tests pin this closed form against the generic Berkowitz route.
+    _spoke_expansion's G(y) on the arrow's integers, rescaled to
+    det(xI - B) = sum(G_k q**k x**k) / (c q**n) and normalized.  Tests pin
+    this closed form against the generic Berkowitz route.
     """
-    return RationalPoly.from_ints(*_spoke_expansion(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den))
+    g = _spoke_expansion(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den)
+    q = arrow.b_den
+    return RationalPoly.from_ints([gk * q**k for k, gk in enumerate(g)], arrow.a_den * q ** (len(g) - 1))
 
 
-def _spoke_expansion(
-    a: Sequence[int], c: int, b: Sequence[int], q: int
-) -> tuple[list[int], int]:
-    """(num, den) with det(xI - B) = sum(num[k] x**k) / den, for the arrow a / c, b / q.
+def _spoke_expansion(a: Sequence[int], c: int, b: Sequence[int], q: int) -> list[int]:
+    """G(y), low to high, with G(q x) = c q**n det(xI - B) for the arrow a / c, b / q.
 
     det(xI - B) = (x - a1) * x * prod_j (x + b_j)
                   - a2 * prod_j (x + b_j)
@@ -188,34 +191,26 @@ def _spoke_expansion(
     put y = q x, so that x + b_j = (y + p_j) / q.  Then c q^n det(xI - B)
     is the integer polynomial
 
-        G(y) = (c y - q A_1) y F(y) - q^2 A_2 F(y) - q^2 y sum_j A_{j+2} F(y) / (y + p_j)
+        G(y) = (c y - q A_1) y F(y) - q^2 A_2 F(y) - q^2 y H(y)
 
-    with F(y) = prod_j (y + p_j) monic, so each spoke quotient comes from
-    exact synthetic division and no power of q enters the O(n^2) loops;
-    the coefficient of x^k is G_k q^k / (c q^n).  num is not reduced: it
-    is den > 0 times the monic polynomial, so its leading entry is den.
+    with F(y) = prod_j (y + p_j) and H(y) = sum_j A_{j+2} prod_{m != j} (y + p_m).
+    One pass over the spokes builds both by the product rule, H <- H (y + p)
+    + A F and then F <- F (y + p), and no power of q enters it.  The roots
+    of G are q > 0 times the eigenvalues, so G has the matrix's refined
+    inertia; the coefficient of x^k in det(xI - B) is G_k q^k / (c q^n).
     """
-    full = [1]  # F, low to high
-    for p in b:
-        full = [p * lo + hi for lo, hi in zip(full + [0], [0] + full)]
-    spokes = [0] * (len(full) - 1)  # sum_j A_{j+2} F / (y + p_j)
+    full, spokes = [1], []  # F and H, low to high
     for weight, p in zip(a[2:], b):
-        quotient = full[-1]  # coefficients of F / (y + p), from the top down
-        for k in range(len(full) - 2, -1, -1):
-            spokes[k] += weight * quotient
-            quotient = full[k] - p * quotient
+        spokes = [p * lo + hi + weight * f for lo, hi, f in zip(spokes + [0], [0] + spokes, full)]
+        full = [p * lo + hi for lo, hi in zip(full + [0], [0] + full)]
     g = [0, 0] + [c * f for f in full]  # G, low to high, from its first term c y^2 F
     qa1, q2a2, q2 = q * a[0], q * q * a[1], q * q
     for k, f in enumerate(full):
         g[k + 1] -= qa1 * f
         g[k] -= q2a2 * f
-    for k, s in enumerate(spokes):
-        g[k + 1] -= q2 * s
-    num, scale = [], 1  # num[k] = G_k q^k, and scale ends at q^(n+1)
-    for gk in g:
-        num.append(gk * scale)
-        scale *= q
-    return num, c * scale // q
+    for k, h in enumerate(spokes):
+        g[k + 1] -= q2 * h
+    return g
 
 
 def family_index(matrix: Sequence[Sequence]) -> int | None:
@@ -239,31 +234,39 @@ class RealizationConfig:
     seed: int = 0
 
 
-def _signed_draws(pattern: SignPattern, seed: int) -> Iterator[tuple[int, int]]:
-    """(+-m, e) for each nonzero entry of pattern, row-major: the entry is +-m / 2**e.
+def _signs(pattern: SignPattern) -> list[int]:
+    """The nonzero signs of pattern, row-major, as plain ints: what _signed_draws reads."""
+    return [int(s) for row in pattern.rows for s in row if s]
 
-    This is the one place a sample is drawn.  The mantissa m comes from
-    [2**12, 2**13) and then the exponent e from [3, 23): log-uniform to
-    within a factor of two over [2**-10, 2**10), so samples span six
-    decades, every denominator is a power of two, and the stream depends
-    only on the seed and Python's integer Mersenne Twister, never on
-    platform floats.  Each is drawn by the rejection loop randrange runs
-    (getrandbits of the range's bit length, redrawn until it falls inside
-    the range), inlined: the stream is randrange(2**12, 2**13) then
-    randrange(3, 23) per entry, bit for bit, without randrange's
+
+def _signed_draws(signs: Sequence[int], seed: int, rng: random.Random) -> list[tuple[int, int]]:
+    """(s * m, e) for each sign s of signs: the entry is s * m / 2**e.
+
+    This is the one place a sample is drawn.  rng is the caller's and is
+    reseeded with seed here, which puts it in the state random.Random(seed)
+    starts in, so a caller can draw many samples from one generator.  The
+    mantissa m comes from [2**12, 2**13) and then the exponent e from
+    [3, 23): log-uniform to within a factor of two over [2**-10, 2**10), so
+    samples span six decades, every denominator is a power of two, and the
+    stream depends only on the seed and Python's integer Mersenne Twister,
+    never on platform floats.  Each is drawn by the rejection loop
+    randrange runs (getrandbits of the range's bit length, redrawn until it
+    falls inside the range), inlined: the stream is randrange(2**12, 2**13)
+    then randrange(3, 23) per entry, bit for bit, without randrange's
     argument handling.
     """
-    bits = random.Random(seed).getrandbits
-    for row in pattern.rows:
-        for s in row:
-            if s:
-                m = bits(13)
-                while m >= 4096:
-                    m = bits(13)
-                e = bits(5)
-                while e >= 20:
-                    e = bits(5)
-                yield s * (m + 4096), e + 3
+    rng.seed(seed)
+    bits = rng.getrandbits
+    draws = []
+    for s in signs:
+        m = bits(13)
+        while m >= 4096:
+            m = bits(13)
+        e = bits(5)
+        while e >= 20:
+            e = bits(5)
+        draws.append((s * (m + 4096), e + 3))
+    return draws
 
 
 def _dyadic(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -275,11 +278,25 @@ def _dyadic(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [m << (top - e) for m, e in draws], 1 << top
 
 
-def sample_rows(pattern: SignPattern, seed: int) -> tuple[list[list[int]], int]:
-    """(A, common): the sample of Q(pattern) for seed is A / common, read from its draws by _dyadic."""
-    nums, common = _dyadic(list(_signed_draws(pattern, seed)))
+def _draw_rows(pattern: SignPattern, draws: Sequence[tuple[int, int]]) -> tuple[list[list[int]], int]:
+    """(A, common): pattern's draws, from _signed_draws on its _signs, laid out as A / common by _dyadic."""
+    nums, common = _dyadic(draws)
     entries = iter(nums)
     return [[next(entries) if s else 0 for s in row] for row in pattern.rows], common
+
+
+def _draws_of(pattern: SignPattern, seed: int) -> list[tuple[int, int]]:
+    """_signed_draws for one sample of pattern, on a generator of its own.
+
+    The generator is built with the seed only to skip the OS entropy read
+    that random.Random() makes; _signed_draws reseeds it either way.
+    """
+    return _signed_draws(_signs(pattern), seed, random.Random(seed))
+
+
+def sample_rows(pattern: SignPattern, seed: int) -> tuple[list[list[int]], int]:
+    """(A, common): the sample of Q(pattern) for seed is A / common, read from its draws by _dyadic."""
+    return _draw_rows(pattern, _draws_of(pattern, seed))
 
 
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
@@ -297,19 +314,19 @@ def family_sample_arrow(pattern: SignPattern, seed: int) -> ArrowMatrix:
     pattern must be a family pattern; nothing is checked.  The arrow's
     integers are _family_draw's.
     """
-    return ArrowMatrix.from_ints(*_family_draw(pattern, seed))
+    return ArrowMatrix.from_ints(*_family_draw(_draws_of(pattern, seed)))
 
 
-def _family_draw(pattern: SignPattern, seed: int) -> tuple[list[int], int, list[int], int]:
-    """(a, a_den, b, b_den): the arrow of the sample for seed is a / a_den, b / b_den.
+def _family_draw(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int, list[int], int]:
+    """(a, a_den, b, b_den): the arrow of a family pattern's sample is a / a_den, b / b_den.
 
-    The draws of a family pattern come row-major: the first row, then B_k1
-    and, from k = 3 on, B_kk.  Then a_1 = B_11, a_k = B_1k * B_k1 and
-    b_j = -B_{j+2,j+2}, all dyadic; the a_k and the b_j each go over their
-    own power of two by _dyadic.
+    draws is _signed_draws' list for the pattern, 3n - 3 pairs at order n,
+    row-major: the first row, then B_k1 and, from k = 3 on, B_kk.  Then
+    a_1 = B_11, a_k = B_1k * B_k1 and b_j = -B_{j+2,j+2}, all dyadic; the
+    a_k and the b_j each go over their own power of two by _dyadic.
     """
-    draws = list(_signed_draws(pattern, seed))
-    head, rest = draws[: pattern.n], draws[pattern.n :]  # rest: B_21, B_31, B_33, B_41, B_44, ...
+    n = len(draws) // 3 + 1
+    head, rest = draws[:n], draws[n:]  # rest: B_21, B_31, B_33, B_41, B_44, ...
     column, diagonal = rest[:1] + rest[1::2], rest[2::2]
     a = head[:1] + [(p * m, f + e) for (p, f), (m, e) in zip(head[1:], column)]
     return (*_dyadic(a), *_dyadic([(-m, e) for m, e in diagonal]))

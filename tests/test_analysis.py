@@ -200,6 +200,22 @@ class TestFalsifier:
         assert sum(histogram.values()) == 40
         assert all(type(key) is tuple and len(key) == 4 for key in histogram)
 
+    def test_family_chunk_makes_one_generator(self, monkeypatch):
+        # The chunk reseeds one generator per sample rather than making one:
+        # 50 samples at order 10 construct exactly one random.Random.
+        made = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        task = _falsify_tasks(family_pattern(2, 10), 50, RealizationConfig(seed=3), 1)[0]
+        expected = analysis._falsify_chunk(task)
+        monkeypatch.setattr(random, "Random", Counted)
+        assert analysis._falsify_chunk(task) == expected
+        assert len(made) == 1
+
     @pytest.mark.parametrize(
         "pattern",
         [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6, 10)]
@@ -388,8 +404,11 @@ class TestFalsifier:
             )
 
     def test_family_counterexample_is_the_shrunk_first_outside_sample(self, monkeypatch, thread_processes):
-        # Samples 13 and 27 are forced outside the target set by their trace,
-        # which a shrink move keeps exactly when it leaves the diagonal alone.
+        # Samples 13 and 27 are forced outside the target set.  The falsifier
+        # classifies a family sample by its spoke expansion G(y), which
+        # recognises them; a shrink candidate goes through char_poly and is
+        # recognised by its trace, which a shrink move keeps exactly when it
+        # leaves the diagonal alone.  No sample's G reads as a forced trace.
         pattern, n, budget = family_pattern(2, 6), 6, 40
         cfg = RealizationConfig(seed=17)
         drawn = [
@@ -399,10 +418,21 @@ class TestFalsifier:
         traces = [sum(sample[r][r] for r in range(n)) for sample in drawn]
         forced = {traces[13], traces[27]}
         assert sum(t in forced for t in traces) == 2
+        rng, signs = random.Random(), realization._signs(pattern)
+        spokes = [
+            realization._spoke_expansion(
+                *realization._family_draw(realization._signed_draws(signs, _sample_seed(cfg.seed, k), rng))
+            )
+            for k in range(budget)
+        ]
+        forced_spokes = [spokes[13], spokes[27]]
+        assert not any(Fraction(-g[-2], g[-1]) in forced for g in spokes)
         exact = analysis._exact_inertia
 
         def classify(num):
-            return (n, 0, 0, 0) if Fraction(-num[-2], num[-1]) in forced else exact(num)
+            if num in forced_spokes or Fraction(-num[-2], num[-1]) in forced:
+                return (n, 0, 0, 0)
+            return exact(num)
 
         monkeypatch.setattr(analysis, "_exact_inertia", classify)
         # A worker thread shares the patched classifier on every platform;

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -477,17 +478,26 @@ def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thr
     assert not worker.is_alive()
 
 
+def _analyze_order_5_sample_13():
+    """Sample 13 of order 5 in `riq analyze -i 2 --seed 0`: its arrow's integers and their G(y).
+
+    G is _spoke_expansion's polynomial, the one the falsifier classifies.
+    """
+    pattern = family_pattern(2, 5)
+    draws = realization._signed_draws(realization._signs(pattern), analysis._sample_seed(0 + 5, 13), random.Random())
+    draw = realization._family_draw(draws)
+    return draw, realization._spoke_expansion(*draw)
+
+
 def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thread_processes):
     # Sample 13 of order 5 falls in the worker's chunk at --jobs 2 (samples
     # 10..19) and in this process's at --jobs 1: its classifier fails in
     # either, and the run stops at the same order with the same line.
-    target = realization.arrow_char_poly(
-        realization.family_sample_arrow(family_pattern(2, 5), analysis._sample_seed(0 + 5, 13))
-    )
+    _, target = _analyze_order_5_sample_13()
     exact = analysis._exact_inertia
 
     def broken_at_sample_13(num):
-        if RationalPoly.from_ints(num, num[-1]) == target:
+        if num == target:
             raise InternalCheckError("forced failure at sample 13")
         return exact(num)
 
@@ -507,17 +517,16 @@ def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thre
 
 def test_falsifier_check_failure_names_a_polynomial_that_reproduces_it(capsys, monkeypatch, thread_processes):
     # The chain miscounts one sample's half-plane split, sample 13 of order
-    # 5, at any positive scale.  The falsifier never normalizes that
-    # sample's polynomial, so its one line names a positive multiple of
-    # it, on which refined_inertia_exact fails the same check; --jobs 2
-    # meets the sample in the worker and prints the same line.
-    target = realization.arrow_char_poly(
-        realization.family_sample_arrow(family_pattern(2, 5), analysis._sample_seed(0 + 5, 13))
-    )
+    # 5, at any positive scale.  The falsifier classifies that sample's
+    # spoke expansion G(y) as it comes, so its one line names G, which
+    # rescales to the sample's characteristic polynomial and on which
+    # refined_inertia_exact fails the same check; --jobs 2 meets the
+    # sample in the worker and prints the same line.
+    (a, c, b, q), target = _analyze_order_5_sample_13()
     chain = engine.cauchy_index_line
     first_calls = []
     monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: first_calls.append(args) or chain(*args))
-    engine.refined_inertia_exact(target)
+    engine._inertia_counts(target)
     f0, f1, _ = first_calls[0]
     miscounted = (_primitive(f0), _primitive(f1))
 
@@ -537,9 +546,10 @@ def test_falsifier_check_failure_names_a_polynomial_that_reproduces_it(capsys, m
     prefix = "internal check failure at order 5: half-plane split has impossible parity; polynomial "
     assert line.startswith(prefix)
     data = json.loads(line[len(prefix) :])
+    assert data == {"num": target, "den": 1}
+    rescaled = RationalPoly.from_ints([g * q**k for k, g in enumerate(target)], c * q**5)
+    assert rescaled == realization.arrow_char_poly(ArrowMatrix.from_ints(a, c, b, q))
     named = RationalPoly.from_ints(data["num"], data["den"])
-    assert data["num"][-1] * data["den"] > 0
-    assert RationalPoly.from_ints(data["num"], data["num"][-1]) == target
     with pytest.raises(InternalCheckError, match="impossible parity") as info:
         engine.refined_inertia_exact(named)
     assert f"polynomial {json.dumps(data)}" in str(info.value)

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from refined_inertia.analysis import _falsify_chunk, _sample_seed, hn_set, witness_suite
-from refined_inertia.engine import char_poly, det_rational, refined_inertia_exact
+from refined_inertia.engine import (
+    _inertia_counts,
+    _integer_char_poly,
+    char_poly,
+    det_rational,
+    refined_inertia_exact,
+)
 from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly, squarefree_decomposition
 from refined_inertia.realization import (
@@ -16,7 +22,10 @@ from refined_inertia.realization import (
     MembershipError,
     RealizationConfig,
     _dyadic,
+    _family_draw,
     _signed_draws,
+    _signs,
+    _spoke_expansion,
     arrow_char_poly,
     deflate_repeated,
     embed_witness,
@@ -87,6 +96,53 @@ def test_arrow_char_poly_matches_generic_engine():
         assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix())
 
 
+def _spoke_arrows():
+    """Seeded arrows of orders 4..12 and 40 over unreduced denominators.
+
+    One in three has every b_j equal to one value, and one in three every
+    spoke weight a_3..a_n equal, so the product rule meets repeated factors
+    y + p and equal weights.
+    """
+    rng = random.Random(2417)
+    arrows = []
+    for n in [*range(4, 13), 40]:
+        for k in range(6):
+            a = [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n)]
+            b = [rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(n - 2)]
+            if k % 3 == 1:
+                b = [b[0]] * (n - 2)
+            if k % 3 == 2:
+                a[2:] = [a[2]] * (n - 2)
+            arrows.append(ArrowMatrix.from_ints(a, rng.randint(1, 12) * 4, b, rng.randint(1, 12) * 6))
+    return arrows
+
+
+def test_spoke_expansion_rescaled_is_berkowitz():
+    # G(q x) = c q**n det(xI - B): G_k q**k over c q**n is the characteristic
+    # polynomial that Berkowitz computes from the arrow's integer rows.
+    for arrow in _spoke_arrows():
+        g = _spoke_expansion(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den)
+        q, n = arrow.b_den, arrow.n
+        assert len(g) == n + 1 and g[-1] == arrow.a_den
+        rescaled = RationalPoly.from_ints([gk * q**k for k, gk in enumerate(g)], arrow.a_den * q**n)
+        assert rescaled == _integer_char_poly(*arrow.integer_rows()), (n, arrow.to_json())
+        assert rescaled == arrow_char_poly(arrow)
+
+
+def test_falsifier_counts_on_g_are_the_characteristic_polynomials():
+    # G's roots are b_den > 0 times the eigenvalues, so _inertia_counts on
+    # G is the refined inertia of the rescaled characteristic polynomial,
+    # on samples shaped like the falsifier's acceptance grid.
+    rng = random.Random()
+    for i in (1, 2, 3):
+        for n in range(4, 11):
+            signs = _signs(family_pattern(i, n))
+            for k in range(100):
+                draw = _family_draw(_signed_draws(signs, _sample_seed(1, k), rng))
+                expected = refined_inertia_exact(arrow_char_poly(ArrowMatrix.from_ints(*draw)))
+                assert _inertia_counts(_spoke_expansion(*draw)) == expected.as_tuple(), (i, n, k)
+
+
 def _chunk_matches_the_rational_route(pattern, family, base, count):
     """_falsify_chunk classifies each sample as the Fraction route does, one sample per task.
 
@@ -145,7 +201,7 @@ def test_sample_char_poly_is_the_rational_route(pattern):
     assert family_index(pattern.rows) is None
     for k in range(60):
         seed = pattern.n * 1000 + k
-        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(pattern, seed))
+        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(_signs(pattern), seed, random.Random()))
         expected = tuple(tuple(next(entries) if s else 0 for s in row) for row in pattern.rows)
         rows, common = sample_rows(pattern, seed)
         assert common & (common - 1) == 0
@@ -188,8 +244,10 @@ class TestSampler:
                         assert den & (den - 1) == 0 and den <= 2**22
 
     def test_draws_are_the_randrange_stream(self):
-        # _signed_draws inlines randrange's rejection loop; its stream must be
-        # two randrange calls per nonzero entry, mantissa first, bit for bit.
+        # _signed_draws inlines randrange's rejection loop and reseeds the
+        # caller's generator; its stream must be two randrange calls per
+        # nonzero entry, mantissa first, bit for bit, from random.Random(seed),
+        # however the one reused generator was left by the previous sample.
         def reference(pattern, seed):
             rng = random.Random(seed)
             return [
@@ -200,11 +258,16 @@ class TestSampler:
             ]
 
         all_plus = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
+        all_zero = SignPattern([[Sign.ZERO] * 4 for _ in range(4)])
         families = [family_pattern(i, n) for i in (1, 2, 3) for n in range(4, 11)]
-        for pattern in families + [all_plus]:
-            for seed in range(200):
-                draws = list(_signed_draws(pattern, seed))
-                assert draws == reference(pattern, seed)
+        patterns = families + [all_plus, all_zero]
+        rng = random.Random()
+        for seed in range(200):
+            turn = seed % len(patterns)
+            for pattern in patterns[turn:] + patterns[:turn]:
+                draws = _signed_draws(_signs(pattern), seed, rng)
+                assert type(draws) is list
+                assert draws == reference(pattern, seed), (pattern.n, seed)
 
     def test_dyadic_of_no_draws(self):
         assert _dyadic([]) == ([], 1)
