@@ -41,13 +41,13 @@ from .realization import (
     RealizationConfig,
     _draw_rows,
     _family_draw,
+    _redraw_tied_diagonal,
     _signed_draws,
     _signs,
     _spoke_expansion,
     arrow_char_poly,
     embed_witness,
     family_index,
-    family_sample_arrow,
     matrix_to_json,
     sample_realization,
 )
@@ -243,25 +243,27 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
     """Histogram of samples start..start+count-1 and the index of the first outside one.
 
     The pattern's nonzero signs are read, and one generator made, once per
-    call; each sample reseeds that generator (realization._signed_draws),
-    so chunks that run at the same time never share one.  Each sample goes
-    from its integer draws to the integer coefficients of a polynomial
-    with its eigenvalues' refined inertia and on to its four counts, which
-    key the histogram and are looked up in the task's members, a set of
-    4-tuples.  When the task's family flag is set, the draws are read as
-    the arrow's integers (realization._family_draw) and the polynomial is
-    the spoke expansion's G(y), whose roots are b_den > 0 times the
-    eigenvalues (realization._spoke_expansion); no ArrowMatrix,
-    RationalPoly or RefinedInertia is built.  Otherwise Berkowitz runs on
-    the draws laid out as integer rows (realization._draw_rows).  No sample
-    becomes a Fraction.
+    call; each sample reseeds that generator with its own seed and draws
+    from it (realization._signed_draws), so chunks that run at the same
+    time never share one.  Each sample goes from its integer draws to the
+    integer coefficients of a polynomial with its eigenvalues' refined
+    inertia and on to its four counts, which key the histogram and are
+    looked up in the task's members, a set of 4-tuples.  When the task's
+    family flag is set, the draws are read as the arrow's integers
+    (realization._family_draw) and the polynomial is the spoke expansion's
+    G(y), whose roots are b_den > 0 times the eigenvalues
+    (realization._spoke_expansion); no ArrowMatrix, RationalPoly or
+    RefinedInertia is built.  Otherwise Berkowitz runs on the draws laid
+    out as integer rows (realization._draw_rows).  No sample becomes a
+    Fraction.
     """
     pattern, family, seed, start, count, members = args
     signs, rng = _signs(pattern), random.Random(seed)  # seeded to skip an OS entropy read
     histogram: Counter = Counter()
     first_outside: int | None = None
     for k in range(start, start + count):
-        draws = _signed_draws(signs, _sample_seed(seed, k), rng)
+        rng.seed(_sample_seed(seed, k))
+        draws = _signed_draws(signs, rng)
         if family:
             num = _spoke_expansion(*_family_draw(draws))
         else:
@@ -639,14 +641,6 @@ def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
     return checks
 
 
-# Largest order run_lemma_suite accepts, checked before any draw.  The suite
-# redraws a sample whose b_j repeat, and each b_j is one of 4096 * 20 =
-# 81 920 dyadic magnitudes, so k = n - 2 of them come out distinct with
-# probability about exp(-k^2 / 163 840), which is at least 1/2 up to
-# k = 336.
-LEMMAS_MAX_ORDER = 338
-
-
 @dataclass(frozen=True)
 class LemmaSuiteReport:
     family: int
@@ -663,38 +657,34 @@ class LemmaSuiteReport:
 def run_lemma_suite(
     i: int, n: int, samples: int, cfg: RealizationConfig
 ) -> LemmaSuiteReport:
-    """Validate the lemma checks over seeded samples with distinct b enforced.
+    """Validate the lemma checks over seeded samples with distinct b.
 
-    Samples whose arrow form has a repeated diagonal parameter are redrawn,
-    since the checks reject them (two draws tie with probability about 1
-    in 80000, the number of grid magnitudes).  Each sample's arrow form is
-    read from its integer draws (family_sample_arrow), with the a_k and the
-    b_j each over one power-of-two denominator, and validate_lemmas runs on
-    that arrow as drawn: no sample becomes a Fraction matrix.  Raises
-    ValueError, before any draw, for a negative sample count and for an
-    order above LEMMAS_MAX_ORDER, and when the redraws run out.
+    One generator serves the call: sample k reseeds it with
+    _sample_seed(cfg.seed, k) and draws (realization._signed_draws), and a
+    b_j that repeats an earlier one, which the checks reject, is drawn
+    again from the same stream until it is new
+    (realization._redraw_tied_diagonal).  So sample k depends on k alone,
+    and a tie-free sample is its plain draw.  The law is whole-sample
+    rejection's: the 4096 * 20 grid pairs (m, e) are equally likely, so
+    redrawing each tied b_j in turn gives the uniform law over ordered
+    tuples of distinct b (for any order up to 81 922), independent of the
+    a_k.  validate_lemmas runs on the arrow read from the integer draws
+    (realization._family_draw).  Raises ValueError, before any draw, for a
+    negative sample count.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    if n > LEMMAS_MAX_ORDER:
-        raise ValueError(f"lemma suite order must be <= {LEMMAS_MAX_ORDER}, got {n}")
     pattern = family_pattern(i, n)
+    signs, rng = _signs(pattern), random.Random(cfg.seed)  # seeded to skip an OS entropy read
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()
-    index = 0
-    attempts = 0
-    attempt_cap = samples * 3 + 100
-    while index < samples:
-        if attempts >= attempt_cap:
-            raise ValueError("too many resampling attempts while enforcing distinct b")
-        arrow = family_sample_arrow(pattern, _sample_seed(cfg.seed, attempts))
-        attempts += 1
-        if len(set(arrow.b_num)) != len(arrow.b_num):
-            continue
-        for check in validate_lemmas(arrow, i):
+    for k in range(samples):
+        rng.seed(_sample_seed(cfg.seed, k))
+        draws = _signed_draws(signs, rng)
+        _redraw_tied_diagonal(draws, rng)
+        for check in validate_lemmas(ArrowMatrix.from_ints(*_family_draw(draws)), i):
             counts[(check.check, check.status)] += 1
             if check.failed:
-                failures.append((index, check.check))
-        index += 1
+                failures.append((k, check.check))
     summary = tuple(sorted((f"{check}:{status}", cnt) for (check, status), cnt in counts.items()))
     return LemmaSuiteReport(i, n, samples, tuple(failures), summary)

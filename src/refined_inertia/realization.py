@@ -11,14 +11,14 @@ arrow_char_poly, which rescales the integer kernel _spoke_expansion's
 G(y), and the sign rule for family membership); sampling a qualitative
 class Q(P) with exact dyadic entries drawn from integers alone (no
 floating point, so a seed fixes the samples on every platform).  A
-sample is its integer seed: one draw loop, _signed_draws, reseeds a
-caller's generator and returns the (+-m, e) pairs for the pattern's
+sample is its integer seed: its caller seeds a generator with it, one
+draw loop, _signed_draws, returns the (+-m, e) pairs for the pattern's
 nonzero signs (_signs) as one list, and one reader, _dyadic, brings
 them over one power of two, as matrix rows (_draw_rows, behind
 sample_rows) or, for a family pattern, as the arrowhead parameters'
-integers (_family_draw, which the falsifier reads directly and
-family_sample_arrow wraps in an ArrowMatrix); RealizationConfig carries
-the seed only at the public API.  Then the
+integers (_family_draw, which the falsifier and the lemma suite read;
+the suite first redraws tied b_j with _redraw_tied_diagonal);
+RealizationConfig carries the seed only at the public API.  Then the
 diagonal-similarity normalization onto the arrowhead form (unit first
 row, dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the
 witness embedding that lifts a 4x4 realization to any larger order by
@@ -239,23 +239,22 @@ def _signs(pattern: SignPattern) -> list[int]:
     return [int(s) for row in pattern.rows for s in row if s]
 
 
-def _signed_draws(signs: Sequence[int], seed: int, rng: random.Random) -> list[tuple[int, int]]:
-    """(s * m, e) for each sign s of signs: the entry is s * m / 2**e.
+def _signed_draws(signs: Sequence[int], rng: random.Random) -> list[tuple[int, int]]:
+    """(s * m, e), the entry s * m / 2**e, for each sign s of signs, drawn from rng where it stands.
 
-    This is the one place a sample is drawn.  rng is the caller's and is
-    reseeded with seed here, which puts it in the state random.Random(seed)
-    starts in, so a caller can draw many samples from one generator.  The
-    mantissa m comes from [2**12, 2**13) and then the exponent e from
-    [3, 23): log-uniform to within a factor of two over [2**-10, 2**10), so
-    samples span six decades, every denominator is a power of two, and the
-    stream depends only on the seed and Python's integer Mersenne Twister,
-    never on platform floats.  Each is drawn by the rejection loop
-    randrange runs (getrandbits of the range's bit length, redrawn until it
-    falls inside the range), inlined: the stream is randrange(2**12, 2**13)
-    then randrange(3, 23) per entry, bit for bit, without randrange's
-    argument handling.
+    This is the one place a sample is drawn.  The caller seeds rng per
+    sample, which puts it in the state random.Random(seed) starts in, so
+    one generator serves many samples; a second call continues the
+    stream.  The mantissa m comes from [2**12, 2**13) and then the
+    exponent e from [3, 23): log-uniform to within a factor of two over
+    [2**-10, 2**10), so samples span six decades, every denominator is a
+    power of two, and the stream depends only on the seed and Python's
+    integer Mersenne Twister, never on platform floats.  Each is drawn by
+    the rejection loop randrange runs (getrandbits of the range's bit
+    length, redrawn until it falls inside the range), inlined: the stream
+    is randrange(2**12, 2**13) then randrange(3, 23) per entry, bit for
+    bit, without randrange's argument handling.
     """
-    rng.seed(seed)
     bits = rng.getrandbits
     draws = []
     for s in signs:
@@ -286,12 +285,8 @@ def _draw_rows(pattern: SignPattern, draws: Sequence[tuple[int, int]]) -> tuple[
 
 
 def _draws_of(pattern: SignPattern, seed: int) -> list[tuple[int, int]]:
-    """_signed_draws for one sample of pattern, on a generator of its own.
-
-    The generator is built with the seed only to skip the OS entropy read
-    that random.Random() makes; _signed_draws reseeds it either way.
-    """
-    return _signed_draws(_signs(pattern), seed, random.Random(seed))
+    """_signed_draws for one sample of pattern, on a generator of its own seeded with seed."""
+    return _signed_draws(_signs(pattern), random.Random(seed))
 
 
 def sample_rows(pattern: SignPattern, seed: int) -> tuple[list[list[int]], int]:
@@ -308,15 +303,6 @@ def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> Rational
     return _fraction_rows(*sample_rows(pattern, cfg.seed))
 
 
-def family_sample_arrow(pattern: SignPattern, seed: int) -> ArrowMatrix:
-    """The arrow form of the sample for seed, as to_arrow_form reads it, from the integer draws alone.
-
-    pattern must be a family pattern; nothing is checked.  The arrow's
-    integers are _family_draw's.
-    """
-    return ArrowMatrix.from_ints(*_family_draw(_draws_of(pattern, seed)))
-
-
 def _family_draw(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int, list[int], int]:
     """(a, a_den, b, b_den): the arrow of a family pattern's sample is a / a_den, b / b_den.
 
@@ -330,6 +316,22 @@ def _family_draw(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int, list
     column, diagonal = rest[:1] + rest[1::2], rest[2::2]
     a = head[:1] + [(p * m, f + e) for (p, f), (m, e) in zip(head[1:], column)]
     return (*_dyadic(a), *_dyadic([(-m, e) for m, e in diagonal]))
+
+
+def _redraw_tied_diagonal(draws: list[tuple[int, int]], rng: random.Random) -> None:
+    """Redraw, in place, each diagonal draw of _family_draw's list that repeats an earlier one.
+
+    The diagonal draws, the -b_j, sit at n + 2, n + 4, ..., 3n - 4.  A tied
+    one is drawn again on its sign from rng, continuing its stream, until
+    it is new.  With m in [2**12, 2**13), m / 2**e has one (m, e) form, so
+    distinct signed pairs are distinct b_j.
+    """
+    seen = set()
+    for k in range(len(draws) // 3 + 3, len(draws), 2):
+        sign = 1 if draws[k][0] > 0 else -1
+        while draws[k] in seen:
+            [draws[k]] = _signed_draws([sign], rng)
+        seen.add(draws[k])
 
 
 # -- arrowhead normalization -------------------------------------------------

@@ -54,6 +54,11 @@ from polys import add, evaluate
 ALL_PLUS_4 = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
 
 
+def _plain_arrow(pattern: SignPattern, seed: int) -> ArrowMatrix:
+    """The arrow of a family pattern's sample for seed, as drawn: no tied b_j is redrawn."""
+    return ArrowMatrix.from_ints(*realization._family_draw(realization._draws_of(pattern, seed)))
+
+
 def _random_pattern(n: int, seed: int) -> SignPattern:
     rng = random.Random(seed)
     return SignPattern([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)])
@@ -191,7 +196,7 @@ class TestFalsifier:
         counting(RationalPoly, "_set")
         counting(RefinedInertia, "__init__")
         pattern = family_pattern(i, 10)
-        refined_inertia_exact(arrow_char_poly(realization.family_sample_arrow(pattern, 1)))
+        refined_inertia_exact(arrow_char_poly(_plain_arrow(pattern, 1)))
         assert built == {"ArrowMatrix": 1, "RationalPoly": 1, "RefinedInertia": 1}
         task = _falsify_tasks(pattern, 40, RealizationConfig(seed=i), 1)[0]
         built.clear()
@@ -418,13 +423,11 @@ class TestFalsifier:
         traces = [sum(sample[r][r] for r in range(n)) for sample in drawn]
         forced = {traces[13], traces[27]}
         assert sum(t in forced for t in traces) == 2
-        rng, signs = random.Random(), realization._signs(pattern)
-        spokes = [
-            realization._spoke_expansion(
-                *realization._family_draw(realization._signed_draws(signs, _sample_seed(cfg.seed, k), rng))
-            )
-            for k in range(budget)
-        ]
+        rng, signs, spokes = random.Random(), realization._signs(pattern), []
+        for k in range(budget):
+            rng.seed(_sample_seed(cfg.seed, k))
+            draw = realization._family_draw(realization._signed_draws(signs, rng))
+            spokes.append(realization._spoke_expansion(*draw))
         forced_spokes = [spokes[13], spokes[27]]
         assert not any(Fraction(-g[-2], g[-1]) in forced for g in spokes)
         exact = analysis._exact_inertia
@@ -686,7 +689,7 @@ class TestLemmaValidation:
         checked = 0
         for k in range(108):
             i, n = 1 + k % 3, 5 + k % 6
-            arrow = realization.family_sample_arrow(family_pattern(i, n), _sample_seed(29, k))
+            arrow = _plain_arrow(family_pattern(i, n), _sample_seed(29, k))
             if len(set(arrow.b)) != len(arrow.b):
                 continue
             pairs = {r.check: r for r in validate_lemmas(arrow, i)}["L-delta"].details["pairs"]
@@ -717,7 +720,7 @@ class TestLemmaValidation:
             raise Built
 
         monkeypatch.setattr(analysis, "_integer_char_poly", capture)
-        arrow = realization.family_sample_arrow(family_pattern(i, n), _sample_seed(7, 0))
+        arrow = _plain_arrow(family_pattern(i, n), _sample_seed(7, 0))
         assert len(set(arrow.b_num)) == n - 2
         with pytest.raises(Built):
             validate_lemmas(arrow, i)
@@ -736,22 +739,56 @@ class TestLemmaValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             run_lemma_suite(1, 5, -3, RealizationConfig(seed=0))
 
-    def test_suite_runner_refuses_orders_above_the_bound_before_any_draw(self, monkeypatch):
-        class Drawn(Exception):
-            pass
+    @staticmethod
+    def drawn_arrows(monkeypatch, i, n, samples, seed):
+        """The arrows run_lemma_suite hands validate_lemmas, which is stubbed to check nothing."""
+        arrows = []
+        monkeypatch.setattr(analysis, "validate_lemmas", lambda arrow, i: arrows.append(arrow) or [])
+        report = run_lemma_suite(i, n, samples, RealizationConfig(seed=seed))
+        assert report.all_passed and report.check_counts == ()
+        return arrows
 
-        def refuse(pattern, seed):
-            raise Drawn
+    def test_suite_runner_redraws_only_a_tied_b(self, monkeypatch):
+        # Sample 1263 of family 1, order 6, seed 2 draws b_4 equal to b_1.
+        # Only that draw is redrawn, from the same stream, and every other
+        # sample, the ones after it too, is its plain draw.
+        pattern = family_pattern(1, 6)
+        arrows = self.drawn_arrows(monkeypatch, 1, 6, 1266, 2)
+        assert len(arrows) == 1266
+        for k, arrow in enumerate(arrows):
+            assert len(set(arrow.b)) == 4, k
+            if k != 1263:
+                assert arrow == _plain_arrow(pattern, _sample_seed(2, k)), k
+        tied, plain = arrows[1263], _plain_arrow(pattern, _sample_seed(2, 1263))
+        assert plain.b[3] == plain.b[0]
+        assert tied.a == plain.a and tied.b[:3] == plain.b[:3] and tied.b[3] != plain.b[3]
 
-        monkeypatch.setattr(analysis, "family_sample_arrow", refuse)
-        assert analysis.LEMMAS_MAX_ORDER == 338
-        with pytest.raises(ValueError, match=r"order must be <= 338, got 339$"):
-            run_lemma_suite(1, 339, 1, RealizationConfig(seed=1))
-        with pytest.raises(Drawn):  # the bound itself is allowed
-            run_lemma_suite(1, 338, 1, RealizationConfig(seed=1))
+    def test_suite_runner_makes_one_generator(self, monkeypatch):
+        # One generator serves every sample of a call: it is reseeded per
+        # sample, not made twice per sample.
+        made = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        expected = run_lemma_suite(2, 6, 5, RealizationConfig(seed=4))
+        monkeypatch.setattr(random, "Random", Counted)
+        assert run_lemma_suite(2, 6, 5, RealizationConfig(seed=4)) == expected
+        assert made == [(4,)]
+
+    def test_suite_runner_has_no_order_bound(self, monkeypatch):
+        # At order 2000 the 1998 b_j tie often; each tie is redrawn, so every
+        # sample comes out with distinct b.
+        arrows = self.drawn_arrows(monkeypatch, 1, 2000, 5, 1)
+        assert len(arrows) == 5
+        assert all(len(set(arrow.b_num)) == 1998 for arrow in arrows)
+        pattern = family_pattern(1, 2000)
+        assert any(len(set(_plain_arrow(pattern, _sample_seed(1, k)).b_num)) < 1998 for k in range(5))
 
     def test_suite_runner_reads_the_integer_draw(self, monkeypatch):
-        # The arrow form comes from family_sample_arrow and every check runs
+        # The arrow form comes from the integer draws and every check runs
         # on its integers: no sample becomes a Fraction matrix, is classified
         # by its signs, has its rows brought back to integers, or has its
         # parameters read as Fractions.

@@ -27,7 +27,7 @@ from refined_inertia.cli import (
 from refined_inertia.engine import InternalCheckError
 from refined_inertia.patterns import family_pattern
 from refined_inertia.ratpoly import RationalPoly, _primitive
-from refined_inertia.realization import ArrowMatrix, RealizationConfig, matrix_to_json
+from refined_inertia.realization import ArrowMatrix, matrix_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -484,7 +484,7 @@ def _analyze_order_5_sample_13():
     G is _spoke_expansion's polynomial, the one the falsifier classifies.
     """
     pattern = family_pattern(2, 5)
-    draws = realization._signed_draws(realization._signs(pattern), analysis._sample_seed(0 + 5, 13), random.Random())
+    draws = realization._signed_draws(realization._signs(pattern), random.Random(analysis._sample_seed(0 + 5, 13)))
     draw = realization._family_draw(draws)
     return draw, realization._spoke_expansion(*draw)
 
@@ -638,20 +638,12 @@ def test_analyze_stdout_does_not_depend_on_jobs(capsys, monkeypatch, family, bud
     assert outputs[1:] == outputs[:1] * 2
 
 
-def test_lemma_redraw_exhaustion_is_one_line_exit_4(capsys, monkeypatch):
-    # Every draw repeats a b_j, so the suite runs out of redraws.  Its result
-    # is a function of its arguments, so that is a fault on valid input: a
-    # ValueError, reported on one line with exit 4, not a usage error.
-    repeated = ArrowMatrix([1, -1, -1, -1, -1], [2, 2, 3])
-    monkeypatch.setattr(analysis, "family_sample_arrow", lambda pattern, seed: repeated)
-    with pytest.raises(ValueError, match="too many resampling attempts") as info:
-        analysis.run_lemma_suite(1, 5, 2, RealizationConfig(seed=0))
-    assert info.type is ValueError
-    assert main(["lemmas", "-i", "1", "-n", "5", "--samples", "2", "--seed", "0"]) == EXIT_INTERNAL
+def test_lemmas_has_no_order_bound(capsys):
+    # A tied b_j is redrawn on its own, so no order is refused up front.
+    assert main(["lemmas", "-i", "1", "-n", "2000", "--samples", "0", "--seed", "1"]) == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: too many resampling attempts while enforcing distinct b\n"
-    assert "Traceback" not in captured.err
+    assert captured.out == "family 1, order 2000, samples 0\nall lemma checks passed\n"
+    assert captured.err == ""
 
 
 MALFORMED_MATRICES = {
@@ -690,9 +682,6 @@ USAGE_ERRORS = {
     "family-order-3": ["family", "-i", "1", "-n", "3"],
     "lemmas-order-3": ["lemmas", "-i", "1", "-n", "3", "--samples", "1", "--seed", "0"],
     "lemmas-negative-samples": ["lemmas", "-i", "1", "-n", "5", "--samples", "-1", "--seed", "0"],
-    # Past order 338 a tie-free draw of the b_j is unlikely.
-    "lemmas-order-339": ["lemmas", "-i", "1", "-n", "339", "--samples", "1", "--seed", "0"],
-    "lemmas-order-2000": ["lemmas", "-i", "1", "-n", "2000", "--samples", "1", "--seed", "1"],
     # Bounds are checked before the pattern file is read.
     "falsify-missing-file-negative-budget": ["falsify", "--pattern", "{missing}", "--budget", "-1"],
     "numeric-tol-0": ["inertia", "--matrix", "{matrix}", "--numeric", "--tol", "0"],

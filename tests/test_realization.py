@@ -21,6 +21,7 @@ from refined_inertia.realization import (
     DegenerateMergeError,
     MembershipError,
     RealizationConfig,
+    _draws_of,
     _dyadic,
     _family_draw,
     _signed_draws,
@@ -30,7 +31,6 @@ from refined_inertia.realization import (
     deflate_repeated,
     embed_witness,
     family_index,
-    family_sample_arrow,
     matrix_from_json,
     matrix_to_json,
     rational_rows,
@@ -138,7 +138,8 @@ def test_falsifier_counts_on_g_are_the_characteristic_polynomials():
         for n in range(4, 11):
             signs = _signs(family_pattern(i, n))
             for k in range(100):
-                draw = _family_draw(_signed_draws(signs, _sample_seed(1, k), rng))
+                rng.seed(_sample_seed(1, k))
+                draw = _family_draw(_signed_draws(signs, rng))
                 expected = refined_inertia_exact(arrow_char_poly(ArrowMatrix.from_ints(*draw)))
                 assert _inertia_counts(_spoke_expansion(*draw)) == expected.as_tuple(), (i, n, k)
 
@@ -170,7 +171,7 @@ def test_family_sample_char_poly_is_the_rational_route(i, n):
     for k in range(60):
         seed = (10 * i + n) * 1000 + k
         arrow = to_arrow_form(sample_realization(pattern, RealizationConfig(seed=seed)))
-        assert family_sample_arrow(pattern, seed) == arrow
+        assert ArrowMatrix.from_ints(*_family_draw(_draws_of(pattern, seed))) == arrow
         assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix()), f"seed {seed}"
     _chunk_matches_the_rational_route(pattern, True, 10 * i + n, 60)
 
@@ -201,7 +202,7 @@ def test_sample_char_poly_is_the_rational_route(pattern):
     assert family_index(pattern.rows) is None
     for k in range(60):
         seed = pattern.n * 1000 + k
-        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(_signs(pattern), seed, random.Random()))
+        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(_signs(pattern), random.Random(seed)))
         expected = tuple(tuple(next(entries) if s else 0 for s in row) for row in pattern.rows)
         rows, common = sample_rows(pattern, seed)
         assert common & (common - 1) == 0
@@ -244,10 +245,11 @@ class TestSampler:
                         assert den & (den - 1) == 0 and den <= 2**22
 
     def test_draws_are_the_randrange_stream(self):
-        # _signed_draws inlines randrange's rejection loop and reseeds the
-        # caller's generator; its stream must be two randrange calls per
-        # nonzero entry, mantissa first, bit for bit, from random.Random(seed),
-        # however the one reused generator was left by the previous sample.
+        # _signed_draws inlines randrange's rejection loop and draws from the
+        # caller's generator where it stands; its stream must be two
+        # randrange calls per nonzero entry, mantissa first, bit for bit,
+        # from random.Random(seed) once the one reused generator is reseeded,
+        # however the previous sample left it.
         def reference(pattern, seed):
             rng = random.Random(seed)
             return [
@@ -265,9 +267,19 @@ class TestSampler:
         for seed in range(200):
             turn = seed % len(patterns)
             for pattern in patterns[turn:] + patterns[:turn]:
-                draws = _signed_draws(_signs(pattern), seed, rng)
+                rng.seed(seed)
+                draws = _signed_draws(_signs(pattern), rng)
                 assert type(draws) is list
                 assert draws == reference(pattern, seed), (pattern.n, seed)
+        # A second call continues the stream where the first left it, as a
+        # redraw of one diagonal entry does: two calls read one stream.
+        for seed in range(50):
+            first, then = _signs(families[seed % len(families)]), [-1, 1, -1]
+            rng.seed(seed)
+            draws = _signed_draws(first, rng) + _signed_draws(then, rng)
+            stream = random.Random(seed)
+            expected = [(s * stream.randrange(2**12, 2**13), stream.randrange(3, 23)) for s in first + then]
+            assert draws == expected, seed
 
     def test_dyadic_of_no_draws(self):
         assert _dyadic([]) == ([], 1)
