@@ -4,9 +4,7 @@ This is the layer that turns the engine into verdicts about the three
 arrowhead families: certified witnesses showing every target inertia is
 realized ("allows"), seeded sampling hunting for a certified inertia
 outside the target set ("requires" falsification), and exact checks of the
-identities the distinct-parameter analysis rests on.  A falsifier sample
-stays integers from its draws to its four counts, a 4-tuple; only a
-report turns the merged counts into RefinedInertia.
+identities the distinct-parameter analysis rests on.
 """
 
 from __future__ import annotations
@@ -70,11 +68,6 @@ def hn_set(n: int) -> frozenset[RefinedInertia]:
     )
 
 
-def _hn_counts(n: int) -> frozenset[tuple[int, int, int, int]]:
-    """hn_set(n) as 4-tuples of counts, the keys the falsifier's chunks use."""
-    return frozenset(ri.as_tuple() for ri in hn_set(n))
-
-
 # -- witnesses -----------------------------------------------------------------
 
 
@@ -91,7 +84,7 @@ class WitnessSuite:
             "order": self.pattern.n,
             "witnesses": [
                 {
-                    "inertia": ri.to_json(),
+                    "inertia": ri._asdict(),
                     "arrow": arrow.to_json(),
                     "matrix": matrix_to_json(arrow.to_matrix()),
                 }
@@ -191,7 +184,7 @@ class AnalysisReport:
             "pattern": self.pattern.to_json(),
             "samples": self.samples,
             "histogram": [
-                {"inertia": ri.to_json(), "count": count} for ri, count in self.histogram
+                {"inertia": ri._asdict(), "count": count} for ri, count in self.histogram
             ],
             "verdict": self.verdict.value,
             "counterexample": (
@@ -205,7 +198,7 @@ class AnalysisReport:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["n_plus", "n_minus", "n_zero", "two_n_p", "count"])
         for ri, count in self.histogram:
-            writer.writerow([ri.n_plus, ri.n_minus, ri.n_zero, ri.two_n_p, count])
+            writer.writerow([*ri, count])
         return buffer.getvalue()
 
 
@@ -247,8 +240,8 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
     from it (realization._signed_draws), so chunks that run at the same
     time never share one.  Each sample goes from its integer draws to the
     integer coefficients of a polynomial with its eigenvalues' refined
-    inertia and on to its four counts, which key the histogram and are
-    looked up in the task's members, a set of 4-tuples.  When the task's
+    inertia and on to its four counts, a plain 4-tuple, which keys the
+    histogram and is looked up in the task's members.  When the task's
     family flag is set, the draws are read as the arrow's integers
     (realization._family_draw) and the polynomial is the spoke expansion's
     G(y), whose roots are b_den > 0 times the eigenvalues
@@ -280,8 +273,8 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
 
     Every move keeps each entry's sign, so every candidate stays in the
     qualitative class of matrix.  Each candidate is classified as a matrix,
-    through char_poly, whatever its pattern; members is a set of 4-tuples,
-    as in a _falsify_chunk task.
+    through char_poly, whatever its pattern, and is outside while its
+    counts are not in members.
     """
 
     def still_outside(rows) -> bool:
@@ -331,15 +324,14 @@ def _falsify_tasks(
     falsify_each samples run w in process w, this one being process 0.
     Every sample has the sign pattern it was drawn from, so the pattern is
     classified once, here, and each task carries the answer as a flag:
-    (pattern, family, seed, start, count, members), plain data that pickles
-    for a worker started by spawn or forkserver; members is _hn_counts,
-    the target set as the 4-tuples of counts that key the histograms.
+    (pattern, family, seed, start, count, members), data that pickles for a
+    worker started by spawn or forkserver; members is hn_set(pattern.n).
     _falsify_chunk reads the flag to pick the family pattern's spoke route
     or the integer-row route; both read the one draw stream of
     realization._signed_draws, so the matrix that _falsify_report rebuilds
     for an outside sample is the sample that was classified.
     """
-    members = _hn_counts(pattern.n)
+    members = hn_set(pattern.n)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     family = family_index(pattern.rows) is not None
@@ -350,10 +342,7 @@ def _falsify_tasks(
 def _falsify_report(
     pattern: SignPattern, budget: int, cfg: RealizationConfig, results: list[tuple[dict, int | None]]
 ) -> AnalysisReport:
-    """Merge one request's chunk results, shrink its first outside sample, pick the verdict.
-
-    The merged histogram's 4-tuple keys become one RefinedInertia each.
-    """
+    """Merge one request's chunk results, shrink its first outside sample, pick the verdict."""
     histogram: Counter = Counter()
     for hist, _ in results:
         histogram.update(hist)
@@ -362,7 +351,7 @@ def _falsify_report(
     counterexample = None
     if outside:
         sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, min(outside)))
-        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), _hn_counts(pattern.n))
+        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), hn_set(pattern.n))
     return AnalysisReport(
         pattern=pattern,
         samples=budget,

@@ -163,7 +163,7 @@ def _cmd_inertia(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
         method = "numeric"
-    sys.stdout.write(canonical_dumps({"inertia": inertia.to_json(), "method": method}))
+    sys.stdout.write(canonical_dumps({"inertia": inertia._asdict(), "method": method}))
     return EXIT_OK
 
 

@@ -1,35 +1,22 @@
 """Refined inertia of real matrices: exact over rationals, numeric via LAPACK.
 
-The exact path never touches floating point.  char_poly reads a matrix
-through :func:`~refined_inertia.realization.rational_rows`, as integer
-rows over one common denominator, for the Berkowitz kernel, and
-:func:`refined_inertia_exact` certifies the four counts from the
-polynomial's integers by :func:`_inertia_counts`: the zero roots off the
-trailing coefficients, everything else from the one remainder-chain
-routine, :func:`~refined_inertia.ratpoly.cauchy_index_line`.  The
-argument is written once, in the docstrings of _inertia_counts and
-cauchy_index_line.  _inertia_counts takes integer coefficients at any
-nonzero scale and returns a plain 4-tuple, so the shifted counts call it
-on unreduced integers, and the falsifier on a family sample's spoke
-expansion G(y), whose roots are a positive multiple of the eigenvalues,
-and neither builds a RationalPoly or RefinedInertia.
+Exact path, no floating point: char_poly reads a matrix by
+realization.rational_rows and runs Berkowitz on its integers
+(_integer_char_poly), and refined_inertia_exact counts the roots by
+_inertia_counts, whose docstring holds the argument.
 
-The numeric path is a dense eigensolve with a relative axis tolerance; it
-alone uses numpy, imported on first use, so the exact core runs on the
-standard library.  It serves matrices with float entries
-(``riq inertia --numeric``) and the exact/numeric cross-validation; the
-falsifier classifies every sample exactly, and on any disagreement the
-exact engine is the ground truth.
+Numeric path: refined_inertia_numeric, a dense eigensolve with a relative
+axis tolerance, for float entries and the exact/numeric cross-validation.
+It alone imports numpy, on first use, and no verdict rests on it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .ratpoly import (
     Rational,
@@ -57,39 +44,36 @@ class InternalCheckError(RuntimeError):
     """An identity the theory guarantees failed to hold; signals an engine bug."""
 
 
-@dataclass(frozen=True, order=True)
-class RefinedInertia:
-    """Counts (n_plus, n_minus, n_zero, two_n_p) of eigenvalues by location.
-
-    n_plus / n_minus count eigenvalues with positive / negative real part,
-    n_zero counts zero eigenvalues, and two_n_p counts nonzero pure
-    imaginary eigenvalues (always even by conjugate pairing).
-    """
-
+class _Counts(NamedTuple):
     n_plus: int
     n_minus: int
     n_zero: int
     two_n_p: int
 
-    def __post_init__(self):
-        if min(self.n_plus, self.n_minus, self.n_zero, self.two_n_p) < 0:
+
+class RefinedInertia(_Counts):
+    """Counts (n_plus, n_minus, n_zero, two_n_p) of eigenvalues by location.
+
+    n_plus / n_minus count eigenvalues with positive / negative real part,
+    n_zero counts zero eigenvalues, and two_n_p counts nonzero pure
+    imaginary eigenvalues (always even by conjugate pairing).  It is the
+    4-tuple of its counts: it equals, hashes and sorts as that tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n_plus: int, n_minus: int, n_zero: int, two_n_p: int):
+        if min(n_plus, n_minus, n_zero, two_n_p) < 0:
             raise ValueError("inertia counts must be nonnegative")
-        if self.two_n_p % 2 != 0:
+        if two_n_p % 2 != 0:
             raise ValueError("nonzero imaginary eigenvalues come in conjugate pairs")
+        return super().__new__(cls, n_plus, n_minus, n_zero, two_n_p)
 
+    __str__ = tuple.__repr__
+
+    # No pipeline caller: the benchmark's workloads call it.
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n_plus, self.n_minus, self.n_zero, self.two_n_p)
-
-    def __str__(self) -> str:
-        return f"({self.n_plus}, {self.n_minus}, {self.n_zero}, {self.two_n_p})"
-
-    def to_json(self) -> dict:
-        return {
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "n_zero": self.n_zero,
-            "two_n_p": self.two_n_p,
-        }
+        return tuple(self)
 
 
 def _to_float_array(matrix: Sequence[Sequence]) -> np.ndarray:

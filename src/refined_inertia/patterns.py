@@ -26,10 +26,6 @@ class Sign(IntEnum):
     ZERO = 0
     PLUS = 1
 
-    @property
-    def char(self) -> str:
-        return {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}[self]
-
     @classmethod
     def from_char(cls, token: str) -> "Sign":
         try:
@@ -46,6 +42,19 @@ class Sign(IntEnum):
         return cls.ZERO
 
 
+_CHARS = {Sign.MINUS: "-", Sign.ZERO: "0", Sign.PLUS: "+"}
+_SIGN_OF = {int(s): s for s in Sign}  # a dict lookup per entry costs far less than Sign(value)
+
+
+def _sign_row(row: Iterable) -> tuple[Sign, ...]:
+    """row's entries as Signs; an entry that is no sign value raises Sign's own ValueError."""
+    row = tuple(row)
+    try:
+        return tuple(map(_SIGN_OF.__getitem__, row))
+    except (KeyError, TypeError):
+        return tuple(map(Sign, row))
+
+
 @dataclass(frozen=True)
 class SignPattern:
     """Square matrix of signs; immutable and hashable."""
@@ -53,7 +62,7 @@ class SignPattern:
     rows: tuple[tuple[Sign, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[Sign]]):
-        packed = tuple(tuple(Sign(s) for s in row) for row in rows)
+        packed = tuple(map(_sign_row, rows))
         if not packed:
             raise ValueError("pattern must have at least one row")
         n = len(packed)
@@ -67,10 +76,10 @@ class SignPattern:
         return len(self.rows)
 
     def render(self) -> str:
-        return "\n".join(" ".join(s.char for s in row) for row in self.rows)
+        return "\n".join(" ".join(map(_CHARS.__getitem__, row)) for row in self.rows)
 
     def to_json(self) -> list[list[str]]:
-        return [[s.char for s in row] for row in self.rows]
+        return [list(map(_CHARS.__getitem__, row)) for row in self.rows]
 
 
 def parse_pattern(text: str) -> SignPattern:

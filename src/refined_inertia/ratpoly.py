@@ -1,32 +1,12 @@
 """Exact univariate polynomials over the rationals.
 
-A polynomial is stored as integer coefficients over one positive common
-denominator, ``num[k] / den`` multiplying ``x**k``, kept canonical (no
-trailing zero coefficients, gcd of den and every coefficient 1) so that
-equality and hashing are exact.  The zero polynomial is ``num == ()``,
-``den == 1``.  Every algorithm here works on the integers directly;
-:class:`fractions.Fraction` appears only where rationals cross the API
-(the constructor, ``coeffs``, ``constant``), and floats are rejected
-so that every count and sign is certifiable.
-:func:`over_common` is the one reader of such rationals as integers over
-their least common denominator; the polynomial constructor, the
-arrowhead constructor and the matrix reader all call it.
-No pipeline adds, multiplies, evaluates or normalizes polynomials, so
-a polynomial is only built and shifted; the sign of p at s/t comes from
-the integer Horner kernel :func:`_homogeneous_value`.  The falsifier
-builds none per sample: its integer coefficient lists go straight to the
-engine's counting kernel, which needs no normalized form.
-The one Taylor-shift kernel, :func:`_shifted`, returns an integer
-polynomial whose roots are those of p(x + s/t) times t > 0, so the shifted
-root counts read it directly; ``RationalPoly.taylor_shift`` rescales it to
-p(x + c) exactly.
-
-This module also holds the one root-counting routine of the inertia
-engine, :func:`cauchy_index_line`, whose docstring gives the chain;
-:func:`refined_inertia.engine.refined_inertia_exact` says how the engine
-runs it.  Multiplying by a positive constant keeps every root and every
-sign count, so the chain and the gcds run on primitive integer
-coefficients, on one remainder-only pseudo-division.
+RationalPoly stores integer coefficients ``num`` (low to high) over one
+positive denominator ``den``, kept canonical so that equality and hashing
+are exact; Fraction appears only where rationals cross its API.
+over_common is the one reader of ints and Fractions as integers over their
+lcm denominator.  The integer kernels are the Taylor shift _shifted, the
+Horner value _homogeneous_value, and cauchy_index_line, the engine's one
+root-counting routine, whose docstring holds the chain.
 """
 
 from __future__ import annotations

@@ -1,30 +1,13 @@
 """Rational realizations of sign patterns and the arrowhead normal form.
 
-Covers the one exact reading of a matrix (rational_rows: integer rows
-over one common denominator, by ratpoly.over_common, which char_poly,
-det_rational, matrix_to_json and to_arrow_form share) and its one
-Fraction view (_fraction_rows, behind ArrowMatrix.to_matrix and
-sample_realization); the arrowhead parameters themselves (ArrowMatrix,
-integers over one common denominator for the a_k and another for the
-b_j, with their spoke-expansion characteristic polynomial,
-arrow_char_poly, which rescales the integer kernel _spoke_expansion's
-G(y), and the sign rule for family membership); sampling a qualitative
-class Q(P) with exact dyadic entries drawn from integers alone (no
-floating point, so a seed fixes the samples on every platform).  A
-sample is its integer seed: its caller seeds a generator with it, one
-draw loop, _signed_draws, returns the (+-m, e) pairs for the pattern's
-nonzero signs (_signs) as one list, and one reader, _dyadic, brings
-them over one power of two, as matrix rows (_draw_rows, behind
-sample_rows) or, for a family pattern, as the arrowhead parameters'
-integers (_family_draw, which the falsifier and the lemma suite read;
-the suite first redraws tied b_j with _redraw_tied_diagonal);
-RealizationConfig carries the seed only at the public API.  Then the
-diagonal-similarity normalization onto the arrowhead form (unit first
-row, dense first column, diagonal (a1, 0, -b1, ..., -b_{n-2})), the
-witness embedding that lifts a 4x4 realization to any larger order by
-replicating one spoke, the deflation step that extracts the shared
-eigenvalue when two diagonal parameters coincide, and the matrix JSON
-wire format with its validating reader.
+rational_rows is the one exact matrix reader and _fraction_rows its one
+Fraction view.  ArrowMatrix holds the arrowhead parameters as integers;
+arrow_char_poly rescales _spoke_expansion's G(y), whose docstring holds
+the falsifier's argument.  A sample of Q(P) is its integer seed:
+_signed_draws draws it, and _dyadic reads the draws as matrix rows
+(_draw_rows) or a family arrow (_family_draw).  Also here: the arrowhead
+normal form, the witness embedding, deflation of a repeated diagonal
+parameter, and the matrix JSON wire format.
 """
 
 from __future__ import annotations

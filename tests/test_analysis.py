@@ -194,7 +194,7 @@ class TestFalsifier:
 
         counting(ArrowMatrix, "_set")
         counting(RationalPoly, "_set")
-        counting(RefinedInertia, "__init__")
+        counting(RefinedInertia, "__new__")
         pattern = family_pattern(i, 10)
         refined_inertia_exact(arrow_char_poly(_plain_arrow(pattern, 1)))
         assert built == {"ArrowMatrix": 1, "RationalPoly": 1, "RefinedInertia": 1}
@@ -445,7 +445,7 @@ class TestFalsifier:
         assert len(thread_processes) == 1
         assert dict(serial.histogram)[RefinedInertia(n, 0, 0, 0)] == 2
         ce = serial.counterexample
-        assert ce == analysis._shrink_counterexample(drawn[13], analysis._hn_counts(n))
+        assert ce == analysis._shrink_counterexample(drawn[13], hn_set(n))
         assert sgn_of_matrix(ce) == pattern
         for r in range(n):
             for c in range(n):

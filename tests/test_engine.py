@@ -7,6 +7,7 @@ from the axes.
 """
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refined_inertia import engine
+from refined_inertia.analysis import hn_set
 from refined_inertia.engine import (
     InternalCheckError,
     RefinedInertia,
@@ -307,6 +309,50 @@ def test_det_rational_against_cofactor():
         n = rng.randint(1, 5)
         M = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         assert det_rational(M) == evaluate(cofactor_char_poly(M), 0) * (-1) ** n
+
+
+class TestRefinedInertia:
+    @pytest.mark.parametrize("counts", [(-1, 3, 0, 0), (0, 2, -1, 2), (1, 1, 0, -2)])
+    def test_negative_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RefinedInertia(*counts)
+
+    @pytest.mark.parametrize("two_n_p", [1, 3])
+    def test_odd_two_n_p_rejected(self, two_n_p):
+        with pytest.raises(ValueError, match="conjugate pairs"):
+            RefinedInertia(0, 1, 0, two_n_p)
+        with pytest.raises(ValueError, match="conjugate pairs"):
+            RefinedInertia(n_plus=0, n_minus=1, n_zero=0, two_n_p=two_n_p)
+
+    def test_is_its_4_tuple(self):
+        ri = RefinedInertia(0, 4, 0, 0)
+        assert isinstance(ri, tuple)
+        assert ri == (0, 4, 0, 0) and (0, 4, 0, 0) == ri
+        assert hash(ri) == hash((0, 4, 0, 0))
+        assert (0, 4, 0, 0) in {ri} and ri in {(0, 4, 0, 0)}
+        assert str(ri) == "(0, 4, 0, 0)"
+        assert ri._asdict() == {"n_plus": 0, "n_minus": 4, "n_zero": 0, "two_n_p": 0}
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_plain_counts_are_in_hn_set(self, n):
+        # The falsifier looks _inertia_counts' plain tuples up in hn_set(n).
+        targets = [
+            from_roots([-1] * n),
+            mul(RationalPoly((1, 0, 1)), from_roots([-1] * (n - 2))),
+            mul(from_roots([2, 3]), from_roots([-1] * (n - 2))),
+        ]
+        for p in targets:
+            counts = engine._inertia_counts(p.num)
+            assert type(counts) is tuple
+            assert counts in hn_set(n)
+        assert engine._inertia_counts(from_roots([1] * n).num) not in hn_set(n)
+
+    def test_pickle_round_trip(self):
+        ri = RefinedInertia(2, 5, 1, 4)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(ri, protocol))
+            assert type(back) is RefinedInertia
+            assert back == ri and back.two_n_p == 4
 
 
 class TestExactInertia:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from refined_inertia.patterns import (
     PatternParseError,
     Sign,
+    SignPattern,
     family_pattern,
     parse_pattern,
     sgn_of_matrix,
@@ -135,6 +136,25 @@ def test_families_irreducible(i, n):
 def test_diagonal_pattern_reducible():
     # Negative control for the oracle: no arc joins the two vertices.
     assert not closure_irreducible(rows_of("+ 0\n0 +"))
+
+
+# -- the pattern type ------------------------------------------------------------
+
+
+def test_sign_pattern_reads_sign_values():
+    pattern = SignPattern([[1, -1], [0, True]])
+    assert pattern.rows == ((P, M), (Z, P))
+    assert all(type(s) is Sign for row in pattern.rows for s in row)
+
+
+@pytest.mark.parametrize("entry", [2, "+", None, [1]], ids=repr)
+def test_sign_pattern_rejects_non_sign_entries(entry):
+    # The same ValueError Sign itself raises for the entry.
+    with pytest.raises(ValueError) as raised:
+        SignPattern([[P, entry], [Z, M]])
+    with pytest.raises(ValueError) as direct:
+        Sign(entry)
+    assert str(raised.value) == str(direct.value)
 
 
 # -- sgn of matrix ---------------------------------------------------------------

@@ -147,11 +147,10 @@ def test_falsifier_counts_on_g_are_the_characteristic_polynomials():
 def _chunk_matches_the_rational_route(pattern, family, base, count):
     """_falsify_chunk classifies each sample as the Fraction route does, one sample per task.
 
-    A chunk keys its histogram, and reads its target set, by 4-tuples of
-    counts.  The falsifier needs order >= 3; a smaller pattern's chunk runs
-    against no target set, so every sample is outside it.
+    The falsifier needs order >= 3; a smaller pattern's chunk runs against
+    no target set, so every sample is outside it.
     """
-    members = frozenset(ri.as_tuple() for ri in hn_set(pattern.n)) if pattern.n >= 3 else frozenset()
+    members = hn_set(pattern.n) if pattern.n >= 3 else frozenset()
     for k in range(count):
         matrix = sample_realization(pattern, RealizationConfig(seed=_sample_seed(base, k)))
         inertia = refined_inertia_exact(char_poly(matrix)).as_tuple()
