@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -20,28 +21,34 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from .engine import (
     InternalCheckError,
     RefinedInertia,
+    _char_poly_ints,
     _inertia_counts,
     _integer_char_poly,
-    _shifted_inertia,
-    arrow_shift_det,
+    _shift_det,
     char_poly,
     refined_inertia_exact,
 )
 from .patterns import SignPattern, family_pattern
+from .ratpoly import _lowest, _shifted
 from .realization import (
     ArrowMatrix,
     MembershipError,
     RationalMatrix,
     RealizationConfig,
+    _arrow_in_family,
+    _arrow_rows,
     _draw_rows,
     _family_draw,
     _redraw_tied_diagonal,
     _signed_draws,
     _signs,
+    _spoke_char_poly,
     _spoke_expansion,
     arrow_char_poly,
     embed_witness,
@@ -202,9 +209,24 @@ class AnalysisReport:
         return buffer.getvalue()
 
 
+_CANONICAL = {"sort_keys": True, "indent": 2}  # the canonical layout: sorted keys, two-space indent
+
+
 def canonical_dumps(data) -> str:
     """Canonical JSON text: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json.dumps(data, **_CANONICAL) + "\n"
+
+
+def canonical_dump(data, fp) -> None:
+    """Write canonical_dumps(data) to the text file fp as it is encoded, without building it whole.
+
+    The encoder's pieces, often one character each, are joined 2**16 at a
+    time, so fp sees one write per block.
+    """
+    pieces = json.JSONEncoder(**_CANONICAL).iterencode(data)
+    while block := "".join(itertools.islice(pieces, 1 << 16)):
+        fp.write(block)
+    fp.write("\n")
 
 
 _SPLITMIX_MULT = 0x9E3779B97F4A7C15
@@ -335,8 +357,24 @@ def _falsify_tasks(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     family = family_index(pattern.rows) is not None
-    bounds = [budget * w // jobs for w in range(jobs + 1)]
-    return [(pattern, family, cfg.seed, bounds[w], bounds[w + 1] - bounds[w], members) for w in range(jobs)]
+    return [(pattern, family, cfg.seed, start, count, members) for start, count in _split(budget, jobs)]
+
+
+def _falsify_span(task: tuple) -> tuple[int, int, int]:
+    """(order, start, count) of a _falsify_chunk task."""
+    pattern, _, _, start, count, _ = task
+    return pattern.n, start, count
+
+
+def _clamp_jobs(jobs: int, total: int) -> int:
+    """jobs clamped to [1, min(total, CPU count)]: the processes that share total samples."""
+    return max(1, min(jobs, total, os.cpu_count() or 1))
+
+
+def _split(total: int, jobs: int) -> list[tuple[int, int]]:
+    """(start, count) of jobs contiguous runs that cover the sample indices 0..total-1 in order."""
+    bounds = [total * w // jobs for w in range(jobs + 1)]
+    return [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(jobs)]
 
 
 def _falsify_report(
@@ -366,8 +404,8 @@ class WorkerError(RuntimeError):
     """A sampling process died before sending a result, or raised what does not survive pickling."""
 
 
-def _send_chunks(conn, tasks: list[tuple]) -> None:
-    """Body of a sampling process: send each task's chunk result through conn, in order.
+def _send_chunks(conn, chunk, tasks: list[tuple]) -> None:
+    """Body of a sampling process: send chunk(task) for each task through conn, in order.
 
     An exception stops the process and is sent in place of the result, or,
     if it does not survive pickling, a WorkerError with its type name and
@@ -378,7 +416,7 @@ def _send_chunks(conn, tasks: list[tuple]) -> None:
 
     try:
         for task in tasks:
-            conn.send(_falsify_chunk(task))
+            conn.send(chunk(task))
     except Exception as exc:
         try:
             payload = ForkingPickler.dumps(exc)
@@ -389,15 +427,17 @@ def _send_chunks(conn, tasks: list[tuple]) -> None:
             conn.send_bytes(payload)
 
 
-def _run_chunks(task_lists: list[list[tuple]]) -> Iterator[list[tuple[dict, int | None]]]:
-    """Yield [_falsify_chunk(tasks[i]) for tasks in task_lists] for i = 0, 1, ... in order.
+def _run_chunks(chunk, task_lists: list[list[tuple]], span) -> Iterator[list]:
+    """Yield [chunk(tasks[i]) for tasks in task_lists] for i = 0, 1, ... in order.
 
-    task_lists[0] runs here, each task when its step is asked for; each
-    further list runs in a multiprocessing.Process started here, which
-    sends every result, or the exception that stopped it, back through
-    one one-way Pipe.  Step i raises the first exception among its chunks,
-    in list order, or WorkerError if a worker died before sending.  However
-    the generator ends, every worker is joined, and one that still owes a
+    chunk is _falsify_chunk or _lemma_chunk, and span(task) is the
+    (order, start, count) that a task samples.  task_lists[0] runs here,
+    each task when its step is asked for; each further list runs in a
+    multiprocessing.Process started here, which sends every result, or the
+    exception that stopped it, back through one one-way Pipe.  Step i
+    raises the first exception among its chunks, in list order, or
+    WorkerError, naming the span of the task it owed, if a worker died
+    before sending.  However the generator ends, every worker is joined, and one that still owes a
     result is killed first.  multiprocessing.Process is looked up at call
     time, so a test can swap in a thread-backed stand-in; multiprocessing
     is imported only when there is a worker to start.
@@ -409,23 +449,23 @@ def _run_chunks(task_lists: list[list[tuple]]) -> Iterator[list[tuple[dict, int 
         for tasks in task_lists[1:]:
             reader, writer = multiprocessing.Pipe(duplex=False)
             try:
-                process = multiprocessing.Process(target=_send_chunks, args=(writer, tasks), daemon=True)
+                process = multiprocessing.Process(target=_send_chunks, args=(writer, chunk, tasks), daemon=True)
                 process.start()
             finally:
                 writer.close()  # the worker holds its own end, so its exit reads as EOF here
             workers.append([process, reader, len(tasks)])
         for i, task in enumerate(task_lists[0]):
-            results = [_falsify_chunk(task)]
+            results = [chunk(task)]
             for w, worker in enumerate(workers, 1):
                 process, reader, _ = worker
                 try:
                     result = reader.recv()
                 except EOFError:
                     process.join()
-                    pattern, _, _, start, count, _ = task_lists[w][i]
+                    order, start, count = span(task_lists[w][i])
                     raise WorkerError(
                         f"a sampling process exited with code {process.exitcode} before it sent "
-                        f"samples {start}..{start + count - 1} of order {pattern.n}"
+                        f"samples {start}..{start + count - 1} of order {order}"
                     ) from None
                 if isinstance(result, BaseException):
                     worker[2] = 0  # the worker stopped at it
@@ -458,9 +498,11 @@ def falsify_each(
     worker outlives the generator: closing it early kills the workers
     that still have work, so a caller that may stop early closes it.
     """
-    jobs = max(1, min(jobs, budget, os.cpu_count() or 1))
+    jobs = _clamp_jobs(jobs, budget)
     planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
-    chunks = _run_chunks([[tasks[w] for _, _, tasks in planned] for w in range(jobs)])
+    chunks = _run_chunks(
+        _falsify_chunk, [[tasks[w] for _, _, tasks in planned] for w in range(jobs)], _falsify_span
+    )
     try:
         for (pattern, cfg, _), results in zip(planned, chunks):
             yield _falsify_report(pattern, budget, cfg, results)
@@ -492,6 +534,8 @@ def falsify_requires(
 
 # -- lemma validators ----------------------------------------------------------
 
+_LEMMA_CHECKS = ("L-det", "L-sign", "L-excl", "L-low", "L-par", "L-delta", "L-k")
+
 
 @dataclass
 class LemmaCheck:
@@ -504,130 +548,137 @@ class LemmaCheck:
         return self.status == "fail"
 
 
+class _LemmaRecord(NamedTuple):
+    """What _lemma_checks computed for one arrow, as integers; validate_lemmas reads the details off it."""
+
+    p_num: list[int]  # p = det(xI - B) = sum(p_num[k] * x**k) / p_den, in lowest terms
+    p_den: int
+    dets: list[tuple[int, int]]  # det(b_j I + B) as (value, scale), j = 1, 2, ..., as far as L-det certified
+    inertia: tuple[int, int, int, int]  # the counts of p
+    pairs: list[tuple[int, int]]  # (n_minus, Delta_j) of the spectrum shifted by b_j, j = 1..n-3
+    error: str | None  # why L-det failed
+
+
 def _sorted_descending(a: Sequence, b: Sequence) -> tuple[list, list]:
     """The arrow parameters of a permutation-similar matrix whose b descend, as the identities assume."""
     order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
     return list(a[:2]) + [a[k + 2] for k in order], [b[k] for k in order]
 
 
-def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
-    """Run the exact identity checks behind the distinct-parameter analysis.
+def _lemma_targets(i: int, n: int) -> tuple[list[int], int]:
+    """L-sign's table, the sign of det(b_j I + B) for j = 1, 2, ..., and L-low's bound on n_minus."""
+    top = n - 2 if i in (1, 2) else n - 3
+    table = [(-1) ** (j + 1) if i == 1 else (-1) ** j for j in range(1, top + 1)]
+    return table, (n - 3 if i != 3 else n - 4)
+
+
+def _lemma_checks(
+    a: Sequence[int], a_den: int, b: Sequence[int], b_den: int, i: int
+) -> tuple[tuple[bool, ...], _LemmaRecord]:
+    """Whether each of _LEMMA_CHECKS holds for the arrow a / a_den, b / b_den of family i, and what was read.
 
     Membership in family i's class is read from the signs of the
-    parameters (ArrowMatrix.in_family).  The matrix is then permuted so the
-    diagonal parameters descend, which is the normalization the sign table
-    assumes.  Its characteristic polynomial comes once from Berkowitz's
-    recurrence on the arrow's integer rows, with rows and columns reversed
-    so the dense hub comes last: every leading block is then diagonal with
-    a zero border column, so each step but the hub's is one O(k)
-    multiplication, and the hub's reads power sums over that diagonal
-    (both permutations are similarities, which keep p).
-    L-det requires p to equal the spoke expansion
-    (arrow_char_poly) and to give every closed-form shift determinant
-    (arrow_shift_det); L-sign and L-excl read those certified values.
-    L-delta classifies an integer Taylor shift of the same polynomial
-    (_shifted_inertia).  Every step runs on the arrow's integers; Fractions
-    carry only the reported values and the shift points b_j, which reach
-    the shift kernel as the reduced integers of -b_j.  Raises ValueError
-    when a diagonal parameter repeats (the
-    identities assume distinct ones; see deflate_repeated for that case) or
-    i is not a family index, and MembershipError if the matrix is not in
-    the family's qualitative class, and never raises on a mere check
-    failure: each result carries its computed quantities.
+    parameters (realization._arrow_in_family).  The matrix is then permuted
+    so the diagonal parameters descend, which is the normalization the sign
+    table assumes.  Its characteristic polynomial p comes once from
+    Berkowitz's recurrence on the arrow's integer rows, with rows and
+    columns reversed so the dense hub comes last: every leading block is
+    then diagonal with a zero border column, so each step but the hub's is
+    one O(k) multiplication, and the hub's reads power sums over that
+    diagonal (both permutations are similarities, which keep p).  L-det
+    requires p to equal the spoke expansion (realization._spoke_char_poly)
+    and to give every closed-form shift determinant (engine._shift_det);
+    L-sign and L-excl read those certified values.  L-delta: for
+    j <= n - 3, Delta_j, the number of eigenvalues with Re <= -b_j, has
+    the table's parity, and (-1)^Delta_j is the sign of L-det's
+    det(b_j I + B) = prod (lambda + b_j), since each non-real pair
+    contributes |lambda + b_j|^2 > 0.  Delta_j is counted on the integer
+    Taylor shift of p whose roots are those of p(x - b_j) times the reduced
+    denominator of b_j, which moves no root across the axis.  A value
+    L-det could not certify is missing, and the checks that read it fail.
+    Every step runs on integers; an ArrowMatrix is built only to name the
+    arrow in L-det's error text.  Raises ValueError when a diagonal
+    parameter repeats (the identities assume distinct ones; see
+    deflate_repeated for that case) or i is not a family index, and
+    MembershipError if the arrow is not in the family's qualitative class.
     """
-    if not arrow.in_family(i):
+    if not _arrow_in_family(a, b, i):
         raise MembershipError(f"arrow matrix is not in the qualitative class of family {i}")
-    if len(set(arrow.b_num)) != len(arrow.b_num):
+    if len(set(b)) != len(b):
         raise ValueError("lemma checks require distinct b values")
-    n = arrow.n
-    a, b = _sorted_descending(arrow.a_num, arrow.b_num)
-    arrow = ArrowMatrix.from_ints(a, arrow.a_den, b, arrow.b_den)
-    rows, scale = arrow.integer_rows()
-    p = _integer_char_poly([row[::-1] for row in reversed(rows)], scale)
-    inertia = refined_inertia_exact(p)
-    checks: list[LemmaCheck] = []
+    n = len(a)
+    a, b = _sorted_descending(a, b)
+    rows, scale = _arrow_rows(a, a_den, b, b_den)
+    p_num, p_den = _lowest(*_char_poly_ints([row[::-1] for row in reversed(rows)], scale))
+    inertia = _inertia_counts(p_num, p_den)
+    _, n_minus, n_zero, _ = inertia
 
-    # L-det: the spoke expansion and every closed-form shift determinant
-    # agree with the Berkowitz polynomial p, det(b_j I + B) = (-1)^n p(-b_j).
-    # The values are reused by the sign-table and exclusion checks below.
-    shift_dets: dict[int, Fraction] = {}
+    dets: list[tuple[int, int]] = []
     error = None
     try:
-        if arrow_char_poly(arrow) != p:
+        if _lowest(*_spoke_char_poly(a, a_den, b, b_den)) != (p_num, p_den):
+            arrow = ArrowMatrix.from_ints(a, a_den, b, b_den)
             raise InternalCheckError(
                 "spoke expansion differs from the Berkowitz characteristic polynomial; "
                 f"arrow {json.dumps(arrow.to_json())}"
             )
         for j in range(1, n - 1):
-            shift_dets[j] = arrow_shift_det(arrow, j, p)
+            dets.append(_shift_det(a, a_den, b, b_den, j, p_num, p_den))
     except InternalCheckError as exc:
         error = str(exc)
-    details: dict = {"det_values": shift_dets}
-    if error is not None:
-        details["error"] = error
-    checks.append(LemmaCheck("L-det", "fail" if error is not None else "pass", details))
+    signs = [(v > 0) - (v < 0) for v, _ in dets]
+    table, bound = _lemma_targets(i, n)
 
-    # L-sign: the alternating sign table of det(b_j I + B); a determinant
-    # L-det could not certify is missing from actual and fails the table.
-    top = n - 2 if i in (1, 2) else n - 3
-    expected = {j: (-1) ** (j + 1) if i == 1 else (-1) ** j for j in range(1, top + 1)}
-    actual = {j: (v > 0) - (v < 0) for j, v in shift_dets.items() if j <= top}
-    checks.append(
-        LemmaCheck(
-            "L-sign",
-            "pass" if actual == expected else "fail",
-            {"expected": expected, "actual": actual},
-        )
+    pairs = []
+    for bj in b[: n - 3]:
+        g = gcd(bj, b_den)
+        _, minus, zero, two_n_p = _inertia_counts(_shifted(p_num, -bj // g, b_den // g))
+        pairs.append((minus, minus + zero + two_n_p))
+
+    passed = (
+        error is None,  # L-det
+        signs[: len(table)] == table,  # L-sign: the alternating sign table
+        len(dets) == n - 2 and all(v for v, _ in dets),  # L-excl: no -b_j is an eigenvalue
+        n_minus >= bound,  # L-low
+        # L-par: (-1)^n det(B) = p(0) > 0, no zero eigenvalue, and n_minus has n's parity
+        p_num[0] > 0 and n_zero == 0 and (n - n_minus) % 2 == 0,
+        signs[: n - 3] == table[: n - 3] == [(-1) ** delta for _, delta in pairs],  # L-delta
+        n_minus >= n - 2,  # L-k
     )
+    return passed, _LemmaRecord(p_num, p_den, dets, inertia, pairs, error)
 
-    # L-excl: no -b_j is an eigenvalue, p(-b_j) = (-1)^n det(b_j I + B) != 0;
-    # a value L-det could not certify is missing and fails the check.
-    values = {j: (-1) ** n * v for j, v in shift_dets.items()}
-    ok = len(values) == n - 2 and all(v != 0 for v in shift_dets.values())
-    checks.append(LemmaCheck("L-excl", "pass" if ok else "fail", {"char_poly_values": values}))
 
-    # L-low: lower bounds on the negative count.
-    bound = n - 3 if i != 3 else n - 4
-    ok = inertia.n_minus >= bound
-    checks.append(
-        LemmaCheck("L-low", "pass" if ok else "fail", {"n_minus": inertia.n_minus, "bound": bound})
+def validate_lemmas(arrow: ArrowMatrix, i: int) -> list[LemmaCheck]:
+    """Run the exact identity checks behind the distinct-parameter analysis on arrow.
+
+    The checks and their argument are _lemma_checks'; each result carries
+    its computed quantities, as Fractions and ints, in its details.  Raises
+    as _lemma_checks does, and never on a mere check failure.
+    """
+    passed, record = _lemma_checks(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den, i)
+    n = arrow.n
+    table, bound = _lemma_targets(i, n)
+    dets = {j: Fraction(*det) for j, det in enumerate(record.dets, start=1)}
+    _, n_minus, n_zero, _ = record.inertia
+    det_details: dict = {"det_values": dets}
+    if record.error is not None:
+        det_details["error"] = record.error
+    details = (
+        det_details,
+        {
+            "expected": dict(enumerate(table, start=1)),
+            "actual": {j: (v > 0) - (v < 0) for j, v in dets.items() if j <= len(table)},
+        },
+        {"char_poly_values": {j: (-1) ** n * v for j, v in dets.items()}},
+        {"n_minus": n_minus, "bound": bound},
+        {"det": (-1) ** n * Fraction(record.p_num[0], record.p_den), "n_zero": n_zero, "n_minus": n_minus},
+        {"pairs": dict(enumerate(record.pairs, start=1))},
+        {"n_minus": n_minus, "bound": n - 2},
     )
-
-    # L-par: determinant sign, no zero eigenvalues, parity of the negative count.
-    det = (-1) ** n * p.constant
-    sign_ok = ((det > 0) - (det < 0)) == (-1) ** n
-    parity_ok = (n - inertia.n_minus) % 2 == 0
-    checks.append(
-        LemmaCheck(
-            "L-par",
-            "pass" if (sign_ok and inertia.n_zero == 0 and parity_ok) else "fail",
-            {"det": det, "n_zero": inertia.n_zero, "n_minus": inertia.n_minus},
-        )
-    )
-
-    # L-delta: for j <= n - 3, Delta_j, the number of eigenvalues with
-    # Re <= -b_j, has the table's parity, and (-1)^Delta_j is the sign of
-    # L-det's det(b_j I + B) = prod (lambda + b_j), since each non-real pair
-    # contributes |lambda + b_j|^2 > 0; a value L-det could not certify is
-    # missing from actual and fails the check.  Delta_j is read off an
-    # integer polynomial whose roots are those of p(x - b_j) times the
-    # reduced denominator of b_j, which moves no root across the axis.
-    rows = {}
-    ok = True
-    for j in range(1, n - 2):
-        shifted = _shifted_inertia(p, Fraction(b[j - 1], arrow.b_den))
-        delta = shifted.n_minus + shifted.n_zero + shifted.two_n_p
-        rows[j] = (shifted.n_minus, delta)
-        ok = ok and expected[j] == actual.get(j) == (-1) ** delta
-    checks.append(LemmaCheck("L-delta", "pass" if ok else "fail", {"pairs": rows}))
-
-    # L-k: the negative count reaches n - 2.
-    ok = inertia.n_minus >= n - 2
-    checks.append(
-        LemmaCheck("L-k", "pass" if ok else "fail", {"n_minus": inertia.n_minus, "bound": n - 2})
-    )
-
-    return checks
+    return [
+        LemmaCheck(check, "pass" if ok else "fail", detail)
+        for check, ok, detail in zip(_LEMMA_CHECKS, passed, details)
+    ]
 
 
 @dataclass(frozen=True)
@@ -643,37 +694,68 @@ class LemmaSuiteReport:
         return not self.failures
 
 
+def _lemma_chunk(args) -> tuple[list[tuple[int, str]], dict]:
+    """Failures (k, check), in k order, and counts by (check, passed) of lemma samples start..start+count-1.
+
+    The task is (i, n, seed, start, count), plain ints.  The family
+    pattern's signs are read, and one generator made, once per call; sample
+    k reseeds it with _sample_seed(seed, k), draws
+    (realization._signed_draws), redraws a tied b_j
+    (realization._redraw_tied_diagonal) and goes to _lemma_checks as the
+    arrow's integers (realization._family_draw).
+    """
+    i, n, seed, start, count = args
+    signs, rng = _signs(family_pattern(i, n)), random.Random(seed)  # seeded to skip an OS entropy read
+    failures: list[tuple[int, str]] = []
+    counts: Counter = Counter()
+    for k in range(start, start + count):
+        rng.seed(_sample_seed(seed, k))
+        draws = _signed_draws(signs, rng)
+        _redraw_tied_diagonal(draws, rng)
+        passed, _ = _lemma_checks(*_family_draw(draws), i)
+        for check, ok in zip(_LEMMA_CHECKS, passed):
+            counts[check, ok] += 1
+            if not ok:
+                failures.append((k, check))
+    return failures, dict(counts)
+
+
+def _lemma_span(task: tuple) -> tuple[int, int, int]:
+    """(order, start, count) of a _lemma_chunk task."""
+    _, n, _, start, count = task
+    return n, start, count
+
+
 def run_lemma_suite(
-    i: int, n: int, samples: int, cfg: RealizationConfig
+    i: int, n: int, samples: int, cfg: RealizationConfig, jobs: int = 1
 ) -> LemmaSuiteReport:
     """Validate the lemma checks over seeded samples with distinct b.
 
-    One generator serves the call: sample k reseeds it with
-    _sample_seed(cfg.seed, k) and draws (realization._signed_draws), and a
-    b_j that repeats an earlier one, which the checks reject, is drawn
+    Sample k is _sample_seed(cfg.seed, k)'s draw (realization._signed_draws),
+    and a b_j that repeats an earlier one, which the checks reject, is drawn
     again from the same stream until it is new
     (realization._redraw_tied_diagonal).  So sample k depends on k alone,
     and a tie-free sample is its plain draw.  The law is whole-sample
     rejection's: the 4096 * 20 grid pairs (m, e) are equally likely, so
     redrawing each tied b_j in turn gives the uniform law over ordered
     tuples of distinct b (for any order up to 81 922), independent of the
-    a_k.  validate_lemmas runs on the arrow read from the integer draws
-    (realization._family_draw).  Raises ValueError, before any draw, for a
-    negative sample count.
+    a_k.  The samples are split into contiguous runs of k, one per
+    process, this one first (jobs, clamped to [1, min(samples, CPU
+    count)]); each run is a _lemma_chunk, and the failures are merged in k
+    order and the counts summed, so the report does not depend on jobs.  A
+    worker that dies raises WorkerError.  Raises ValueError, before any
+    draw, for a negative sample count or an invalid family or order.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    pattern = family_pattern(i, n)
-    signs, rng = _signs(pattern), random.Random(cfg.seed)  # seeded to skip an OS entropy read
+    family_pattern(i, n)  # checks i and n before a worker starts
+    jobs = _clamp_jobs(jobs, samples)
+    tasks = [[(i, n, cfg.seed, *run)] for run in _split(samples, jobs)]
+    [results] = _run_chunks(_lemma_chunk, tasks, _lemma_span)
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()
-    for k in range(samples):
-        rng.seed(_sample_seed(cfg.seed, k))
-        draws = _signed_draws(signs, rng)
-        _redraw_tied_diagonal(draws, rng)
-        for check in validate_lemmas(ArrowMatrix.from_ints(*_family_draw(draws)), i):
-            counts[(check.check, check.status)] += 1
-            if check.failed:
-                failures.append((k, check.check))
-    summary = tuple(sorted((f"{check}:{status}", cnt) for (check, status), cnt in counts.items()))
+    for chunk_failures, chunk_counts in results:
+        failures += chunk_failures
+        counts.update(chunk_counts)
+    summary = tuple(sorted((f"{check}:{'pass' if ok else 'fail'}", cnt) for (check, ok), cnt in counts.items()))
     return LemmaSuiteReport(i, n, samples, tuple(failures), summary)

@@ -22,6 +22,8 @@ from .analysis import (
     Verdict,
     WitnessCertificationError,
     WorkerError,
+    _sample_seed,
+    canonical_dump,
     canonical_dumps,
     falsify_each,
     falsify_requires,
@@ -52,7 +54,7 @@ _CHECK_FAILURES = (InternalCheckError, WitnessCertificationError, MembershipErro
 _FAULTS = (*_CHECK_FAILURES, ValueError, WorkerError)
 
 _JOBS_HELP = (
-    "processes that sample, this one included, at most the budget and the CPU count; "
+    "processes that sample, this one included, at most the number of samples and the CPU count; "
     "a worker that dies is an internal error (exit 4), and none outlives the command"
 )
 
@@ -97,6 +99,7 @@ def _build_parser() -> _Parser:
     p_lemmas.add_argument("-n", "--order", type=int, required=True)
     p_lemmas.add_argument("--samples", type=int, required=True)
     p_lemmas.add_argument("--seed", type=int, default=None)
+    p_lemmas.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p_analyze = sub.add_parser("analyze", help="requires + allows pipeline over a range of orders")
     p_analyze.add_argument("-i", "--family", type=int, required=True, choices=(1, 2, 3))
@@ -130,7 +133,7 @@ def _write(path: str, text: str) -> int:
 def _cmd_family(args) -> int:
     pattern = family_pattern(args.family, args.order)
     if args.json:
-        sys.stdout.write(canonical_dumps(pattern.to_json()))
+        canonical_dump(pattern.to_json(), sys.stdout)
     else:
         print(pattern.render())
     return EXIT_OK
@@ -195,7 +198,7 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     cfg = RealizationConfig(seed=args.seed)
-    report = run_lemma_suite(args.family, args.order, args.samples, cfg)
+    report = run_lemma_suite(args.family, args.order, args.samples, cfg, jobs=args.jobs)
     print(f"family {args.family}, order {args.order}, samples {report.samples}")
     for label, count in report.check_counts:
         print(f"  {label}: {count}")
@@ -203,7 +206,7 @@ def _cmd_lemmas(args) -> int:
         print("all lemma checks passed")
         return EXIT_OK
     for index, check in report.failures:
-        print(f"FAIL sample {index}: {check}")
+        print(f"FAIL sample {index} (seed {_sample_seed(args.seed, index)}): {check}")
     return EXIT_INTERNAL
 
 

@@ -91,7 +91,12 @@ def char_poly(matrix: Sequence[Sequence]) -> RationalPoly:
 
 
 def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
-    """det(xI - B) for B = A / common, with A a square integer matrix.
+    """det(xI - B) for B = A / common, with A a square integer matrix (_char_poly_ints)."""
+    return RationalPoly.from_ints(*_char_poly_ints(A, common))
+
+
+def _char_poly_ints(A: list[list[int]], common: int) -> tuple[list[int], int]:
+    """(num, den) with det(xI - B) = sum(num[k] * x**k) / den for B = A / common, not reduced.
 
     det(xI - B) is common**-n * det(common x I - A), and det(yI - A) comes
     from Berkowitz's division-free recurrence over the integers: bordering
@@ -130,10 +135,7 @@ def _integer_char_poly(A: list[list[int]], common: int) -> RationalPoly:
                     col = [sum(map(mul, r, col)) for r in block]
                 toeplitz.append(-sum(map(mul, row, col)))
         poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
-    n = len(A)
-    return RationalPoly.from_ints(
-        [c * common**k for k, c in enumerate(reversed(poly))], common**n
-    )
+    return [c * common**k for k, c in enumerate(reversed(poly))], common ** len(A)
 
 
 # No pipeline caller: kept because the benchmark's tracer resolves it by name
@@ -310,35 +312,50 @@ def _shifted_inertia(p: RationalPoly, r: Rational) -> RefinedInertia:
     return RefinedInertia(*_inertia_counts(_shifted(p.num, s, t)))
 
 
+# No pipeline caller: the lemma checks call _shift_det; kept because the
+# benchmark's tracer resolves it by name and the engine tests use it.
 def arrow_shift_det(arrow: ArrowMatrix, j: int, reference: RationalPoly) -> Fraction:
-    """det(b_j I + B) for an arrowhead matrix, via the closed-form product.
+    """det(b_j I + B) for an arrowhead matrix with distinct b values, j in 1..n-2 (_shift_det).
 
-    Uses the formula -a_{j+2} * b_j * prod_{m != j} (b_j - b_m), valid when
-    the b values are distinct (j is 1-based), on the arrow's integers: its
-    numerator is over a_den * b_den**(n - 2).  reference is the matrix's
-    characteristic polynomial p from an independent algorithm; the value is
-    checked against det(b_j I + B) = (-1)**n * p(-b_j), with
-    b_den**deg(p) * p(-b_j) from Horner's rule in the integers, by
-    cross-multiplying the denominators, and a mismatch raises
-    InternalCheckError.
+    reference is the matrix's characteristic polynomial from an independent
+    algorithm, which the value is checked against.
     """
     n = arrow.n
     if not 1 <= j <= n - 2:
         raise ValueError(f"j must be in 1..{n - 2}, got {j}")
-    b, den = arrow.b_num, arrow.b_den
+    b = arrow.b_num
     if len(set(b)) != len(b):
         raise ValueError("shift determinant formula requires distinct b values")
+    return Fraction(*_shift_det(arrow.a_num, arrow.a_den, b, arrow.b_den, j, reference.num, reference.den))
+
+
+def _shift_det(
+    a: Sequence[int], a_den: int, b: Sequence[int], b_den: int, j: int, p_num: Sequence[int], p_den: int
+) -> tuple[int, int]:
+    """(value, scale): det(b_j I + B) = value / scale for the arrow a / a_den, b / b_den.
+
+    The closed form -a_{j+2} * b_j * prod_{m != j} (b_j - b_m), valid when
+    the b values are distinct (j is 1-based), on the arrow's integers: its
+    numerator is over a_den * b_den**(n - 2).  p_num / p_den is the
+    matrix's characteristic polynomial p from an independent algorithm;
+    the value is checked against det(b_j I + B) = (-1)**n * p(-b_j), with
+    b_den**deg(p) * p(-b_j) from Horner's rule in the integers, by
+    cross-multiplying the denominators, and a mismatch raises
+    InternalCheckError naming the arrow.
+    """
+    n = len(a)
     bj = b[j - 1]
-    value = -arrow.a_num[j + 1] * bj
+    value = -a[j + 1] * bj
     for m, bm in enumerate(b, start=1):
         if m != j:
             value *= bj - bm
-    scale = arrow.a_den * den ** (n - 2)
-    certified = (-1) ** n * _homogeneous_value(reference.num, -bj, den)
-    reference_scale = reference.den * den ** max(reference.degree, 0)
+    scale = a_den * b_den ** (n - 2)
+    certified = (-1) ** n * _homogeneous_value(p_num, -bj, b_den)
+    reference_scale = p_den * b_den ** max(len(p_num) - 1, 0)
     if value * reference_scale != certified * scale:
+        arrow = ArrowMatrix.from_ints(a, a_den, b, b_den)
         raise InternalCheckError(
             f"arrow shift determinant mismatch at j={j}: formula {Fraction(value, scale)}, "
             f"reference {Fraction(certified, reference_scale)}; arrow {json.dumps(arrow.to_json())}"
         )
-    return Fraction(value, scale)
+    return value, scale

@@ -45,12 +45,7 @@ class RationalPoly:
         self._set(*over_common(coeffs))
 
     def _set(self, num: list[int], den: int) -> None:
-        _strip(num)
-        if den < 0:
-            num, den = [-c for c in num], -den
-        g = gcd(den, *num) if num else den
-        if g != 1:
-            num, den = [c // g for c in num], den // g
+        num, den = _lowest(num, den)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
@@ -106,6 +101,17 @@ def _strip(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
+    """num / den in RationalPoly's canonical form: no trailing zero, den > 0, no common factor."""
+    _strip(num)
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = gcd(den, *num) if num else den
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return num, den
 
 
 def _primitive(coeffs: Sequence[int]) -> list[int]:

@@ -114,32 +114,12 @@ class ArrowMatrix:
         return hash((self.a, self.b))
 
     def in_family(self, i: int) -> bool:
-        """Whether the matrix lies in the qualitative class of family i.
-
-        Every family pattern has the arrowhead's shape: a positive first
-        row, a zero (2, 2) entry, and zeros off the first row, the first
-        column and the diagonal.  So membership reads only the signs of
-        the a_k, against the first column, and of the -b_j, against the
-        diagonal.  Raises ValueError when i is not a family index.
-        """
-        signs = family_pattern(i, self.n).rows
-        return all((x > 0) - (x < 0) == signs[k][0] for k, x in enumerate(self.a_num)) and all(
-            (x < 0) - (x > 0) == signs[k][k] for k, x in enumerate(self.b_num, start=2)
-        )
+        """Whether the matrix lies in the qualitative class of family i (_arrow_in_family)."""
+        return _arrow_in_family(self.a_num, self.b_num, i)
 
     def integer_rows(self) -> tuple[list[list[int]], int]:
         """(A, scale): the matrix is A / scale, with scale the lcm of the two denominators."""
-        scale = math.lcm(self.a_den, self.b_den)
-        ka, kb = scale // self.a_den, scale // self.b_den
-        n = self.n
-        rows = [[self.a_num[0] * ka] + [scale] * (n - 1)]
-        for k in range(1, n):
-            row = [0] * n
-            row[0] = self.a_num[k] * ka
-            if k >= 2:
-                row[k] = -self.b_num[k - 2] * kb
-            rows.append(row)
-        return rows, scale
+        return _arrow_rows(self.a_num, self.a_den, self.b_num, self.b_den)
 
     def to_matrix(self) -> RationalMatrix:
         return _fraction_rows(*self.integer_rows())
@@ -151,16 +131,52 @@ class ArrowMatrix:
         }
 
 
+def _arrow_in_family(a: Sequence[int], b: Sequence[int], i: int) -> bool:
+    """Whether the arrow with numerators a and b, over positive denominators, is in family i's class.
+
+    Every family pattern has the arrowhead's shape: a positive first
+    row, a zero (2, 2) entry, and zeros off the first row, the first
+    column and the diagonal.  So membership reads only the signs of
+    the a_k, against the first column, and of the -b_j, against the
+    diagonal.  Raises ValueError when i is not a family index.
+    """
+    signs = family_pattern(i, len(a)).rows
+    return all((x > 0) - (x < 0) == signs[k][0] for k, x in enumerate(a)) and all(
+        (x < 0) - (x > 0) == signs[k][k] for k, x in enumerate(b, start=2)
+    )
+
+
+def _arrow_rows(a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> tuple[list[list[int]], int]:
+    """(A, scale): the arrow a / a_den, b / b_den is the matrix A / scale, scale = lcm(a_den, b_den)."""
+    scale = math.lcm(a_den, b_den)
+    ka, kb = scale // a_den, scale // b_den
+    n = len(a)
+    rows = [[a[0] * ka] + [scale] * (n - 1)]
+    for k in range(1, n):
+        row = [0] * n
+        row[0] = a[k] * ka
+        if k >= 2:
+            row[k] = -b[k - 2] * kb
+        rows.append(row)
+    return rows, scale
+
+
 def arrow_char_poly(arrow: ArrowMatrix) -> RationalPoly:
     """Characteristic polynomial det(xI - B) of the arrowhead form, by the spoke expansion.
 
-    _spoke_expansion's G(y) on the arrow's integers, rescaled to
-    det(xI - B) = sum(G_k q**k x**k) / (c q**n) and normalized.  Tests pin
-    this closed form against the generic Berkowitz route.
+    _spoke_char_poly on the arrow's integers, normalized.  Tests pin this
+    closed form against the generic Berkowitz route.
     """
-    g = _spoke_expansion(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den)
-    q = arrow.b_den
-    return RationalPoly.from_ints([gk * q**k for k, gk in enumerate(g)], arrow.a_den * q ** (len(g) - 1))
+    return RationalPoly.from_ints(*_spoke_char_poly(arrow.a_num, arrow.a_den, arrow.b_num, arrow.b_den))
+
+
+def _spoke_char_poly(a: Sequence[int], c: int, b: Sequence[int], q: int) -> tuple[list[int], int]:
+    """(num, den) with det(xI - B) = sum(num[k] * x**k) / den for the arrow a / c, b / q, not reduced.
+
+    _spoke_expansion's G(y) rescaled: num[k] = G_k q**k and den = c q**n.
+    """
+    g = _spoke_expansion(a, c, b, q)
+    return [gk * q**k for k, gk in enumerate(g)], c * q ** (len(g) - 1)
 
 
 def _spoke_expansion(a: Sequence[int], c: int, b: Sequence[int], q: int) -> list[int]:

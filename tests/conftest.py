@@ -19,9 +19,9 @@ class ThreadProcess(threading.Thread):
     """
 
     def __init__(self, target, args, daemon):
-        conn, self.tasks = args
+        conn, self.chunk, self.tasks = args
         self._conn = Connection(os.dup(conn.fileno()), readable=False)
-        super().__init__(target=target, args=(self._conn, self.tasks), daemon=daemon)
+        super().__init__(target=target, args=(self._conn, self.chunk, self.tasks), daemon=daemon)
         self.exitcode = None
         self.killed = False
 

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -49,7 +50,7 @@ from refined_inertia.realization import (
     to_arrow_form,
 )
 
-from polys import add, evaluate
+from polys import evaluate
 
 ALL_PLUS_4 = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
 
@@ -498,7 +499,7 @@ class TestWorkerLifetime:
         tasks = _falsify_tasks(family_pattern(1, 5), 30, RealizationConfig(seed=0), 3)
         lists = [[task, task] for task in tasks]
         lists[where][1] = None
-        steps = _run_chunks(lists)
+        steps = _run_chunks(analysis._falsify_chunk, lists, analysis._falsify_span)
         assert next(steps) == [analysis._falsify_chunk(task) for task in tasks]
         with pytest.raises(TypeError, match="cannot unpack"):
             next(steps)
@@ -636,10 +637,14 @@ class TestLemmaValidation:
         assert checked >= 30
 
     def test_spoke_expansion_mismatch_fails_l_det(self, monkeypatch):
-        spoke = analysis.arrow_char_poly
-        monkeypatch.setattr(
-            analysis, "arrow_char_poly", lambda arrow: add(spoke(arrow), RationalPoly([Fraction(1, 5)]))
-        )
+        # The spoke expansion is off by 1/5, num / den + 1/5.
+        spoke = analysis._spoke_char_poly
+
+        def off(a, c, b, q):
+            num, den = spoke(a, c, b, q)
+            return [5 * num[0] + den] + [5 * x for x in num[1:]], 5 * den
+
+        monkeypatch.setattr(analysis, "_spoke_char_poly", off)
         arrow = self.sampled_arrow(2, 6, 11)
         results = {r.check: r for r in validate_lemmas(arrow, 2)}
         message = results["L-det"].details["error"]
@@ -672,13 +677,14 @@ class TestLemmaValidation:
     def test_l_delta_fails_when_shifted_negative_counts_move(self, i, monkeypatch):
         # One more negative eigenvalue in every shifted spectrum flips the
         # parity and the sign L-delta reads; the unshifted checks still pass.
-        shifted_inertia = analysis._shifted_inertia
+        # Each shifted polynomial gains the factor (x + 1), a root at -1.
+        shifted = analysis._shifted
 
-        def bumped(p, r):
-            ri = shifted_inertia(p, r)
-            return RefinedInertia(ri.n_plus, ri.n_minus + 1, ri.n_zero, ri.two_n_p)
+        def bumped(coeffs, s, t):
+            g = shifted(coeffs, s, t)
+            return [x + y for x, y in zip([0, *g], [*g, 0])]
 
-        monkeypatch.setattr(analysis, "_shifted_inertia", bumped)
+        monkeypatch.setattr(analysis, "_shifted", bumped)
         report = run_lemma_suite(i, 8, 10, RealizationConfig(seed=3))
         assert report.failures == tuple((k, "L-delta") for k in range(10))
 
@@ -719,7 +725,7 @@ class TestLemmaValidation:
             built.append((rows, engine._integer_char_poly(rows, scale)))
             raise Built
 
-        monkeypatch.setattr(analysis, "_integer_char_poly", capture)
+        monkeypatch.setattr(analysis, "_char_poly_ints", capture)
         arrow = _plain_arrow(family_pattern(i, n), _sample_seed(7, 0))
         assert len(set(arrow.b_num)) == n - 2
         with pytest.raises(Built):
@@ -741,9 +747,14 @@ class TestLemmaValidation:
 
     @staticmethod
     def drawn_arrows(monkeypatch, i, n, samples, seed):
-        """The arrows run_lemma_suite hands validate_lemmas, which is stubbed to check nothing."""
+        """The arrows run_lemma_suite hands _lemma_checks, which is stubbed to check nothing."""
         arrows = []
-        monkeypatch.setattr(analysis, "validate_lemmas", lambda arrow, i: arrows.append(arrow) or [])
+
+        def record(a, a_den, b, b_den, i):
+            arrows.append(ArrowMatrix.from_ints(a, a_den, b, b_den))
+            return (), None
+
+        monkeypatch.setattr(analysis, "_lemma_checks", record)
         report = run_lemma_suite(i, n, samples, RealizationConfig(seed=seed))
         assert report.all_passed and report.check_counts == ()
         return arrows
@@ -806,6 +817,107 @@ class TestLemmaValidation:
         monkeypatch.setattr(ArrowMatrix, "b", property(refuse))
         report = run_lemma_suite(2, 6, 5, RealizationConfig(seed=4))
         assert report.all_passed and report.samples == 5
+
+
+class TestLemmaRunner:
+    """run_lemma_suite on the chunk runner: contiguous k ranges, one per process."""
+
+    def test_chunk_builds_no_arrow_polynomial_inertia_check_or_fraction(self, monkeypatch):
+        # A lemma sample goes from its integer draws to seven statuses: no
+        # ArrowMatrix, RationalPoly, RefinedInertia, LemmaCheck or Fraction
+        # is constructed.  The control calls show that each counter sees
+        # constructions.
+        built = Counter()
+
+        def counting(cls, name):
+            original = cls.__dict__[name]
+            call = original.__func__ if isinstance(original, staticmethod) else original
+
+            def counted(*args, **kwargs):
+                built[cls.__name__] += 1
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(ArrowMatrix, "_set")
+        counting(RationalPoly, "_set")
+        counting(RefinedInertia, "__new__")
+        counting(analysis.LemmaCheck, "__init__")
+        counting(Fraction, "__new__")
+        arrow = _plain_arrow(family_pattern(2, 8), 1)
+        refined_inertia_exact(arrow_char_poly(arrow))
+        validate_lemmas(arrow, 2)
+        assert {name: built[name] > 0 for name in built} == dict.fromkeys(
+            ["ArrowMatrix", "RationalPoly", "RefinedInertia", "LemmaCheck", "Fraction"], True
+        )
+        built.clear()
+        failures, counts = analysis._lemma_chunk((2, 8, 5, 0, 20))
+        assert built == {}
+        assert failures == [] and sum(counts.values()) == 20 * 7
+
+    def test_reports_are_equal_at_jobs_1_2_and_3(self, monkeypatch, thread_processes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for i in (1, 2, 3):
+            reports = [run_lemma_suite(i, 6, 25, RealizationConfig(seed=4), jobs=jobs) for jobs in (1, 2, 3)]
+            assert reports[1:] == reports[:1] * 2
+            assert reports[0].all_passed and dict(reports[0].check_counts)["L-det:pass"] == 25
+        # Per family, jobs 2 starts one worker and jobs 3 two; each takes a
+        # contiguous run of k after this process's.
+        assert [worker.tasks for worker in thread_processes[:3]] == [
+            [(1, 6, 4, 12, 13)],
+            [(1, 6, 4, 8, 8)],
+            [(1, 6, 4, 16, 9)],
+        ]
+
+    def test_failures_from_two_chunks_merge_in_k_order(self, monkeypatch, thread_processes):
+        # Every check fails on a sample whose a_1 numerator is a multiple
+        # of 3; such samples fall in both halves, and the merged report lists
+        # them in k order, each sample's checks in their fixed order, as at
+        # jobs 1.
+        def fails_on_a_multiple_of_3(a, a_den, b, b_den, i):
+            return (a[0] % 3 != 0,) * 7, None
+
+        monkeypatch.setattr(analysis, "_lemma_checks", fails_on_a_multiple_of_3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial, parallel = (run_lemma_suite(1, 7, 40, RealizationConfig(seed=8), jobs=j) for j in (1, 2))
+        assert len(thread_processes) == 1
+        assert parallel == serial
+        failed = sorted({k for k, _ in serial.failures})
+        assert min(failed) < 20 <= max(failed)
+        assert serial.failures == tuple((k, check) for k in failed for check in analysis._LEMMA_CHECKS)
+        counts = dict(serial.check_counts)
+        assert counts["L-k:fail"] == len(failed) and counts["L-k:pass"] == 40 - len(failed)
+
+    def test_lemma_task_pickles_without_a_sign_pattern(self, monkeypatch, thread_processes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_lemma_suite(3, 9, 6, RealizationConfig(seed=2), jobs=2)
+        [worker] = thread_processes
+        assert worker.chunk is analysis._lemma_chunk
+        [task] = worker.tasks
+        assert task == (3, 9, 2, 3, 3)
+        assert all(type(x) is int for x in task)
+        payload = pickle.dumps(task)
+        assert pickle.loads(payload) == task
+        assert b"SignPattern" not in payload
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="only a forked worker inherits the patch"
+    )
+    def test_dead_lemma_worker_raises_worker_error(self, monkeypatch):
+        chunk = analysis._lemma_chunk
+
+        def dies_past_sample_0(task):
+            if task[3] > 0:
+                os._exit(1)
+            return chunk(task)
+
+        monkeypatch.setattr(analysis, "_lemma_chunk", dies_past_sample_0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+        message = "^a sampling process exited with code 1 before it sent samples 5..9 of order 6$"
+        with pytest.raises(WorkerError, match=message):
+            run_lemma_suite(2, 6, 10, RealizationConfig(seed=0), jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialization:

@@ -58,6 +58,18 @@ def test_family_json_output(capsys):
     assert data[0] == ["-", "+", "+", "+"]
 
 
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_family_json_is_streamed_as_the_canonical_text(capsys, i):
+    # riq family --json writes the pattern's JSON as it is encoded
+    # (canonical_dump); the bytes are canonical_dumps'.
+    data = family_pattern(i, 7).to_json()
+    buffer = io.StringIO()
+    analysis.canonical_dump(data, buffer)
+    assert buffer.getvalue() == analysis.canonical_dumps(data)
+    assert main(["family", "-i", str(i), "-n", "7", "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == analysis.canonical_dumps(data)
+
+
 def test_family_bad_order_is_usage_error(capsys):
     assert main(["family", "-i", "1", "-n", "3"]) == EXIT_USAGE
     assert len(capsys.readouterr().err.splitlines()) == 1
@@ -159,8 +171,9 @@ def test_process_pool_is_imported_only_when_a_pool_opens(all_plus_file):
     [
         ["family", "-i", "1", "-n", "3000"],
         ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "5", "--seed", "0", "--jobs", "1"],
+        ["family", "-i", "1", "-n", "300", "--json"],
     ],
-    ids=["family", "analyze"],
+    ids=["family", "analyze", "family-json"],
 )
 def test_closed_stdout_exits_2_without_traceback(argv):
     # The reader closes the pipe before the command writes, as `riq ... |
@@ -571,20 +584,26 @@ def test_falsifier_check_failure_names_a_polynomial_that_reproduces_it(capsys, m
             "",
             "internal error: a sampling process exited with code 1 before it sent samples 10..19 of order 5\n",
         ),
+        (
+            ["lemmas", "-i", "2", "-n", "6", "--samples", "10", "--seed", "0", "--jobs", "2"],
+            "",
+            "internal error: a sampling process exited with code 1 before it sent samples 5..9 of order 6\n",
+        ),
     ],
-    ids=["analyze", "falsify"],
+    ids=["analyze", "falsify", "lemmas"],
 )
 def test_dead_worker_is_one_line_exit_4(pattern_file, capsys, monkeypatch, argv, out, err):
     # The worker dies in its first chunk, without a word, and its pipe
     # closes before the result arrives.
-    chunk = analysis._falsify_chunk
+    name = "_lemma_chunk" if argv[0] == "lemmas" else "_falsify_chunk"
+    chunk = getattr(analysis, name)
 
     def dies_past_sample_0(task):
         if task[3] > 0:
             os._exit(1)
         return chunk(task)
 
-    monkeypatch.setattr(analysis, "_falsify_chunk", dies_past_sample_0)
+    monkeypatch.setattr(analysis, name, dies_past_sample_0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
     assert main([arg.format(pattern=pattern_file) for arg in argv]) == EXIT_INTERNAL
@@ -638,6 +657,73 @@ def test_analyze_stdout_does_not_depend_on_jobs(capsys, monkeypatch, family, bud
     assert outputs[1:] == outputs[:1] * 2
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_lemmas_stdout_does_not_depend_on_start_method(method):
+    # A lemma task is five ints, pickled for a worker that imports the
+    # package afresh; two CPUs are claimed so that --jobs 2 starts one.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    script = (
+        "import multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "os.cpu_count = lambda: 2\n"
+        "from refined_inertia.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    argv = ["lemmas", "-i", "3", "-n", "7", "--samples", "30", "--seed", "9", "--jobs"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script, method, *argv, jobs],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        for jobs in ("1", "2")
+    ]
+    assert [(proc.returncode, proc.stderr) for proc in outputs] == [(EXIT_OK, b"")] * 2
+    assert outputs[0].stdout.endswith(b"all lemma checks passed\n")
+    assert outputs[1].stdout == outputs[0].stdout
+
+
+@pytest.mark.parametrize("family", ["1", "2", "3"])
+def test_lemmas_stdout_does_not_depend_on_jobs(capsys, monkeypatch, family):
+    # Real worker processes; three CPUs are claimed so that --jobs 3 splits
+    # the samples three ways anywhere.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["lemmas", "-i", family, "-n", "6", "--samples", "40", "--seed", "9"]
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        assert main(argv + ["--jobs", jobs]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == ""
+    assert outputs[0].out.splitlines()[-1] == "all lemma checks passed"
+    assert outputs[1:] == outputs[:1] * 2
+
+
+def test_lemma_failure_line_names_the_seed_that_rebuilds_its_sample(capsys, monkeypatch):
+    # Sample 1263 of family 1, order 6, seed 2 draws b_4 equal to b_1, so
+    # its b_4 is redrawn.  Its L-k is forced to fail; the line's seed, put
+    # through the suite's draw, gives the arrow that was checked.
+    checked = []
+
+    def l_k_fails_at_1263(a, a_den, b, b_den, i):
+        checked.append((a, a_den, b, b_den))
+        return (True,) * 6 + (len(checked) - 1 != 1263,), None
+
+    monkeypatch.setattr(analysis, "_lemma_checks", l_k_fails_at_1263)
+    assert main(["lemmas", "-i", "1", "-n", "6", "--samples", "1266", "--seed", "2"]) == EXIT_INTERNAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"FAIL sample 1263 (seed {analysis._sample_seed(2, 1263)}): L-k"
+    assert "  L-k:fail: 1" in lines
+    seed = int(lines[-1].split("seed ")[1].split(")")[0])
+    rng = random.Random(seed)
+    draws = realization._signed_draws(realization._signs(family_pattern(1, 6)), rng)
+    plain = realization._family_draw(draws)
+    realization._redraw_tied_diagonal(draws, rng)
+    assert realization._family_draw(draws) == checked[1263] != plain
+
+
 def test_lemmas_has_no_order_bound(capsys):
     # A tied b_j is redrawn on its own, so no order is refused up front.
     assert main(["lemmas", "-i", "1", "-n", "2000", "--samples", "0", "--seed", "1"]) == EXIT_OK
@@ -678,6 +764,7 @@ USAGE_ERRORS = {
     "analyze-negative-budget": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "-1"],
     "falsify-jobs-0": ["falsify", "--pattern", "{order4}", "--budget", "5", "--jobs", "0"],
     "analyze-jobs-0": ["analyze", "-i", "1", "--n-range", "4..5", "--budget", "5", "--jobs", "0"],
+    "lemmas-jobs-0": ["lemmas", "-i", "1", "-n", "5", "--samples", "5", "--seed", "0", "--jobs", "0"],
     "witness-order-3": ["witness", "-i", "1", "-n", "3"],
     "family-order-3": ["family", "-i", "1", "-n", "3"],
     "lemmas-order-3": ["lemmas", "-i", "1", "-n", "3", "--samples", "1", "--seed", "0"],
