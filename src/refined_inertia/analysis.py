@@ -29,9 +29,7 @@ from .engine import (
     RefinedInertia,
     _char_poly_ints,
     _inertia_counts,
-    _integer_char_poly,
     _shift_det,
-    char_poly,
     refined_inertia_exact,
 )
 from .patterns import SignPattern, family_pattern
@@ -54,6 +52,7 @@ from .realization import (
     embed_witness,
     family_index,
     matrix_to_json,
+    rational_rows,
     sample_realization,
 )
 
@@ -248,8 +247,9 @@ def _exact_inertia(num: Sequence[int]) -> tuple[int, int, int, int]:
     roots are a positive multiple of the eigenvalues, which keeps every
     count.  This is how the falsifier classifies every one: _falsify_chunk
     builds a sample's from its integer draws, and _shrink_counterexample a
-    candidate's by char_poly.  An internal-check failure names num over 1,
-    a polynomial that reproduces it through refined_inertia_exact.
+    candidate's from its integer rows by Berkowitz, with no RationalPoly
+    built for either.  An internal-check failure names num over 1, a
+    polynomial that reproduces it through refined_inertia_exact.
     """
     return _inertia_counts(num)
 
@@ -267,9 +267,11 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
     family flag is set, the draws are read as the arrow's integers
     (realization._family_draw) and the polynomial is the spoke expansion's
     G(y), whose roots are b_den > 0 times the eigenvalues
-    (realization._spoke_expansion); no ArrowMatrix, RationalPoly or
-    RefinedInertia is built.  Otherwise Berkowitz runs on the draws laid
-    out as integer rows (realization._draw_rows).  No sample becomes a
+    (realization._spoke_expansion).  Otherwise the draws are laid out as
+    integer rows A over common (realization._draw_rows) and the polynomial
+    is det(yI - A) from Berkowitz (_char_poly_ints with common 1), whose
+    roots are common > 0 times the eigenvalues.  Neither route builds an
+    ArrowMatrix, RationalPoly or RefinedInertia, and no sample becomes a
     Fraction.
     """
     pattern, family, seed, start, count, members = args
@@ -282,7 +284,8 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
         if family:
             num = _spoke_expansion(*_family_draw(draws))
         else:
-            num = _integer_char_poly(*_draw_rows(pattern, draws)).num
+            rows, _ = _draw_rows(pattern, draws)
+            num, _ = _char_poly_ints(rows, 1)
         counts = _exact_inertia(num)
         if counts not in members and first_outside is None:
             first_outside = k
@@ -295,12 +298,14 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
 
     Every move keeps each entry's sign, so every candidate stays in the
     qualitative class of matrix.  Each candidate is classified as a matrix,
-    through char_poly, whatever its pattern, and is outside while its
+    whatever its pattern: Berkowitz's integers for det(xI - B), read by
+    rational_rows and rescaled by _char_poly_ints but not reduced, so
+    -num[-2] / num[-1] is the candidate's trace.  It is outside while its
     counts are not in members.
     """
 
     def still_outside(rows) -> bool:
-        return _exact_inertia(char_poly(rows).num) not in members
+        return _exact_inertia(_char_poly_ints(*rational_rows(rows))[0]) not in members
 
     work = [list(row) for row in matrix]
     n = len(work)

@@ -77,9 +77,14 @@ class RefinedInertia(_Counts):
 
 
 def _to_float_array(matrix: Sequence[Sequence]) -> np.ndarray:
+    """The matrix as a square float array; numpy rounds each entry as float(x) does.
+
+    An int or Fraction past the float range raises OverflowError, and
+    ragged rows raise ValueError, as a non-square or empty matrix does.
+    """
     import numpy as np
 
-    arr = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
     return arr
@@ -234,7 +239,7 @@ def _classify_eigenvalues(
     guard = 10.0 * threshold
     n_plus = n_minus = n_zero = two_n_p = 0
     near_axis = False
-    for lam in eigvals:
+    for lam in eigvals.tolist():  # Python numbers: numpy scalars are slower per entry
         if abs(lam.real) <= guard:
             near_axis = True
         if abs(lam) <= threshold:

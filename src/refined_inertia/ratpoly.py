@@ -21,14 +21,28 @@ Rational = Fraction | int
 
 
 def as_ratio(value: Rational) -> tuple[int, int]:
-    """(numerator, positive denominator) of an int or Fraction, rejecting floats."""
+    """(numerator, positive denominator) of an int or Fraction, rejecting floats.
+
+    A plain int is tested first: isinstance against Fraction, whose
+    metaclass is ABCMeta, is slow for anything but a Fraction.
+    """
+    if type(value) is int:
+        return value, 1
     if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
         return value.numerator, value.denominator
     raise TypeError(f"exact arithmetic requires int or Fraction, got {type(value).__name__}")
 
 
 def over_common(values: Iterable[Rational]) -> tuple[list[int], int]:
-    """(nums, den): values[k] is nums[k] / den, with den the lcm of their denominators (1 if none)."""
+    """(nums, den): values[k] is nums[k] / den, with den the lcm of their denominators (1 if none).
+
+    Values that are all plain ints come back as a new list of themselves
+    over 1, with no entry read by as_ratio; an int subclass such as an
+    IntEnum takes the general route, and a bool raises there.
+    """
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return values, 1
     ratios = [as_ratio(x) for x in values]
     den = lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den

@@ -31,9 +31,10 @@ def rational_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(A, common): the matrix is A / common, with common the lcm of every entry's denominator.
 
     The one reader of an exact matrix: entries must be ints or Fractions
-    (floats raise TypeError), and the matrix square and nonempty.
+    (floats raise TypeError), and the matrix square and nonempty.  A
+    matrix of plain ints is A itself, copied, over 1 (over_common).
     """
-    nums, common = over_common(x for row in matrix for x in row)
+    nums, common = over_common([x for row in matrix for x in row])
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and nonempty")

@@ -38,7 +38,7 @@ from refined_inertia.engine import (
     count_eigen_re_leq,
     refined_inertia_exact,
 )
-from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix
+from refined_inertia.patterns import Sign, SignPattern, family_pattern, parse_pattern, sgn_of_matrix
 from refined_inertia.ratpoly import RationalPoly
 from refined_inertia.realization import (
     ArrowMatrix,
@@ -67,6 +67,38 @@ def _random_pattern(n: int, seed: int) -> SignPattern:
 
 # Patterns outside the three families, whose samples take the integer-row draw.
 RANDOM_5, RANDOM_7 = _random_pattern(5, 515), _random_pattern(7, 717)
+# Non-family patterns whose zeros steer Berkowitz's steps on their integer
+# rows.  The hub-last arrow takes the zero-border step at every border but
+# the hub's, which takes the diagonal block's power sums.  The upper
+# triangle takes only zero-border steps.  The block pattern's first border
+# takes the diagonal step and its third a dense one; its fourth, beside the
+# now dense leading 3 x 3 block, is a zero border.
+HUB_LAST_6 = parse_pattern(
+    "- 0 0 0 0 +\n0 - 0 0 0 -\n0 0 + 0 0 +\n0 0 0 - 0 -\n0 0 0 0 - +\n+ - + + - -"
+)
+UPPER_5 = parse_pattern("- + 0 - +\n0 + - + 0\n0 0 - + -\n0 0 0 0 +\n0 0 0 0 -")
+BLOCK_6 = parse_pattern(
+    "- + 0 0 0 0\n+ - + 0 0 0\n0 - + 0 0 0\n+ 0 - - + 0\n0 + 0 - 0 +\n- 0 0 + - -"
+)
+
+
+def _count_constructions(monkeypatch, *targets) -> Counter:
+    """Calls of each (class, method) in targets, by class name, counted while the test runs."""
+    built = Counter()
+
+    def counting(cls, name):
+        original = cls.__dict__[name]
+        call = original.__func__ if isinstance(original, staticmethod) else original
+
+        def counted(*args, **kwargs):
+            built[cls.__name__] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in targets:
+        counting(cls, name)
+    return built
 
 
 class TestHnSet:
@@ -182,24 +214,33 @@ class TestFalsifier:
         # no ArrowMatrix, RationalPoly or RefinedInertia is constructed.
         # Every constructor of the first two runs _set; the control calls
         # below show that each counter sees one construction.
-        built = Counter()
-
-        def counting(cls, name):
-            original = getattr(cls, name)
-
-            def counted(self, *args):
-                built[cls.__name__] += 1
-                return original(self, *args)
-
-            monkeypatch.setattr(cls, name, counted)
-
-        counting(ArrowMatrix, "_set")
-        counting(RationalPoly, "_set")
-        counting(RefinedInertia, "__new__")
+        built = _count_constructions(
+            monkeypatch, (ArrowMatrix, "_set"), (RationalPoly, "_set"), (RefinedInertia, "__new__")
+        )
         pattern = family_pattern(i, 10)
         refined_inertia_exact(arrow_char_poly(_plain_arrow(pattern, 1)))
         assert built == {"ArrowMatrix": 1, "RationalPoly": 1, "RefinedInertia": 1}
         task = _falsify_tasks(pattern, 40, RealizationConfig(seed=i), 1)[0]
+        built.clear()
+        histogram, _ = analysis._falsify_chunk(task)
+        assert built == {}
+        assert sum(histogram.values()) == 40
+        assert all(type(key) is tuple and len(key) == 4 for key in histogram)
+
+    def test_generic_chunk_builds_no_polynomial_inertia_or_fraction(self, monkeypatch):
+        # A sample outside the families goes from its integer rows to
+        # det(yI - A) and its four counts: no RationalPoly, RefinedInertia or
+        # Fraction is constructed.  The control, the same sample through
+        # char_poly and refined_inertia_exact, shows that each counter sees
+        # constructions.
+        built = _count_constructions(
+            monkeypatch, (RationalPoly, "_set"), (RefinedInertia, "__new__"), (Fraction, "__new__")
+        )
+        task = _falsify_tasks(RANDOM_7, 40, RealizationConfig(seed=7), 1)[0]
+        refined_inertia_exact(char_poly(sample_realization(RANDOM_7, RealizationConfig(seed=7))))
+        assert {name: built[name] > 0 for name in built} == dict.fromkeys(
+            ["RationalPoly", "RefinedInertia", "Fraction"], True
+        )
         built.clear()
         histogram, _ = analysis._falsify_chunk(task)
         assert built == {}
@@ -225,16 +266,17 @@ class TestFalsifier:
     @pytest.mark.parametrize(
         "pattern",
         [family_pattern(i, n) for i in (1, 2, 3) for n in (4, 5, 6, 10)]
-        + [ALL_PLUS_4, RANDOM_5, RANDOM_7],
+        + [ALL_PLUS_4, RANDOM_5, RANDOM_7, HUB_LAST_6, UPPER_5, BLOCK_6],
         ids=[f"family-{i}-order-{n}" for i in (1, 2, 3) for n in (4, 5, 6, 10)]
-        + ["all-plus-4", "random-order-5", "random-order-7"],
+        + ["all-plus-4", "random-order-5", "random-order-7", "hub-last-6", "upper-5", "block-6"],
     )
     def test_histogram_is_the_exact_classification(self, pattern):
         # Every sample is certified: the histogram is the Counter of the exact
         # inertias, through the generic char_poly, of the same seeded samples.
         # The falsifier reads family samples' arrow form straight from their
-        # draws, and any other sample's integer rows; order 10 pins the
-        # family path at the largest benchmarked order.
+        # draws, and counts any other sample on det(yI - A) of its integer
+        # rows A, through every Berkowitz step; order 10 pins the family
+        # path at the largest benchmarked order.
         cfg = RealizationConfig(seed=29)
         report = falsify_requires(pattern, 60, cfg)
         samples = (
@@ -523,15 +565,18 @@ FIXTURES = Path(__file__).parent / "fixtures" / "falsify"
 FIXTURE_PATTERNS = {
     **{f"family-{i}-order-{n}": family_pattern(i, n) for i in (1, 2, 3) for n in (4, 10)},
     "all-plus-4": ALL_PLUS_4,
+    "block-order-6": BLOCK_6,
 }
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
 @pytest.mark.parametrize("name", FIXTURE_PATTERNS)
 def test_report_bytes_match_fixture(name, jobs):
-    # The fixtures were written by the Fraction-only sampler, before family
-    # samples were drawn as integers: the sample stream, the counterexample
-    # and its shrinking must not move by a byte, for any job count.
+    # The fixtures were written by earlier code: the Fraction-only sampler,
+    # before family samples were drawn as integers, and block-order-6 before
+    # samples outside the families were counted on det(yI - A).  The sample
+    # stream, the counterexample and its shrinking must not move by a byte,
+    # for any job count.
     report = falsify_requires(FIXTURE_PATTERNS[name], 50, RealizationConfig(seed=7075), jobs=jobs)
     expected = (FIXTURES / f"{name}.json").read_bytes()
     assert canonical_dumps(report.to_json_dict()).encode("utf-8") == expected
@@ -543,7 +588,7 @@ def test_check_fixtures_script_reproduces_every_report():
     script = Path(__file__).resolve().parents[1] / "tools" / "check_fixtures.py"
     result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines()[-1].startswith("14/14 reports match")
+    assert result.stdout.splitlines()[-1].startswith("16/16 reports match")
 
 
 class TestLemmaValidation:
@@ -811,6 +856,7 @@ class TestLemmaValidation:
         monkeypatch.setattr(analysis, "family_index", refuse)
         monkeypatch.setattr(realization, "family_index", refuse)
         monkeypatch.setattr(ArrowMatrix, "to_matrix", refuse)
+        monkeypatch.setattr(analysis, "rational_rows", refuse)
         monkeypatch.setattr(engine, "rational_rows", refuse)
         monkeypatch.setattr(realization, "rational_rows", refuse)
         monkeypatch.setattr(ArrowMatrix, "a", property(refuse))
@@ -827,23 +873,14 @@ class TestLemmaRunner:
         # ArrowMatrix, RationalPoly, RefinedInertia, LemmaCheck or Fraction
         # is constructed.  The control calls show that each counter sees
         # constructions.
-        built = Counter()
-
-        def counting(cls, name):
-            original = cls.__dict__[name]
-            call = original.__func__ if isinstance(original, staticmethod) else original
-
-            def counted(*args, **kwargs):
-                built[cls.__name__] += 1
-                return call(*args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
-
-        counting(ArrowMatrix, "_set")
-        counting(RationalPoly, "_set")
-        counting(RefinedInertia, "__new__")
-        counting(analysis.LemmaCheck, "__init__")
-        counting(Fraction, "__new__")
+        built = _count_constructions(
+            monkeypatch,
+            (ArrowMatrix, "_set"),
+            (RationalPoly, "_set"),
+            (RefinedInertia, "__new__"),
+            (analysis.LemmaCheck, "__init__"),
+            (Fraction, "__new__"),
+        )
         arrow = _plain_arrow(family_pattern(2, 8), 1)
         refined_inertia_exact(arrow_char_poly(arrow))
         validate_lemmas(arrow, 2)

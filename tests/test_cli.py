@@ -758,6 +758,18 @@ def test_inertia_malformed_matrix_exits_2(tmp_path, capsys, text, mode):
     assert err.startswith("error reading matrix: ")
 
 
+def test_numeric_inertia_past_the_float_range_exits_2(tmp_path, capsys):
+    # Exact entries the float reader cannot hold: an int and a Fraction.
+    path = tmp_path / "big.json"
+    for big in ([10**400, 1], [10**400, 3]):
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 1], big, [0, 1], [1, 1]]}))
+        assert main(["inertia", "--matrix", str(path), "--numeric"]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error reading matrix: out of float range: ")
+
+
 USAGE_ERRORS = {
     "falsify-order-2": ["falsify", "--pattern", "{order2}", "--budget", "5"],
     "falsify-negative-budget": ["falsify", "--pattern", "{order4}", "--budget", "-1"],

@@ -477,6 +477,41 @@ class TestExactInertia:
         assert inertia.two_n_p % 2 == 0
 
 
+class TestFloatReader:
+    """_to_float_array converts in one numpy call, as float() did entry by entry."""
+
+    MATRICES = {
+        "ints-near-2**53": [[2**53 + 1, 2**53 - 1], [-(2**53 + 3), 2**53 + 5]],
+        "ints-near-2**63": [[2**63 - 1, 2**63], [-(2**63) - 1, 2**63 + 1025]],
+        "ints-near-2**1023": [[2**1023, 2**1024 - 2**970 - 1], [-(2**1023 + 1), 2**1024 - 2**971]],
+        "fractions": [[Fraction(1, 3), Fraction(-(2**60) - 1, 7)], [Fraction(10**300, 3), Fraction(5)]],
+        "floats": [[0.1, -0.0], [5e-324, -1.7976931348623157e308]],
+        "bools-and-mixed": [[True, False], [Fraction(-2, 3), 7]],
+    }
+
+    @pytest.mark.parametrize("matrix", MATRICES.values(), ids=MATRICES.keys())
+    def test_bit_equal_to_per_entry_float(self, matrix):
+        per_entry = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+        got = engine._to_float_array(matrix)
+        assert got.dtype == np.float64 and got.shape == per_entry.shape
+        assert got.tobytes() == per_entry.tobytes()
+
+    @pytest.mark.parametrize(
+        "big", [10**400, Fraction(10**400, 3), -(2**1024)], ids=["int", "fraction", "-2**1024"]
+    )
+    def test_past_the_float_range_overflows(self, big):
+        with pytest.raises(OverflowError):
+            engine._to_float_array([[1, big], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "matrix", [[], [[]], [[1, 2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]],
+        ids=["empty", "empty-row", "one-by-two", "ragged", "three-by-two"],
+    )
+    def test_not_square_raises_value_error(self, matrix):
+        with pytest.raises(ValueError):
+            refined_inertia_numeric(matrix)
+
+
 class TestNumericInertia:
     def test_negative_diagonal(self):
         assert refined_inertia_numeric([[-1, 0, 0], [0, -2, 0], [0, 0, -3]]) == RefinedInertia(0, 3, 0, 0)

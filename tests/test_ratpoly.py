@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refined_inertia.engine import refined_inertia_exact
+from refined_inertia.patterns import Sign
 from refined_inertia.ratpoly import (
     RationalPoly,
     _exact_quotient,
@@ -69,6 +70,32 @@ def test_over_common_reads_one_lcm_denominator(values, nums, den):
 def test_over_common_rejects_floats_and_bools(bad):
     with pytest.raises(TypeError, match="exact arithmetic requires int or Fraction"):
         over_common([1, bad])
+
+
+@given(st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=12))
+def test_all_ints_read_as_the_lcm_route_reads_them(values):
+    # Plain ints skip as_ratio; the same values as Fractions take the lcm
+    # route, which must agree.  The list returned is new: RationalPoly
+    # strips its trailing zeros in place.
+    got = over_common(values)
+    assert got == over_common([Fraction(v) for v in values]) == (values, 1)
+    assert got[0] is not values
+
+
+def test_bools_and_numpy_ints_are_rejected_whatever_surrounds_them():
+    np = pytest.importorskip("numpy")
+    for values in ([True], [False, True], [1, 2, True], [np.int64(3)], [1, np.int64(3)]):
+        with pytest.raises(TypeError, match="exact arithmetic requires int or Fraction"):
+            over_common(values)
+
+
+def test_int_enums_and_mixed_rows_take_the_lcm_route():
+    # An IntEnum is an int but not a plain one: it is read by as_ratio, as
+    # before, and comes back as a plain int.
+    nums, den = over_common([Sign.PLUS, Sign.MINUS, Sign.ZERO, 4])
+    assert (nums, den) == ([1, -1, 0, 4], 1)
+    assert [type(v) for v in nums] == [int] * 4
+    assert over_common([Sign.MINUS, Fraction(1, 3), 2]) == ([-3, 1, 6], 3)
 
 
 def test_product_of_linear_factors():

@@ -473,6 +473,21 @@ def test_rational_rows_reads_one_common_denominator():
     assert rational_rows([[2, -1], [0, 7]]) == ([[2, -1], [0, 7]], 1)
 
 
+def test_rational_rows_reads_an_int_matrix_as_itself():
+    # A matrix of plain ints is its own rows over 1, as the lcm route reads
+    # its Fraction copy, and the rows are new lists.  Mixed rows and
+    # IntEnum entries take the lcm route and read as before.
+    rng = random.Random(29)
+    for n in (1, 3, 7):
+        M = [[rng.randint(-(2**65), 2**65) for _ in range(n)] for _ in range(n)]
+        A, common = rational_rows(M)
+        assert (A, common) == rational_rows([[Fraction(x) for x in row] for row in M]) == (M, 1)
+        A[0][0] += 1
+        assert A[0][0] != M[0][0]
+    assert rational_rows([[Sign.PLUS, 0], [Sign.MINUS, Sign.ZERO]]) == ([[1, 0], [-1, 0]], 1)
+    assert rational_rows([[1, Fraction(1, 2)], [3, Sign.MINUS]]) == ([[2, 1], [6, -2]], 2)
+
+
 @pytest.mark.parametrize("reader", [char_poly, det_rational, matrix_to_json, to_arrow_form])
 @pytest.mark.parametrize(
     "matrix, error, message",

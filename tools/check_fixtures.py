@@ -1,21 +1,24 @@
-"""Rerun the seven pinned falsifier reports and compare them byte for byte.
+"""Rerun the eight pinned falsifier reports and compare them byte for byte.
 
 Each file in ``tests/fixtures/falsify/`` is the canonical JSON report of
 ``falsify_requires(pattern, 50, seed 7075)`` for one pattern: families
-1-3 at orders 4 and 10, and the all-plus 4x4 pattern.  This script
-recomputes every report at ``jobs`` 1 and 2 and prints one line per
-comparison, then a summary.  It also re-certifies, through ``riq inertia
---exact`` (Berkowitz on the dense matrix, not the witness suite's spoke
-expansion), every counterexample a report pins and every witness matrix
-``riq witness`` emits for families 1-3 at orders 4 and 10.  A
-counterexample's inertia must be exact and lie outside the target set,
-and at least one report must pin one.  A witness must be in its family's
-class with the inertia it is listed under, and each suite's three
-inertias must be the target set.  It prints a ``FAIL`` line for each
-that does not hold, and exits 1 if any report differs or any
-certification fails.  It needs only the standard library, so any
-installed interpreter can check that the sample stream and the exact
-engine reproduce the reports:
+1-3 at orders 4 and 10, the all-plus 4x4 pattern, and a 6x6 block
+pattern with zero entries.  The last two are outside the families, so
+Berkowitz counts their samples: the all-plus pattern's steps are dense,
+while the block pattern's zeros give a diagonal step and a zero border
+after a dense step.  This script recomputes every report at ``jobs`` 1
+and 2 and prints one line per comparison, then a summary.  It also
+re-certifies, through ``riq inertia --exact`` (Berkowitz on the dense
+matrix, not the witness suite's spoke expansion), every counterexample a
+report pins and every witness matrix ``riq witness`` emits for families
+1-3 at orders 4 and 10.  A counterexample's inertia must be exact and
+lie outside the target set, and at least one report must pin one.  A
+witness must be in its family's class with the inertia it is listed
+under, and each suite's three inertias must be the target set.  It
+prints a ``FAIL`` line for each that does not hold, and exits 1 if any
+report differs or any certification fails.  It needs only the standard
+library, so any installed interpreter can check that the sample stream
+and the exact engine reproduce the reports:
 
     PYTHONPATH=src python tools/check_fixtures.py
 """
@@ -36,7 +39,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from refined_inertia import cli  # noqa: E402
 from refined_inertia.analysis import canonical_dumps, falsify_requires, hn_set  # noqa: E402
 from refined_inertia.engine import RefinedInertia  # noqa: E402
-from refined_inertia.patterns import Sign, SignPattern, family_pattern, sgn_of_matrix  # noqa: E402
+from refined_inertia.patterns import (  # noqa: E402
+    Sign,
+    SignPattern,
+    family_pattern,
+    parse_pattern,
+    sgn_of_matrix,
+)
 from refined_inertia.realization import RealizationConfig, matrix_from_json  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures" / "falsify"
@@ -44,11 +53,20 @@ BUDGET = 50
 SEED = 7075
 JOBS = (1, 2)
 WITNESS_ORDERS = (4, 10)
+BLOCK_6 = """
+- + 0 0 0 0
++ - + 0 0 0
+0 - + 0 0 0
++ 0 - - + 0
+0 + 0 - 0 +
+- 0 0 + - -
+"""
 
 
 def fixture_patterns() -> dict[str, SignPattern]:
     patterns = {f"family-{i}-order-{n}": family_pattern(i, n) for i in (1, 2, 3) for n in (4, 10)}
     patterns["all-plus-4"] = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
+    patterns["block-order-6"] = parse_pattern(BLOCK_6)
     return patterns
 
 
