@@ -33,6 +33,7 @@ from .analysis import (
 from .engine import (
     EigenSolverError,
     InternalCheckError,
+    _check_axis_eps,
     char_poly,
     refined_inertia_exact,
     refined_inertia_numeric,
@@ -155,13 +156,15 @@ def _cmd_inertia(args) -> int:
         method = "exact"
     else:
         try:
+            _check_axis_eps(args.tol)
+        except ValueError as exc:
+            print(f"error: --tol: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        try:
             inertia = refined_inertia_numeric(matrix, axis_eps=args.tol)
         except OverflowError as exc:
             print(f"error reading matrix: out of float range: {exc}", file=sys.stderr)
             return EXIT_IO
-        except ValueError as exc:
-            print(f"error: --tol: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except EigenSolverError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL

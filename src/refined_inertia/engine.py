@@ -264,7 +264,9 @@ def _numeric_inertia_flagged(
     n = A.shape[0]
     with np.errstate(over="ignore"):
         scale = float(np.abs(A).sum(axis=1).max())
-    if not math.isfinite(scale):
+    if math.isnan(scale):
+        raise ValueError("an entry is not a number")
+    if scale == math.inf:
         raise OverflowError("a row sum of absolute values overflows")
     if scale == 0.0:
         return RefinedInertia(0, 0, n, 0), True
@@ -283,14 +285,21 @@ def refined_inertia_numeric(
     Eigenvalues within axis_eps times the max row-sum norm of the axes are
     snapped to them; axis_eps must be positive and finite.  Matrices with
     irrational (float) entries are only served by this path; the exact
-    engine requires rational input.
+    engine requires rational input.  An entry that reads as NaN, such as
+    None, raises ValueError, and an infinite entry or row sum
+    OverflowError.
     """
+    _check_axis_eps(axis_eps)
+    inertia, _ = _numeric_inertia_flagged(matrix, axis_eps)
+    return inertia
+
+
+def _check_axis_eps(axis_eps: float) -> None:
+    """Raise ValueError unless axis_eps is positive and finite."""
     if not axis_eps > 0:
         raise ValueError(f"axis_eps must be positive, got {axis_eps}")
     if axis_eps == math.inf:
         raise ValueError(f"axis_eps must be finite, got {axis_eps}")
-    inertia, _ = _numeric_inertia_flagged(matrix, axis_eps)
-    return inertia
 
 
 def count_eigen_re_leq(matrix: Sequence[Sequence], r) -> int:

@@ -6,7 +6,8 @@ are exact; Fraction appears only where rationals cross its API.
 over_common is the one reader of ints and Fractions as integers over their
 lcm denominator.  The integer kernels are the Taylor shift _shifted, the
 Horner value _homogeneous_value, and cauchy_index_line, the engine's one
-root-counting routine, whose docstring holds the chain.
+root-counting routine: a fraction-free Routh chain whose docstring holds
+the argument.
 """
 
 from __future__ import annotations
@@ -283,6 +284,23 @@ def cauchy_index_line(
     T(w**2).  If T(0) != 0, w does not divide T(w**2), so the tail
     gcd(T(w**2), w*T'(w**2)) is gcd(T, T')(w**2), whose real roots are
     those of T(w**2), each one multiplicity lower.
+
+    The chain is Routh's table in fraction-free form.  Let F_{j-1} and F_j
+    be neighbours, with leads l_{j-1} and l_j.  Where the degree drops by
+    one, len(a) == len(divisor), the quotient is (l_{j-1} / l_j) * w, and
+    |l_j| times the negated remainder is sign(l_j) times
+    l_{j-1} * w * F_j - l_j * F_{j-1}.  The chain divides that by
+    |Delta_{j-2}|.  Along a run of such steps from a starting pair
+    (F_0, F_1), this is, up to the signs of rows, Bareiss's elimination on
+    the Hurwitz matrix of that pair, whose rows are F_0 and F_1 shifted.
+    By Sylvester's identity each coefficient of F_{j+1} is a minor of that
+    matrix, and l_k is, up to sign, its Hurwitz determinant Delta_k for
+    k >= 1, so the division by |l_{j-2}| is exact.  F_2 and F_3 divide by
+    Delta_{-1} = Delta_0 = 1: l_0 is a coefficient, not a determinant.
+    Where the degree drops by more, the step is a pseudo-remainder made
+    primitive, and the pair it ends starts a new run.  So every element is
+    a positive multiple of the Euclidean one, with its leading sign: the
+    index is unchanged, and so is the tail, made primitive once at the end.
     """
     a = _primitive(_strip(list(f0)))
     if not a:
@@ -290,9 +308,18 @@ def cauchy_index_line(
     b = _primitive(_strip(list(f1)))
     odd_divisor = not f0_odd
     index = 0
+    delta, delta_next = 1, 1  # |Delta| dividing the next two one-degree steps
     while b:
-        index += 1 if (a[-1] > 0) == (b[-1] > 0) else -1
-        rem = _pseudo_rem(a, [0, *b] if odd_divisor else b)
-        a, b = b, _primitive([-c for c in rem])
+        lead_a, lead_b = a[-1], b[-1]
+        index += 1 if (lead_a > 0) == (lead_b > 0) else -1
+        divisor = [0, *b] if odd_divisor else b
+        if len(a) == len(divisor):
+            scale = delta if lead_b > 0 else -delta
+            rem = _strip([(lead_a * d - lead_b * c) // scale for d, c in zip(divisor, a[:-1])])
+            delta, delta_next = delta_next, abs(lead_b)
+        else:
+            rem = _primitive([-c for c in _pseudo_rem(a, divisor)])
+            delta = delta_next = 1
+        a, b = b, rem
         odd_divisor = not odd_divisor
-    return index, a
+    return index, _primitive(a)

@@ -770,6 +770,22 @@ def test_numeric_inertia_past_the_float_range_exits_2(tmp_path, capsys):
         assert captured.err.startswith("error reading matrix: out of float range: ")
 
 
+def test_numeric_inertia_fault_is_not_reported_as_tol(tmp_path, capsys, monkeypatch):
+    # --tol is checked before the eigensolve, so a ValueError from it is an
+    # engine fault; the reader already rejects a NaN entry with exit 2.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json([[1, 0], [0, -1]])))
+
+    def not_a_number(matrix, axis_eps):
+        raise ValueError("an entry is not a number")
+
+    monkeypatch.setattr(cli, "refined_inertia_numeric", not_a_number)
+    assert main(["inertia", "--matrix", str(path), "--numeric"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: an entry is not a number\n"
+    assert main(["inertia", "--matrix", str(path), "--numeric", "--tol", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --tol: axis_eps must be positive, got 0.0\n"
+
+
 USAGE_ERRORS = {
     "falsify-order-2": ["falsify", "--pattern", "{order2}", "--budget", "5"],
     "falsify-negative-budget": ["falsify", "--pattern", "{order4}", "--budget", "-1"],

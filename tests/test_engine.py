@@ -511,6 +511,23 @@ class TestFloatReader:
         with pytest.raises(ValueError):
             refined_inertia_numeric(matrix)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[float("nan")]], [[None]], [[1, None], [0, 1]], [[float("inf"), 1], [float("nan"), 1]]],
+        ids=["nan", "none", "none-off-diagonal", "nan-beside-inf"],
+    )
+    def test_not_a_number_raises_value_error(self, matrix):
+        with pytest.raises(ValueError, match="an entry is not a number"):
+            refined_inertia_numeric(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix", [[[float("inf")]], [[1, -float("inf")], [0, 1]], [[1e308, -1e308], [0, 1]]],
+        ids=["inf", "minus-inf", "row-sum"],
+    )
+    def test_infinite_entry_or_row_sum_overflows(self, matrix):
+        with pytest.raises(OverflowError, match="a row sum of absolute values overflows"):
+            refined_inertia_numeric(matrix)
+
 
 class TestNumericInertia:
     def test_negative_diagonal(self):

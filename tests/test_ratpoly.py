@@ -5,16 +5,20 @@ independent of the remainder chain being tested; the half-length chain is
 checked against a full-length reference chain kept here as the oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from refined_inertia.engine import refined_inertia_exact
-from refined_inertia.patterns import Sign
+from refined_inertia import ratpoly
+from refined_inertia.analysis import _sample_seed
+from refined_inertia.engine import _inertia_counts, refined_inertia_exact
+from refined_inertia.patterns import Sign, family_pattern
 from refined_inertia.ratpoly import (
     RationalPoly,
+    _derivative,
     _exact_quotient,
     _primitive,
     _pseudo_rem,
@@ -24,8 +28,9 @@ from refined_inertia.ratpoly import (
     poly_gcd,
     squarefree_decomposition,
 )
+from refined_inertia.realization import _family_draw, _signed_draws, _signs, _spoke_expansion
 
-from polys import add, evaluate, from_roots, monic, mul, one, power, sub, variable
+from polys import add, evaluate, from_roots, monic, mul, neg, one, power, sub, variable
 
 x = variable()
 
@@ -315,29 +320,88 @@ def axis_polys(draw):
     """Integer q with q(0) != 0 up to degree 12, with Routh's singular cases forced.
 
     "pairs" multiplies by (x^2 + c^2)^k, so gcd(Re, Im) of q(i*w) is
-    nonconstant; "even" keeps q even, so Im q(i*w) vanishes identically.
+    nonconstant; "even" keeps q even, so Im q(i*w) vanishes identically;
+    "gap" makes the coefficient below the top 0, so the chain's first step
+    drops more than one degree; "symmetric" multiplies by (x^2 - c)(x^2 + d),
+    whose roots are symmetric about 0, which puts a gap or a zero row
+    mid-chain.
     """
-    kind = draw(st.sampled_from(["plain", "pairs", "even"]))
-    size = {"plain": 13, "pairs": 9, "even": 7}[kind]
+    kind = draw(st.sampled_from(["plain", "pairs", "even", "gap", "symmetric"]))
+    size = {"plain": 13, "pairs": 9, "even": 7, "gap": 11, "symmetric": 9}[kind]
     q = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=size))
     q[0] = q[0] or draw(st.sampled_from([-1, 1]))
+    if kind == "gap":
+        q += [0, draw(st.sampled_from([-9, -2, -1, 1, 3, 9]))]
     p = RationalPoly.from_ints(q)
     if kind == "pairs":
         k = draw(st.integers(1, 2))
         p = mul(p, power(RationalPoly.from_ints((draw(st.integers(1, 3)) ** 2, 0, 1)), k))
     elif kind == "even":
         p = RationalPoly.from_ints(_spread(p.num))
+    elif kind == "symmetric":
+        c, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        p = mul(p, RationalPoly.from_ints((-c, 0, 1)), RationalPoly.from_ints((d, 0, 1)))
     return list(p.num)
+
+
+def _re_im(q):
+    """Re and Im of q(i*w), as coefficient lists in w."""
+    re = [c if k % 4 == 0 else -c if k % 4 == 2 else 0 for k, c in enumerate(q)]
+    im = [c if k % 4 == 1 else -c if k % 4 == 3 else 0 for k, c in enumerate(q)]
+    return list(RationalPoly.from_ints(re).num), list(RationalPoly.from_ints(im).num)
+
+
+def full_length_counts(num):
+    """(n_plus, n_minus, n_zero, two_n_p) from full-length chains in w, at every tail level.
+
+    The reference for _inertia_counts: Re and Im of q(i*w) give the
+    half-plane difference, and each Sturm chain of the tail and its
+    w-derivative counts the tail's distinct real roots, one level at a time.
+    """
+    n_zero = next(k for k, c in enumerate(num) if c)
+    q = num[n_zero:]
+    re, im = _re_im(q)
+    degree = len(q) - 1
+    if degree % 2 == 0:
+        chain = _remainder_chain(re, im)
+        diff = -_variation_drop(chain)
+    else:
+        chain = _remainder_chain(im, re)
+        diff = _variation_drop(chain)
+    two_n_p = 0
+    while len(chain[-1]) > 1:
+        chain = _remainder_chain(chain[-1], _derivative(chain[-1]))
+        two_n_p += _variation_drop(chain)
+    m = degree - two_n_p
+    return (m - diff) // 2, (m + diff) // 2, n_zero, two_n_p
+
+
+# -x^3 (x^2 - 2)^2 (x^2 + 2x + 10)^3 (x^2 - 2x + 5)^3: the coefficient below
+# the top is 0, so the first step is a gap, and (x^2 - 2)^2 divides Re and
+# Im of q(i*w), so a tail chain runs.
+GAP_THEN_TAIL = [
+    0, 0, 0, -500000, 300000, 110000, -164000, 149200, -34480, -1424,
+    10120, -11278, 4110, -3011, 540, -385, 30, -29, 0, -1,
+]
+# 6x^3 + 2x^2 - x - 1: dividing F_3 by F_0's lead, 6, is inexact here and
+# miscounts; F_3's divisor is Delta_0 = 1.
+WRONG_DIVISOR = [-1, -1, 2, 6]
+# Gaps mid-chain: a run of one-degree steps after one must restart its
+# divisors at 1, or a division goes inexact and this one miscounts.
+AFTER_A_GAP = [-1, 3, 7, 1, 0, -2, 0, -3, -9, -3]
+# -(1 + x + x^2 + x^3)(x^2 - 7)(x^2 + 6): a gap mid-chain.
+SYMMETRIC_FACTORS = list(mul(poly(-1, -1, -1, -1), poly(-7, 0, 1), poly(6, 0, 1)).num)
 
 
 @settings(max_examples=300, deadline=None)
 @given(axis_polys())
+@example(WRONG_DIVISOR)
+@example(AFTER_A_GAP)
+@example(SYMMETRIC_FACTORS)
 def test_half_length_chain_matches_full_chain(q):
     # The full-length route: one remainder chain of Re and Im of q(i*w) in w.
-    re = [c if k % 4 == 0 else -c if k % 4 == 2 else 0 for k, c in enumerate(q)]
-    im = [c if k % 4 == 1 else -c if k % 4 == 3 else 0 for k, c in enumerate(q)]
+    re, im = _re_im(q)
     even, odd = re[0::2], im[1::2]
-    re, im = RationalPoly.from_ints(re).num, RationalPoly.from_ints(im).num
     if (len(q) - 1) % 2 == 0:
         chain = _remainder_chain(re, im)
         index, tail = cauchy_index(even, odd, False)
@@ -347,3 +411,44 @@ def test_half_length_chain_matches_full_chain(q):
     assert index == _variation_drop(chain)
     # both tails are primitive, so they agree up to sign
     assert _spread(tail) in (chain[-1], [-c for c in chain[-1]])
+    # and so do the counts, which read every tail level
+    assert _inertia_counts(q) == full_length_counts(q)
+
+
+def test_gap_first_then_an_axis_tail():
+    p = neg(mul(power(x, 3), power(poly(-2, 0, 1), 2), power(poly(10, 2, 1), 3), power(poly(5, -2, 1), 3)))
+    assert list(p.num) == GAP_THEN_TAIL
+    # n_plus: 1 +- 2i three times and sqrt(2) twice; n_minus: -1 +- 3i and -sqrt(2) alike
+    assert _inertia_counts(GAP_THEN_TAIL) == (8, 8, 3, 0)
+
+
+def _gap_steps(monkeypatch, polys):
+    """How many degree-gap steps the chains take while counting each polynomial's roots."""
+    calls = []
+    pseudo_rem = ratpoly._pseudo_rem
+    monkeypatch.setattr(ratpoly, "_pseudo_rem", lambda f, g: calls.append(f) or pseudo_rem(f, g))
+    for num in polys:
+        _inertia_counts(num)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [GAP_THEN_TAIL, [3, -1, 4, 0, 2], SYMMETRIC_FACTORS],
+    ids=["gap-then-tail", "gap-first", "symmetric-factors"],
+)
+def test_gap_step_runs_on_singular_inputs(monkeypatch, q):
+    assert _gap_steps(monkeypatch, [q]) > 0
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_falsifier_order_10_chains_take_no_gap_step(monkeypatch, i):
+    # The first 50 samples of the pinned order-10 reports (seed 7075).
+    signs, rng = _signs(family_pattern(i, 10)), random.Random()
+    polys = []
+    for k in range(50):
+        rng.seed(_sample_seed(7075, k))
+        polys.append(_spoke_expansion(*_family_draw(_signed_draws(signs, rng))))
+    assert _gap_steps(monkeypatch, polys) == 0
+    assert [_inertia_counts(g) for g in polys] == [full_length_counts(g) for g in polys]
