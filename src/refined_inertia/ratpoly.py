@@ -86,10 +86,6 @@ class RationalPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def constant(self) -> Fraction:
-        return Fraction(self.num[0] if self.num else 0, self.den)
-
     # No pipeline calls taylor_shift any more (the shifted counts read
     # _shifted's output directly); it stays because the benchmark's tracer
     # looks it up by name when it installs.

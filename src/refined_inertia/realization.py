@@ -284,23 +284,15 @@ def _draw_rows(pattern: SignPattern, draws: Sequence[tuple[int, int]]) -> tuple[
     return [[next(entries) if s else 0 for s in row] for row in pattern.rows], common
 
 
-def _draws_of(pattern: SignPattern, seed: int) -> list[tuple[int, int]]:
-    """_signed_draws for one sample of pattern, on a generator of its own seeded with seed."""
-    return _signed_draws(_signs(pattern), random.Random(seed))
-
-
-def sample_rows(pattern: SignPattern, seed: int) -> tuple[list[list[int]], int]:
-    """(A, common): the sample of Q(pattern) for seed is A / common, read from its draws by _dyadic."""
-    return _draw_rows(pattern, _draws_of(pattern, seed))
-
-
 def sample_realization(pattern: SignPattern, cfg: RealizationConfig) -> RationalMatrix:
     """One rational matrix in Q(pattern); deterministic for a fixed seed.
 
-    The Fraction view of sample_rows, for the API edges: the falsifier's
-    counterexample, which is shrunk as a matrix, and tests.
+    The Fraction view of _signed_draws on a generator of its own seeded
+    with cfg.seed, laid out by _draw_rows, for the API edges: the
+    falsifier's counterexample, which is shrunk as a matrix, and tests.
     """
-    return _fraction_rows(*sample_rows(pattern, cfg.seed))
+    draws = _signed_draws(_signs(pattern), random.Random(cfg.seed))
+    return _fraction_rows(*_draw_rows(pattern, draws))
 
 
 def _family_draw(draws: Sequence[tuple[int, int]]) -> tuple[list[int], int, list[int], int]:

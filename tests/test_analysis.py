@@ -1,5 +1,6 @@
 """Witness suites, the falsifier, and the lemma validators."""
 
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -57,7 +58,8 @@ ALL_PLUS_4 = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
 
 def _plain_arrow(pattern: SignPattern, seed: int) -> ArrowMatrix:
     """The arrow of a family pattern's sample for seed, as drawn: no tied b_j is redrawn."""
-    return ArrowMatrix.from_ints(*realization._family_draw(realization._draws_of(pattern, seed)))
+    draws = realization._signed_draws(realization._signs(pattern), random.Random(seed))
+    return ArrowMatrix.from_ints(*realization._family_draw(draws))
 
 
 def _random_pattern(n: int, seed: int) -> SignPattern:
@@ -582,13 +584,40 @@ def test_report_bytes_match_fixture(name, jobs):
     assert canonical_dumps(report.to_json_dict()).encode("utf-8") == expected
 
 
+CHECK_FIXTURES = Path(__file__).resolve().parents[1] / "tools" / "check_fixtures.py"
+
+
 def test_check_fixtures_script_reproduces_every_report():
-    # The stdlib-only script the CI runs on an interpreter with nothing
+    # The stdlib-only job the CI runs on an interpreter with nothing
     # installed; here it runs under the test interpreter.
-    script = Path(__file__).resolve().parents[1] / "tools" / "check_fixtures.py"
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=600)
+    argv = [sys.executable, "-W", "error::DeprecationWarning", str(CHECK_FIXTURES)]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].startswith("16/16 reports match")
+    assert not [line for line in result.stdout.splitlines() if line.startswith(("FAIL", "DIFF"))]
+
+
+def test_check_fixtures_prints_diff_for_output_that_depends_on_jobs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("check_fixtures_under_test", CHECK_FIXTURES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real_main = script.cli.main
+
+    def main(argv):
+        if argv[0] != "lemmas":
+            return real_main(argv)
+        print(f"ran at {argv[argv.index('--jobs') + 1]} jobs")
+        return script.cli.EXIT_OK
+
+    monkeypatch.setattr(script.cli, "main", main)
+    monkeypatch.setattr(script, "RUNS", [("lemmas -i 1 -n 6 --samples 50 --seed 7", (1, 2), False)])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("FAIL", "DIFF"))] == [
+        "DIFF riq lemmas -i 1 -n 6 --samples 50 --seed 7 --jobs 2: exit 0, the bytes of --jobs 1"
+    ]
+    total = len([line for line in lines if line.startswith(("ok", "DIFF"))])
+    assert lines[-1].startswith(f"16/16 reports match and {total - 1}/{total} checks pass")
 
 
 class TestLemmaValidation:

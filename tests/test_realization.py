@@ -21,7 +21,7 @@ from refined_inertia.realization import (
     DegenerateMergeError,
     MembershipError,
     RealizationConfig,
-    _draws_of,
+    _draw_rows,
     _dyadic,
     _family_draw,
     _signed_draws,
@@ -35,7 +35,6 @@ from refined_inertia.realization import (
     matrix_to_json,
     rational_rows,
     sample_realization,
-    sample_rows,
     to_arrow_form,
 )
 
@@ -170,7 +169,7 @@ def test_family_sample_char_poly_is_the_rational_route(i, n):
     for k in range(60):
         seed = (10 * i + n) * 1000 + k
         arrow = to_arrow_form(sample_realization(pattern, RealizationConfig(seed=seed)))
-        assert ArrowMatrix.from_ints(*_family_draw(_draws_of(pattern, seed))) == arrow
+        assert ArrowMatrix.from_ints(*_family_draw(_signed_draws(_signs(pattern), random.Random(seed)))) == arrow
         assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix()), f"seed {seed}"
     _chunk_matches_the_rational_route(pattern, True, 10 * i + n, 60)
 
@@ -201,9 +200,10 @@ def test_sample_char_poly_is_the_rational_route(pattern):
     assert family_index(pattern.rows) is None
     for k in range(60):
         seed = pattern.n * 1000 + k
-        entries = iter(Fraction(m, 1 << e) for m, e in _signed_draws(_signs(pattern), random.Random(seed)))
+        draws = _signed_draws(_signs(pattern), random.Random(seed))
+        entries = iter(Fraction(m, 1 << e) for m, e in draws)
         expected = tuple(tuple(next(entries) if s else 0 for s in row) for row in pattern.rows)
-        rows, common = sample_rows(pattern, seed)
+        rows, common = _draw_rows(pattern, draws)
         assert common & (common - 1) == 0
         assert tuple(tuple(Fraction(x, common) for x in row) for row in rows) == expected
         assert sample_realization(pattern, RealizationConfig(seed=seed)) == expected

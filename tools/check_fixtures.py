@@ -1,30 +1,43 @@
-"""Rerun the eight pinned falsifier reports and compare them byte for byte.
+"""Every stdlib-only check, in one command: the CI's ``stdlib-only`` job.
 
-Each file in ``tests/fixtures/falsify/`` is the canonical JSON report of
-``falsify_requires(pattern, 50, seed 7075)`` for one pattern: families
-1-3 at orders 4 and 10, the all-plus 4x4 pattern, and a 6x6 block
-pattern with zero entries.  The last two are outside the families, so
-Berkowitz counts their samples: the all-plus pattern's steps are dense,
-while the block pattern's zeros give a diagonal step and a zero border
-after a dense step.  This script recomputes every report at ``jobs`` 1
-and 2 and prints one line per comparison, then a summary.  It also
-re-certifies, through ``riq inertia --exact`` (Berkowitz on the dense
-matrix, not the witness suite's spoke expansion), every counterexample a
-report pins and every witness matrix ``riq witness`` emits for families
-1-3 at orders 4 and 10.  A counterexample's inertia must be exact and
-lie outside the target set, and at least one report must pin one.  A
-witness must be in its family's class with the inertia it is listed
-under, and each suite's three inertias must be the target set.  First,
-from a fixed seed, it builds 4000 products of factors whose roots are
-known by construction (x, t x - s, (x^2 + c)^m for m <= 4, x^2 - c, a
-complex pair and an opposite quadruple, under a lead of either sign) and
-asserts the refined inertia refined_inertia_exact gives each, printing
-one line for the lot.  It prints a ``FAIL`` line for each check that
-does not hold, and exits 1 if any fails.  It needs only the standard
-library, so any installed interpreter can check that the sample stream
-and the exact engine reproduce the reports:
+    PYTHONPATH=src python -W error::DeprecationWarning tools/check_fixtures.py
 
-    PYTHONPATH=src python tools/check_fixtures.py
+It needs only the standard library, so any installed interpreter can check
+that the sample stream and the exact engine reproduce.  It prints one line
+per check, ``ok``, ``FAIL`` or, where two outputs must be the same bytes,
+``DIFF``; then a summary.  It exits 1 if any check fails.  In order:
+
+* 4000 products, from a fixed seed, of factors whose roots are known by
+  construction (x, t x - s, (x^2 + c)^m for m <= 4, x^2 - c, a complex
+  pair and an opposite quadruple, under a lead of either sign): the
+  refined inertia refined_inertia_exact gives each must be its roots'.
+* ``riq inertia --exact`` (Berkowitz on the dense matrix, not the witness
+  suite's spoke expansion) must put every counterexample a pinned report
+  holds outside the target set, and at least one must be pinned.  Every
+  matrix ``riq witness`` emits for families 1-3 at orders 4 and 10 must be
+  in its family's class with the inertia ``riq inertia --exact`` gives
+  it, and each suite's three inertias must be the target set.
+* ``riq`` runs (RUNS): each must exit 0, an analyze run must print a
+  ConsistentWithRequires row, and every run of one command must print the
+  first run's bytes.  Runs go through cli.main in this process, except
+  one at ``--jobs 2`` in a fresh interpreter that asks for forkserver
+  (the default start method from Python 3.14; fork before), whose workers
+  get their tasks pickled.  DeprecationWarning is an error in both, so a
+  fork from a multi-threaded parent fails.  Analyze at orders 4..10 with
+  budget 100 draws every falsifier sample the benchmark's CLI workload
+  draws.  At order 40 each sample slices 117 draws into the arrow's
+  integers, the spoke expansion runs 38 steps, L-det compares it with a
+  Berkowitz polynomial whose steps, all but the hub's, take the
+  zero-border branch, and L-delta's Taylor shifts reach degree 40.  The
+  lemmas at order 10 are the benchmark's largest, and sample 1263 at
+  order 6, seed 2 draws a tied b_j in families 1 and 2, which those runs
+  redraw.
+* ``riq falsify`` at ``--jobs`` 1 and 2 must print the eight reports in
+  ``tests/fixtures/falsify/``, each ``falsify_requires(pattern, 50, seed
+  7075)`` for families 1-3 at orders 4 and 10, the all-plus 4x4 pattern
+  or a 6x6 block pattern with zero entries.  Berkowitz counts the last
+  two's samples: the all-plus steps are dense, and the block pattern
+  gives a diagonal step and a zero border after a dense step.
 """
 
 from __future__ import annotations
@@ -33,16 +46,18 @@ import contextlib
 import io
 import json
 import random
+import subprocess
 import sys
 import tempfile
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from refined_inertia import cli  # noqa: E402
-from refined_inertia.analysis import canonical_dumps, falsify_requires, hn_set  # noqa: E402
+from refined_inertia.analysis import hn_set  # noqa: E402
 from refined_inertia.engine import InternalCheckError, RefinedInertia, refined_inertia_exact  # noqa: E402
 from refined_inertia.patterns import (  # noqa: E402
     Sign,
@@ -52,12 +67,13 @@ from refined_inertia.patterns import (  # noqa: E402
     sgn_of_matrix,
 )
 from refined_inertia.ratpoly import RationalPoly  # noqa: E402
-from refined_inertia.realization import RealizationConfig, matrix_from_json  # noqa: E402
+from refined_inertia.realization import matrix_from_json  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures" / "falsify"
 BUDGET = 50
 SEED = 7075
 JOBS = (1, 2)
+FAMILIES = (1, 2, 3)
 WITNESS_ORDERS = (4, 10)
 BLOCK_6 = """
 - + 0 0 0 0
@@ -68,10 +84,37 @@ BLOCK_6 = """
 - 0 0 + - -
 """
 KNOWN_ROOT_PRODUCTS = 4000
+# (riq arguments, the --jobs values run in this process, whether --jobs 2 also runs under forkserver)
+RUNS = [
+    *((f"analyze -i {i} --n-range 4..10 --budget 100 --seed 7", (1, 2, 3), True) for i in FAMILIES),
+    *((f"analyze -i {i} --n-range 40..40 --budget 10 --seed 7", (1, 2), False) for i in FAMILIES),
+    *(
+        (f"lemmas -i {i} -n {n} --samples {count} --seed {seed}", jobs, forkserver)
+        for i in FAMILIES
+        for n, count, seed, jobs, forkserver in (
+            (4, 50, 7, (1,), False),
+            (40, 2, 7, (1,), False),
+            (6, 50, 7, (1, 2), True),
+            (10, 50, 7, (1, 2), True),
+            (6, 1300, 2, (1, 2), True),
+        )
+    ),
+]
+FORKSERVER = (
+    f"import multiprocessing, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+    "multiprocessing.set_start_method('forkserver'); "
+    "from refined_inertia.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def check(ok: bool, line: str, tag: str = "FAIL") -> bool:
+    """Print line under ok or tag, and return ok."""
+    print(f"{'ok  ' if ok else tag} {line}")
+    return ok
 
 
 def fixture_patterns() -> dict[str, SignPattern]:
-    patterns = {f"family-{i}-order-{n}": family_pattern(i, n) for i in (1, 2, 3) for n in (4, 10)}
+    patterns = {f"family-{i}-order-{n}": family_pattern(i, n) for i in FAMILIES for n in (4, 10)}
     patterns["all-plus-4"] = SignPattern([[Sign.PLUS] * 4 for _ in range(4)])
     patterns["block-order-6"] = parse_pattern(BLOCK_6)
     return patterns
@@ -114,7 +157,7 @@ def known_root_product(rng: random.Random) -> tuple[list[int], tuple[int, int, i
     return num, tuple(counts)
 
 
-def check_known_roots() -> bool:
+def check_known_roots() -> Iterator[bool]:
     """Whether refined_inertia_exact gives every known-root product the counts of its roots."""
     rng = random.Random(SEED)
     failures = 0
@@ -128,16 +171,28 @@ def check_known_roots() -> bool:
             failures += 1
             print(f"FAIL known-root product {k} {num}: counted {got}, its roots give {counts}")
     passed = KNOWN_ROOT_PRODUCTS - failures
-    print(f"{'ok  ' if not failures else 'FAIL'} {passed}/{KNOWN_ROOT_PRODUCTS} known-root products counted exactly")
-    return not failures
+    yield check(not failures, f"{passed}/{KNOWN_ROOT_PRODUCTS} known-root products counted exactly")
+
+
+def riq(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of a riq command, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def riq_forkserver(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of a riq command, run in a fresh interpreter whose workers start by forkserver."""
+    argv = [sys.executable, "-W", "error::DeprecationWarning", "-c", FORKSERVER, *argv]
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=False)
+    return done.returncode, done.stdout
 
 
 def riq_json(argv: list[str]) -> dict | None:
     """The JSON a riq command prints, run in this process; None if it exits nonzero."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return json.loads(out.getvalue()) if code == cli.EXIT_OK else None
+    code, out = riq(argv)
+    return json.loads(out) if code == cli.EXIT_OK else None
 
 
 def exact_inertia(path: Path, matrix: dict) -> RefinedInertia | None:
@@ -147,28 +202,22 @@ def exact_inertia(path: Path, matrix: dict) -> RefinedInertia | None:
     return RefinedInertia(**result["inertia"]) if result.get("method") == "exact" else None
 
 
-def recertify_counterexamples(path: Path) -> bool:
+def recertify_counterexamples(path: Path) -> Iterator[bool]:
     """Whether riq inertia --exact puts every pinned counterexample outside the target set."""
-    pinned = []
-    for report in sorted(FIXTURES.glob("*.json")):
-        matrix = json.loads(report.read_text())["counterexample"]
-        if matrix is not None:
-            pinned.append((report.name, matrix))
-    if not pinned:
-        print("FAIL no fixture report pins a counterexample")
-    failures = 0
+    reports = {fixture.name: json.loads(fixture.read_text()) for fixture in sorted(FIXTURES.glob("*.json"))}
+    pinned = [(name, report["counterexample"]) for name, report in reports.items() if report["counterexample"]]
+    yield check(bool(pinned), f"{len(pinned)} fixture reports pin a counterexample")
     for name, matrix in pinned:
         inertia = exact_inertia(path, matrix)
-        if inertia is None or inertia in hn_set(matrix["n"]):
-            failures += 1
-            print(f"FAIL {name}: counterexample not certified outside the target set (got {inertia})")
-    return bool(pinned) and not failures
+        yield check(
+            inertia is not None and inertia not in hn_set(matrix["n"]),
+            f"{name}: counterexample certified {inertia}, outside the target set",
+        )
 
 
-def recertify_witnesses(path: Path) -> bool:
+def recertify_witnesses(path: Path) -> Iterator[bool]:
     """Whether riq inertia --exact certifies every witness riq witness emits as listed."""
-    failures = 0
-    for i in (1, 2, 3):
+    for i in FAMILIES:
         for n in WITNESS_ORDERS:
             suite = riq_json(["witness", "-i", str(i), "-n", str(n)]) or {"witnesses": []}
             got = []
@@ -177,30 +226,50 @@ def recertify_witnesses(path: Path) -> bool:
                 in_class = sgn_of_matrix(matrix_from_json(witness["matrix"])) == family_pattern(i, n)
                 if in_class and inertia == RefinedInertia(**witness["inertia"]):
                     got.append(inertia)
-            if Counter(got) != Counter(hn_set(n)):
-                failures += 1
-                print(f"FAIL witness -i {i} -n {n}: certified {', '.join(map(str, got))}, not the target set")
-    return not failures
+            certified = ", ".join(map(str, got))
+            yield check(Counter(got) == Counter(hn_set(n)), f"riq witness -i {i} -n {n}: certified {certified}")
+
+
+def check_runs(args: str, jobs: tuple[int, ...], forkserver: bool) -> Iterator[bool]:
+    """Whether every run of riq args exits 0, prints the first run's bytes and, for analyze, a consistent row."""
+    argv = args.split()
+    runs = [(f"--jobs {j}", riq([*argv, "--jobs", str(j)])) for j in jobs]
+    if forkserver:
+        runs.append(("--jobs 2 under forkserver", riq_forkserver([*argv, "--jobs", "2"])))
+    first_label, (_, first) = runs[0]
+    for label, (code, out) in runs:
+        if code != cli.EXIT_OK or (argv[0] == "analyze" and "ConsistentWithRequires" not in out):
+            missing = "" if code else ", no ConsistentWithRequires row"
+            yield check(False, f"riq {args} {label}: exit {code}{missing}")
+            print("".join(f"     {line}\n" for line in out.splitlines()), end="")
+        elif label == first_label:
+            yield check(True, f"riq {args} {label}: exit 0")
+        else:
+            yield check(out == first, f"riq {args} {label}: exit 0, the bytes of {first_label}", "DIFF")
+
+
+def check_reports(path: Path) -> Iterator[bool]:
+    """Whether riq falsify prints every pinned report, byte for byte, at each job count."""
+    for name, pattern in fixture_patterns().items():
+        expected = (FIXTURES / f"{name}.json").read_text()
+        path.write_text(pattern.render())
+        for jobs in JOBS:
+            argv = ["falsify", "--pattern", str(path), "--budget", str(BUDGET), "--seed", str(SEED), "--jobs", str(jobs)]
+            code, out = riq(argv)
+            same = code in (cli.EXIT_OK, cli.EXIT_COUNTEREXAMPLE) and out == expected
+            yield check(same, f"riq falsify {name} --jobs {jobs}: exit {code}, the pinned report", "DIFF")
 
 
 def main() -> int:
-    known_roots = check_known_roots()
-    total = matched = 0
-    for name, pattern in fixture_patterns().items():
-        expected = (FIXTURES / f"{name}.json").read_bytes()
-        for jobs in JOBS:
-            report = falsify_requires(pattern, BUDGET, RealizationConfig(seed=SEED), jobs=jobs)
-            same = canonical_dumps(report.to_json_dict()).encode("utf-8") == expected
-            total += 1
-            matched += same
-            print(f"{'ok  ' if same else 'DIFF'} {name} jobs={jobs}")
-    version = ".".join(map(str, sys.version_info[:3]))
-    print(f"{matched}/{total} reports match on Python {version}")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "matrix.json"
-        counterexamples = recertify_counterexamples(path)
-        witnesses = recertify_witnesses(path)
-    return 0 if known_roots and matched == total and counterexamples and witnesses else 1
+        path = Path(tmp) / "input"
+        results = [*check_known_roots(), *recertify_counterexamples(path), *recertify_witnesses(path)]
+        results += [ok for run in RUNS for ok in check_runs(*run)]
+        reports = list(check_reports(path))
+    results += reports
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"{sum(reports)}/{len(reports)} reports match and {sum(results)}/{len(results)} checks pass on Python {version}")
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":
