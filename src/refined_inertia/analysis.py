@@ -254,17 +254,19 @@ def _exact_inertia(num: Sequence[int]) -> tuple[int, int, int, int]:
     return _inertia_counts(num)
 
 
-def _falsify_chunk(args) -> tuple[dict, int | None]:
-    """Histogram of samples start..start+count-1 and the index of the first outside one.
+def _falsify_chunk(task) -> dict[tuple[int, int, int, int], list[int]]:
+    """{counts: [samples, first index]} over samples start..start+count-1 of a falsifier task.
 
-    The pattern's nonzero signs are read, and one generator made, once per
+    The task is (n, seed, start, count, (pattern, family)), family being
+    family_index(pattern.rows), which falsify_each reads once.  The
+    pattern's nonzero signs are read, and one generator made, once per
     call; each sample reseeds that generator with its own seed and draws
     from it (realization._signed_draws), so chunks that run at the same
     time never share one.  Each sample goes from its integer draws to the
     integer coefficients of a polynomial with its eigenvalues' refined
     inertia and on to its four counts, a plain 4-tuple, which keys the
-    histogram and is looked up in the task's members.  When the task's
-    family flag is set, the draws are read as the arrow's integers
+    result.  The chunk never reads the target set: _falsify_report does.
+    For a family pattern, the draws are read as the arrow's integers
     (realization._family_draw) and the polynomial is the spoke expansion's
     G(y), whose roots are b_den > 0 times the eigenvalues
     (realization._spoke_expansion).  Otherwise the draws are laid out as
@@ -274,23 +276,23 @@ def _falsify_chunk(args) -> tuple[dict, int | None]:
     ArrowMatrix, RationalPoly or RefinedInertia, and no sample becomes a
     Fraction.
     """
-    pattern, family, seed, start, count, members = args
+    _, seed, start, count, (pattern, family) = task
     signs, rng = _signs(pattern), random.Random(seed)  # seeded to skip an OS entropy read
-    histogram: Counter = Counter()
-    first_outside: int | None = None
+    found: dict[tuple[int, int, int, int], list[int]] = {}
     for k in range(start, start + count):
         rng.seed(_sample_seed(seed, k))
         draws = _signed_draws(signs, rng)
-        if family:
+        if family is not None:
             num = _spoke_expansion(*_family_draw(draws))
         else:
             rows, _ = _draw_rows(pattern, draws)
             num, _ = _char_poly_ints(rows, 1)
         counts = _exact_inertia(num)
-        if counts not in members and first_outside is None:
-            first_outside = k
-        histogram[counts] += 1
-    return dict(histogram), first_outside
+        if counts in found:
+            found[counts][0] += 1
+        else:
+            found[counts] = [1, k]
+    return found
 
 
 def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
@@ -343,58 +345,41 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
     return tuple(tuple(row) for row in work)
 
 
-def _falsify_tasks(
-    pattern: SignPattern, budget: int, cfg: RealizationConfig, jobs: int
-) -> list[tuple]:
-    """One request's _falsify_chunk tasks: jobs contiguous runs of the sample indices.
+def _tasks(n: int, seed: int, total: int, jobs: int, arg) -> list[tuple]:
+    """(n, seed, start, count, arg) for jobs contiguous runs that cover the sample indices 0..total-1 in order.
 
-    falsify_each samples run w in process w, this one being process 0.
-    Every sample has the sign pattern it was drawn from, so the pattern is
-    classified once, here, and each task carries the answer as a flag:
-    (pattern, family, seed, start, count, members), data that pickles for a
-    worker started by spawn or forkserver; members is hn_set(pattern.n).
-    _falsify_chunk reads the flag to pick the family pattern's spoke route
-    or the integer-row route; both read the one draw stream of
-    realization._signed_draws, so the matrix that _falsify_report rebuilds
-    for an outside sample is the sample that was classified.
+    This is the one task layout of _falsify_chunk and _lemma_chunk: run w
+    is sampled by process w, this one being process 0, and jobs is clamped
+    to [1, min(total, CPU count)], the processes that share the samples.
+    A task is plain data, which pickles for a worker started by spawn or
+    forkserver; arg is what the chunk needs beyond the order and the seed.
     """
-    members = hn_set(pattern.n)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    family = family_index(pattern.rows) is not None
-    return [(pattern, family, cfg.seed, start, count, members) for start, count in _split(budget, jobs)]
-
-
-def _falsify_span(task: tuple) -> tuple[int, int, int]:
-    """(order, start, count) of a _falsify_chunk task."""
-    pattern, _, _, start, count, _ = task
-    return pattern.n, start, count
-
-
-def _clamp_jobs(jobs: int, total: int) -> int:
-    """jobs clamped to [1, min(total, CPU count)]: the processes that share total samples."""
-    return max(1, min(jobs, total, os.cpu_count() or 1))
-
-
-def _split(total: int, jobs: int) -> list[tuple[int, int]]:
-    """(start, count) of jobs contiguous runs that cover the sample indices 0..total-1 in order."""
+    jobs = max(1, min(jobs, total, os.cpu_count() or 1))
     bounds = [total * w // jobs for w in range(jobs + 1)]
-    return [(bounds[w], bounds[w + 1] - bounds[w]) for w in range(jobs)]
+    return [(n, seed, bounds[w], bounds[w + 1] - bounds[w], arg) for w in range(jobs)]
 
 
 def _falsify_report(
-    pattern: SignPattern, budget: int, cfg: RealizationConfig, results: list[tuple[dict, int | None]]
+    pattern: SignPattern, budget: int, cfg: RealizationConfig, results: list[dict]
 ) -> AnalysisReport:
-    """Merge one request's chunk results, shrink its first outside sample, pick the verdict."""
+    """Merge one request's chunks, shrink its first outside sample, pick the verdict.
+
+    This is where the falsifier reads hn_set(pattern.n).  The histogram
+    sums each chunk's sample counts; the sample shrunk is the smallest
+    first index among the counts outside the target set, over every chunk,
+    so it does not depend on how the samples were split.
+    """
     histogram: Counter = Counter()
-    for hist, _ in results:
-        histogram.update(hist)
-    outside = [k for _, k in results if k is not None]
+    for found in results:
+        for counts, (samples, _) in found.items():
+            histogram[counts] += samples
+    members = hn_set(pattern.n)
+    outside = [first for found in results for counts, (_, first) in found.items() if counts not in members]
 
     counterexample = None
     if outside:
         sample_cfg = RealizationConfig(seed=_sample_seed(cfg.seed, min(outside)))
-        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), hn_set(pattern.n))
+        counterexample = _shrink_counterexample(sample_realization(pattern, sample_cfg), members)
     return AnalysisReport(
         pattern=pattern,
         samples=budget,
@@ -432,20 +417,21 @@ def _send_chunks(conn, chunk, tasks: list[tuple]) -> None:
             conn.send_bytes(payload)
 
 
-def _run_chunks(chunk, task_lists: list[list[tuple]], span) -> Iterator[list]:
+def _run_chunks(chunk, task_lists: list[list[tuple]]) -> Iterator[list]:
     """Yield [chunk(tasks[i]) for tasks in task_lists] for i = 0, 1, ... in order.
 
-    chunk is _falsify_chunk or _lemma_chunk, and span(task) is the
-    (order, start, count) that a task samples.  task_lists[0] runs here,
-    each task when its step is asked for; each further list runs in a
-    multiprocessing.Process started here, which sends every result, or the
-    exception that stopped it, back through one one-way Pipe.  Step i
-    raises the first exception among its chunks, in list order, or
-    WorkerError, naming the span of the task it owed, if a worker died
-    before sending.  However the generator ends, every worker is joined, and one that still owes a
-    result is killed first.  multiprocessing.Process is looked up at call
-    time, so a test can swap in a thread-backed stand-in; multiprocessing
-    is imported only when there is a worker to start.
+    chunk is _falsify_chunk or _lemma_chunk, and every task is
+    (n, seed, start, count, arg), as _tasks lays it out.  task_lists[0]
+    runs here, each task when its step is asked for; each further list
+    runs in a multiprocessing.Process started here, which sends every
+    result, or the exception that stopped it, back through one one-way
+    Pipe.  Step i raises the first exception among its chunks, in list
+    order, or WorkerError, naming the samples and order of the task it
+    owed, if a worker died before sending.  However the generator ends,
+    every worker is joined, and one that still owes a result is killed
+    first.  multiprocessing.Process is looked up at call time, so a test
+    can swap in a thread-backed stand-in; multiprocessing is imported only
+    when there is a worker to start.
     """
     workers = []  # [process, reader, results it still owes]
     try:
@@ -467,7 +453,7 @@ def _run_chunks(chunk, task_lists: list[list[tuple]], span) -> Iterator[list]:
                     result = reader.recv()
                 except EOFError:
                     process.join()
-                    order, start, count = span(task_lists[w][i])
+                    order, _, start, count, _ = task_lists[w][i]
                     raise WorkerError(
                         f"a sampling process exited with code {process.exitcode} before it sent "
                         f"samples {start}..{start + count - 1} of order {order}"
@@ -491,23 +477,34 @@ def falsify_each(
 ) -> Iterator[AnalysisReport]:
     """Yield falsify_requires(pattern, budget, cfg, jobs) for each (pattern, cfg), in order.
 
-    jobs counts the processes that sample, this one included, and is
-    clamped to [1, min(budget, CPU count)].  Every request is planned at
-    the first report into jobs chunks; jobs - 1 workers (_run_chunks,
-    which imports multiprocessing only for them) start then and sample
-    their chunk of every request in order, while this process samples
-    chunk 0 of each request when its report is asked for, so the caller
-    can work on report k while the workers run ahead.  A fault in
-    any chunk is raised at its request's report, with its own type and
-    message, and a worker that dies first raises WorkerError there.  No
-    worker outlives the generator: closing it early kills the workers
-    that still have work, so a caller that may stop early closes it.
+    jobs counts the processes that sample, this one included, and _tasks
+    clamps it to [1, min(budget, CPU count)].  Every request is planned at
+    the first report, its order checked (hn_set) before the budget, into
+    jobs _falsify_chunk tasks.  Every sample has the sign pattern it was
+    drawn from, so the pattern is classified once, here, and each task
+    carries the answer, its family index or None, with the pattern; the
+    chunk reads it to pick the spoke route or the integer-row route.  Both
+    read the one draw stream of realization._signed_draws, so the matrix
+    that _falsify_report rebuilds for an outside sample is the sample that
+    was counted.  jobs - 1 workers (_run_chunks, which imports
+    multiprocessing only for them) start then and sample their chunk of
+    every request in order, while this process samples chunk 0 of each
+    request when its report is asked for, so the caller can work on
+    report k while the workers run ahead.  A fault in any chunk is raised
+    at its request's report, with its own type and message, and a worker
+    that dies first raises WorkerError there.  No worker outlives the
+    generator: closing it early kills the workers that still have work,
+    so a caller that may stop early closes it.
     """
-    jobs = _clamp_jobs(jobs, budget)
-    planned = [(pattern, cfg, _falsify_tasks(pattern, budget, cfg, jobs)) for pattern, cfg in requests]
-    chunks = _run_chunks(
-        _falsify_chunk, [[tasks[w] for _, _, tasks in planned] for w in range(jobs)], _falsify_span
-    )
+    planned = []
+    for pattern, cfg in requests:
+        hn_set(pattern.n)  # checks the order before the budget
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
+        arg = (pattern, family_index(pattern.rows))
+        planned.append((pattern, cfg, _tasks(pattern.n, cfg.seed, budget, jobs, arg)))
+    runs = zip(*(tasks for _, _, tasks in planned))  # run w of every request, in request order
+    chunks = _run_chunks(_falsify_chunk, [list(run) for run in runs])
     try:
         for (pattern, cfg, _), results in zip(planned, chunks):
             yield _falsify_report(pattern, budget, cfg, results)
@@ -526,12 +523,13 @@ def falsify_requires(
     Every sample is classified by the exact engine, so every histogram
     entry, and every outside verdict, is certified.  The samples are split
     into one chunk per sampling process, this one included (jobs, which
-    falsify_each clamps), and each chunk reports only the index of its
-    first outside sample; that one sample is rebuilt as a matrix by
-    sample_realization and shrunk as a matrix.  The sample multiset is a
-    pure function of (pattern, budget, seed), independent of the job
-    count.  A worker that dies raises WorkerError.  This is falsify_each's
-    one-request case.
+    _tasks clamps), and each chunk reports, for each counts it saw, how
+    many samples had them and the first that did; _falsify_report takes
+    the smallest such index outside the target set, and that one sample
+    is rebuilt as a matrix by sample_realization and shrunk as a matrix.
+    The report is a pure function of (pattern, budget, seed), independent
+    of the job count.  A worker that dies raises WorkerError.  This is
+    falsify_each's one-request case.
     """
     [report] = falsify_each([(pattern, cfg)], budget, jobs)
     return report
@@ -699,17 +697,17 @@ class LemmaSuiteReport:
         return not self.failures
 
 
-def _lemma_chunk(args) -> tuple[list[tuple[int, str]], dict]:
+def _lemma_chunk(task) -> tuple[list[tuple[int, str]], dict]:
     """Failures (k, check), in k order, and counts by (check, passed) of lemma samples start..start+count-1.
 
-    The task is (i, n, seed, start, count), plain ints.  The family
-    pattern's signs are read, and one generator made, once per call; sample
-    k reseeds it with _sample_seed(seed, k), draws
+    The task is (n, seed, start, count, i), plain ints, laid out by
+    _tasks.  The family pattern's signs are read, and one generator made,
+    once per call; sample k reseeds it with _sample_seed(seed, k), draws
     (realization._signed_draws), redraws a tied b_j
     (realization._redraw_tied_diagonal) and goes to _lemma_checks as the
     arrow's integers (realization._family_draw).
     """
-    i, n, seed, start, count = args
+    n, seed, start, count, i = task
     signs, rng = _signs(family_pattern(i, n)), random.Random(seed)  # seeded to skip an OS entropy read
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()
@@ -725,12 +723,6 @@ def _lemma_chunk(args) -> tuple[list[tuple[int, str]], dict]:
     return failures, dict(counts)
 
 
-def _lemma_span(task: tuple) -> tuple[int, int, int]:
-    """(order, start, count) of a _lemma_chunk task."""
-    _, n, _, start, count = task
-    return n, start, count
-
-
 def run_lemma_suite(
     i: int, n: int, samples: int, cfg: RealizationConfig, jobs: int = 1
 ) -> LemmaSuiteReport:
@@ -744,19 +736,18 @@ def run_lemma_suite(
     rejection's: the 4096 * 20 grid pairs (m, e) are equally likely, so
     redrawing each tied b_j in turn gives the uniform law over ordered
     tuples of distinct b (for any order up to 81 922), independent of the
-    a_k.  The samples are split into contiguous runs of k, one per
-    process, this one first (jobs, clamped to [1, min(samples, CPU
-    count)]); each run is a _lemma_chunk, and the failures are merged in k
-    order and the counts summed, so the report does not depend on jobs.  A
-    worker that dies raises WorkerError.  Raises ValueError, before any
-    draw, for a negative sample count or an invalid family or order.
+    a_k.  The samples are split by _tasks into contiguous runs of k, one
+    per process, this one first (jobs, clamped to [1, min(samples, CPU
+    count)]); each run is a _lemma_chunk task whose arg is i, and the
+    failures are merged in k order and the counts summed, so the report
+    does not depend on jobs.  A worker that dies raises WorkerError.
+    Raises ValueError, before any draw, for a negative sample count or an
+    invalid family or order.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     family_pattern(i, n)  # checks i and n before a worker starts
-    jobs = _clamp_jobs(jobs, samples)
-    tasks = [[(i, n, cfg.seed, *run)] for run in _split(samples, jobs)]
-    [results] = _run_chunks(_lemma_chunk, tasks, _lemma_span)
+    [results] = _run_chunks(_lemma_chunk, [[task] for task in _tasks(n, cfg.seed, samples, jobs, i)])
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()
     for chunk_failures, chunk_counts in results:

@@ -19,7 +19,6 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .ratpoly import (
-    Rational,
     RationalPoly,
     _derivative,
     _homogeneous_value,
@@ -305,25 +304,15 @@ def _check_axis_eps(axis_eps: float) -> None:
 def count_eigen_re_leq(matrix: Sequence[Sequence], r) -> int:
     """Number of eigenvalues with real part <= -r, with multiplicity, exactly.
 
-    Shifts the spectrum by r (the characteristic polynomial of rI + B is
-    p(x - r)) and reads the count off its exact refined inertia, from
-    _shifted_inertia: everything strictly left of the new axis plus
-    everything exactly on it.
-    """
-    inertia = _shifted_inertia(char_poly(matrix), r)
-    return inertia.n_minus + inertia.n_zero + inertia.two_n_p
-
-
-def _shifted_inertia(p: RationalPoly, r: Rational) -> RefinedInertia:
-    """Refined inertia of p(x - r), the characteristic polynomial of rI + B if p is B's.
-
-    For -r = s / t it counts the roots of _shifted(p.num, s, t) by
-    _inertia_counts; they are those of p(x - r) times t > 0, so every count
-    is that of p(x - r).  Neither the t**k rescale nor any normalization of
-    p(x - r) is done.
+    Shifts the spectrum by r: the characteristic polynomial of rI + B is
+    p(x - r).  For -r = s / t, the roots of _shifted(p.num, s, t) are those
+    of p(x - r) times t > 0, so _inertia_counts on it gives p(x - r)'s
+    counts, with no t**k rescale or normalization done.  The answer is
+    everything strictly left of the new axis plus everything exactly on it.
     """
     s, t = as_ratio(-r)
-    return RefinedInertia(*_inertia_counts(_shifted(p.num, s, t)))
+    _, n_minus, n_zero, two_n_p = _inertia_counts(_shifted(char_poly(matrix).num, s, t))
+    return n_minus + n_zero + two_n_p
 
 
 # No pipeline caller: the lemma checks call _shift_det; kept because the

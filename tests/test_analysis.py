@@ -22,9 +22,9 @@ from refined_inertia.analysis import (
     Verdict,
     WitnessCertificationError,
     WorkerError,
-    _falsify_tasks,
     _run_chunks,
     _sample_seed,
+    _tasks,
     canonical_dumps,
     falsify_each,
     falsify_requires,
@@ -222,12 +222,12 @@ class TestFalsifier:
         pattern = family_pattern(i, 10)
         refined_inertia_exact(arrow_char_poly(_plain_arrow(pattern, 1)))
         assert built == {"ArrowMatrix": 1, "RationalPoly": 1, "RefinedInertia": 1}
-        task = _falsify_tasks(pattern, 40, RealizationConfig(seed=i), 1)[0]
+        task = (10, i, 0, 40, (pattern, i))
         built.clear()
-        histogram, _ = analysis._falsify_chunk(task)
+        found = analysis._falsify_chunk(task)
         assert built == {}
-        assert sum(histogram.values()) == 40
-        assert all(type(key) is tuple and len(key) == 4 for key in histogram)
+        assert sum(samples for samples, _ in found.values()) == 40
+        assert all(type(key) is tuple and len(key) == 4 for key in found)
 
     def test_generic_chunk_builds_no_polynomial_inertia_or_fraction(self, monkeypatch):
         # A sample outside the families goes from its integer rows to
@@ -238,16 +238,16 @@ class TestFalsifier:
         built = _count_constructions(
             monkeypatch, (RationalPoly, "_set"), (RefinedInertia, "__new__"), (Fraction, "__new__")
         )
-        task = _falsify_tasks(RANDOM_7, 40, RealizationConfig(seed=7), 1)[0]
+        task = (7, 7, 0, 40, (RANDOM_7, None))
         refined_inertia_exact(char_poly(sample_realization(RANDOM_7, RealizationConfig(seed=7))))
         assert {name: built[name] > 0 for name in built} == dict.fromkeys(
             ["RationalPoly", "RefinedInertia", "Fraction"], True
         )
         built.clear()
-        histogram, _ = analysis._falsify_chunk(task)
+        found = analysis._falsify_chunk(task)
         assert built == {}
-        assert sum(histogram.values()) == 40
-        assert all(type(key) is tuple and len(key) == 4 for key in histogram)
+        assert sum(samples for samples, _ in found.values()) == 40
+        assert all(type(key) is tuple and len(key) == 4 for key in found)
 
     def test_family_chunk_makes_one_generator(self, monkeypatch):
         # The chunk reseeds one generator per sample rather than making one:
@@ -259,7 +259,7 @@ class TestFalsifier:
                 made.append(args)
                 super().__init__(*args)
 
-        task = _falsify_tasks(family_pattern(2, 10), 50, RealizationConfig(seed=3), 1)[0]
+        task = (10, 3, 0, 50, (family_pattern(2, 10), 2))
         expected = analysis._falsify_chunk(task)
         monkeypatch.setattr(random, "Random", Counted)
         assert analysis._falsify_chunk(task) == expected
@@ -318,18 +318,30 @@ class TestFalsifier:
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize(
         "pattern, family",
-        [(family_pattern(3, 6), True), (ALL_PLUS_4, False)],
+        [(family_pattern(3, 6), 3), (ALL_PLUS_4, None)],
         ids=["family-3-order-6", "all-plus-4"],
     )
-    def test_tasks_carry_the_route_as_a_flag(self, pattern, family, jobs):
-        # A task is plain data: the family flag picks the route inside the
-        # chunk, so no task holds a function for the pool to pickle.
-        # The seed travels as the int the samplers take, not as the config.
-        tasks = _falsify_tasks(pattern, 30, RealizationConfig(seed=5), jobs)
-        assert len(tasks) == jobs
-        assert all(task[1] is family for task in tasks)
-        assert all(type(task[2]) is int and task[2] == 5 for task in tasks)
-        assert not any(callable(field) for task in tasks for field in task)
+    def test_tasks_carry_the_route_as_a_flag(self, pattern, family, jobs, monkeypatch, thread_processes):
+        # A task is plain data, (n, seed, start, count, (pattern, family)):
+        # the family index picks the route inside the chunk, so no task
+        # holds a function for the pool to pickle.  The seed travels as the
+        # int the samplers take, not as the config.
+        planned = []
+        run_chunks = analysis._run_chunks
+
+        def record(chunk, task_lists):
+            planned.append(task_lists)
+            return run_chunks(chunk, task_lists)
+
+        monkeypatch.setattr(analysis, "_run_chunks", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        falsify_requires(pattern, 30, RealizationConfig(seed=5), jobs)
+        [task_lists] = planned
+        tasks = [task for tasks in task_lists for task in tasks]
+        assert [task[2:4] for task in tasks] == {1: [(0, 30)], 3: [(0, 10), (10, 10), (20, 10)]}[jobs]
+        assert all(task[:2] == (pattern.n, 5) and type(task[1]) is int for task in tasks)
+        assert all(task[4] == (pattern, family) for task in tasks)
+        assert not any(callable(field) for task in tasks for field in (*task[:4], *task[4]))
 
     def test_budget_zero_vacuous(self):
         report = falsify_requires(family_pattern(1, 5), 0, RealizationConfig(seed=1))
@@ -416,7 +428,7 @@ class TestFalsifier:
         chunk = analysis._falsify_chunk
 
         def fails_past_sample_0(task):
-            if task[3] > 0:
+            if task[2] > 0:
                 raise fault[where]
             return chunk(task)
 
@@ -498,6 +510,42 @@ class TestFalsifier:
                 assert ce[r][c] == expected, (r, c)
         assert canonical_dumps(serial.to_json_dict()) == canonical_dumps(parallel.to_json_dict())
 
+    def test_merge_shrinks_the_smallest_outside_index_over_chunks(self, monkeypatch, thread_processes):
+        # Samples 12 and 25 are forced to one outside inertia and sample 17
+        # to another.  At jobs 2 (runs 0..14, 15..29) and 3 (0..9, 10..19,
+        # 20..29) they fall in different chunks, and each outside inertia
+        # is first seen at its smallest index in the chunks that saw it;
+        # the report shrinks sample 12, the smallest over every chunk.  A
+        # shrink candidate is counted exactly, so it is inside the target
+        # set, and the shrink keeps sample 12 as drawn.
+        pattern, n, budget = family_pattern(1, 6), 6, 30
+        cfg = RealizationConfig(seed=23)
+        rng, signs, spokes = random.Random(), realization._signs(pattern), []
+        for k in range(budget):
+            rng.seed(_sample_seed(cfg.seed, k))
+            draw = realization._family_draw(realization._signed_draws(signs, rng))
+            spokes.append(realization._spoke_expansion(*draw))
+        forced = {12: (n, 0, 0, 0), 17: (n - 1, 1, 0, 0), 25: (n, 0, 0, 0)}
+        assert all(spokes.count(spokes[k]) == 1 for k in forced)
+        exact = analysis._exact_inertia
+
+        def classify(num):
+            for k, counts in forced.items():
+                if num == spokes[k]:
+                    return counts
+            return exact(num)
+
+        monkeypatch.setattr(analysis, "_exact_inertia", classify)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        reports = [falsify_requires(pattern, budget, cfg, jobs=j) for j in (1, 2, 3)]
+        assert len(thread_processes) == 1 + 2
+        histogram = dict(reports[0].histogram)
+        assert histogram[RefinedInertia(n, 0, 0, 0)] == 2 and histogram[RefinedInertia(n - 1, 1, 0, 0)] == 1
+        drawn = sample_realization(pattern, RealizationConfig(seed=_sample_seed(cfg.seed, 12)))
+        assert reports[0].counterexample == drawn == analysis._shrink_counterexample(drawn, hn_set(n))
+        text = canonical_dumps(reports[0].to_json_dict())
+        assert [canonical_dumps(report.to_json_dict()) for report in reports[1:]] == [text, text]
+
 
 class TestWorkerLifetime:
     """No worker process outlives falsify_each, however it ends."""
@@ -540,10 +588,10 @@ class TestWorkerLifetime:
     def test_fault_in_a_chunk(self, started, where):
         # The second step's chunk in task list `where` is not a task: it
         # raises there, in this process or in the first worker.
-        tasks = _falsify_tasks(family_pattern(1, 5), 30, RealizationConfig(seed=0), 3)
+        tasks = _tasks(5, 0, 30, 3, (family_pattern(1, 5), 1))
         lists = [[task, task] for task in tasks]
         lists[where][1] = None
-        steps = _run_chunks(analysis._falsify_chunk, lists, analysis._falsify_span)
+        steps = _run_chunks(analysis._falsify_chunk, lists)
         assert next(steps) == [analysis._falsify_chunk(task) for task in tasks]
         with pytest.raises(TypeError, match="cannot unpack"):
             next(steps)
@@ -917,7 +965,7 @@ class TestLemmaRunner:
             ["ArrowMatrix", "RationalPoly", "RefinedInertia", "LemmaCheck", "Fraction"], True
         )
         built.clear()
-        failures, counts = analysis._lemma_chunk((2, 8, 5, 0, 20))
+        failures, counts = analysis._lemma_chunk((8, 5, 0, 20, 2))
         assert built == {}
         assert failures == [] and sum(counts.values()) == 20 * 7
 
@@ -930,9 +978,9 @@ class TestLemmaRunner:
         # Per family, jobs 2 starts one worker and jobs 3 two; each takes a
         # contiguous run of k after this process's.
         assert [worker.tasks for worker in thread_processes[:3]] == [
-            [(1, 6, 4, 12, 13)],
-            [(1, 6, 4, 8, 8)],
-            [(1, 6, 4, 16, 9)],
+            [(6, 4, 12, 13, 1)],
+            [(6, 4, 8, 8, 1)],
+            [(6, 4, 16, 9, 1)],
         ]
 
     def test_failures_from_two_chunks_merge_in_k_order(self, monkeypatch, thread_processes):
@@ -960,7 +1008,7 @@ class TestLemmaRunner:
         [worker] = thread_processes
         assert worker.chunk is analysis._lemma_chunk
         [task] = worker.tasks
-        assert task == (3, 9, 2, 3, 3)
+        assert task == (9, 2, 3, 3, 3)
         assert all(type(x) is int for x in task)
         payload = pickle.dumps(task)
         assert pickle.loads(payload) == task
@@ -973,7 +1021,7 @@ class TestLemmaRunner:
         chunk = analysis._lemma_chunk
 
         def dies_past_sample_0(task):
-            if task[3] > 0:
+            if task[2] > 0:
                 os._exit(1)
             return chunk(task)
 

@@ -460,8 +460,8 @@ def test_analyze_opens_one_pool(capsys, monkeypatch, thread_processes):
     argv = ["analyze", "-i", "3", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     assert main(argv + ["--jobs", "2"]) == EXIT_OK
     [worker] = thread_processes
-    assert [task[0].n for task in worker.tasks] == [4, 5, 6, 7]
-    assert all(task[3:5] == (10, 10) for task in worker.tasks)
+    assert [task[0] for task in worker.tasks] == [4, 5, 6, 7]
+    assert all(task[2:4] == (10, 10) for task in worker.tasks)
     assert not worker.is_alive()
     assert not worker.killed
     assert len(capsys.readouterr().out.splitlines()) == 6
@@ -599,7 +599,7 @@ def test_dead_worker_is_one_line_exit_4(pattern_file, capsys, monkeypatch, argv,
     chunk = getattr(analysis, name)
 
     def dies_past_sample_0(task):
-        if task[3] > 0:
+        if task[2] > 0:
             os._exit(1)
         return chunk(task)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from refined_inertia.analysis import _falsify_chunk, _sample_seed, hn_set, witness_suite
+from refined_inertia.analysis import _falsify_chunk, _sample_seed, witness_suite
 from refined_inertia.engine import (
     _inertia_counts,
     _integer_char_poly,
@@ -144,18 +144,17 @@ def test_falsifier_counts_on_g_are_the_characteristic_polynomials():
 
 
 def _chunk_matches_the_rational_route(pattern, family, base, count):
-    """_falsify_chunk classifies each sample as the Fraction route does, one sample per task.
+    """_falsify_chunk counts each sample as the Fraction route does, one sample per task.
 
-    The falsifier needs order >= 3; a smaller pattern's chunk runs against
-    no target set, so every sample is outside it.
+    family is the pattern's family index, or None, as falsify_each puts it
+    in a task.  The chunk reads no target set, so orders 1 and 2 run as any
+    other.
     """
-    members = hn_set(pattern.n) if pattern.n >= 3 else frozenset()
     for k in range(count):
         matrix = sample_realization(pattern, RealizationConfig(seed=_sample_seed(base, k)))
         inertia = refined_inertia_exact(char_poly(matrix)).as_tuple()
-        expected = ({inertia: 1}, None if inertia in members else k)
-        task = (pattern, family, base, k, 1, members)
-        assert _falsify_chunk(task) == expected, f"base {base}, sample {k}"
+        task = (pattern.n, base, k, 1, (pattern, family))
+        assert _falsify_chunk(task) == {inertia: [1, k]}, f"base {base}, sample {k}"
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -171,7 +170,7 @@ def test_family_sample_char_poly_is_the_rational_route(i, n):
         arrow = to_arrow_form(sample_realization(pattern, RealizationConfig(seed=seed)))
         assert ArrowMatrix.from_ints(*_family_draw(_signed_draws(_signs(pattern), random.Random(seed)))) == arrow
         assert arrow_char_poly(arrow) == char_poly(arrow.to_matrix()), f"seed {seed}"
-    _chunk_matches_the_rational_route(pattern, True, 10 * i + n, 60)
+    _chunk_matches_the_rational_route(pattern, i, 10 * i + n, 60)
 
 
 def _non_family_patterns():
@@ -207,7 +206,7 @@ def test_sample_char_poly_is_the_rational_route(pattern):
         assert common & (common - 1) == 0
         assert tuple(tuple(Fraction(x, common) for x in row) for row in rows) == expected
         assert sample_realization(pattern, RealizationConfig(seed=seed)) == expected
-    _chunk_matches_the_rational_route(pattern, False, pattern.n, 60)
+    _chunk_matches_the_rational_route(pattern, None, pattern.n, 60)
 
 
 class TestSampler:

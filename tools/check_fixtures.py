@@ -11,6 +11,16 @@ per check, ``ok``, ``FAIL`` or, where two outputs must be the same bytes,
   construction (x, t x - s, (x^2 + c)^m for m <= 4, x^2 - c, a complex
   pair and an opposite quadruple, under a lead of either sign): the
   refined inertia refined_inertia_exact gives each must be its roots'.
+* Two inputs those products miss.  AFTER_A_GAP's remainder chain takes a
+  run of one-degree steps after a gap, which must restart its divisors
+  at 1; its counts (4, 5, 0, 0) are those of the full-length reference
+  chain in tests/test_ratpoly.py.  ZERO_BORDER's second Berkowitz step
+  has a zero column but a nonzero row, which ends the diagonal leading
+  block, so the third step must not read power sums over it.
+  ``riq inertia --exact`` must give it (1, 2, 0, 0): det(xI - A) is
+  x^3 + x^2 - 8, with one positive root r by Descartes' rule, and the
+  other two sum to -1 - r < 0 with product 8 / r > 0, so both lie in the
+  open left half-plane.
 * ``riq inertia --exact`` (Berkowitz on the dense matrix, not the witness
   suite's spoke expansion) must put every counterexample a pinned report
   holds outside the target set, and at least one must be pinned.  Every
@@ -67,7 +77,7 @@ from refined_inertia.patterns import (  # noqa: E402
     sgn_of_matrix,
 )
 from refined_inertia.ratpoly import RationalPoly  # noqa: E402
-from refined_inertia.realization import matrix_from_json  # noqa: E402
+from refined_inertia.realization import matrix_from_json, matrix_to_json  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures" / "falsify"
 BUDGET = 50
@@ -84,6 +94,8 @@ BLOCK_6 = """
 - 0 0 + - -
 """
 KNOWN_ROOT_PRODUCTS = 4000
+AFTER_A_GAP = [-1, 3, 7, 1, 0, -2, 0, -3, -9, -3]
+ZERO_BORDER = [[-1, 0, 2], [-2, 0, 0], [0, -2, 0]]
 # (riq arguments, the --jobs values run in this process, whether --jobs 2 also runs under forkserver)
 RUNS = [
     *((f"analyze -i {i} --n-range 4..10 --budget 100 --seed 7", (1, 2, 3), True) for i in FAMILIES),
@@ -172,6 +184,17 @@ def check_known_roots() -> Iterator[bool]:
             print(f"FAIL known-root product {k} {num}: counted {got}, its roots give {counts}")
     passed = KNOWN_ROOT_PRODUCTS - failures
     yield check(not failures, f"{passed}/{KNOWN_ROOT_PRODUCTS} known-root products counted exactly")
+
+
+def check_kernel_inputs(path: Path) -> Iterator[bool]:
+    """Whether the remainder chain counts AFTER_A_GAP, and Berkowitz ZERO_BORDER, as their roots give."""
+    try:
+        got = refined_inertia_exact(RationalPoly.from_ints(AFTER_A_GAP))
+    except InternalCheckError as exc:
+        got = exc
+    yield check(got == (4, 5, 0, 0), f"after a gap {AFTER_A_GAP}: counted {got}, its roots give (4, 5, 0, 0)")
+    inertia = exact_inertia(path, matrix_to_json(ZERO_BORDER))
+    yield check(inertia == (1, 2, 0, 0), f"zero border {ZERO_BORDER}: certified {inertia}, its roots give (1, 2, 0, 0)")
 
 
 def riq(argv: list[str]) -> tuple[int, str]:
@@ -263,7 +286,8 @@ def check_reports(path: Path) -> Iterator[bool]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
-        results = [*check_known_roots(), *recertify_counterexamples(path), *recertify_witnesses(path)]
+        results = [*check_known_roots(), *check_kernel_inputs(path)]
+        results += [*recertify_counterexamples(path), *recertify_witnesses(path)]
         results += [ok for run in RUNS for ok in check_runs(*run)]
         reports = list(check_reports(path))
     results += reports
