@@ -29,10 +29,11 @@ from .engine import (
     RefinedInertia,
     _char_poly_ints,
     _inertia_counts,
+    _inertia_counts_many,
     _shift_det,
     refined_inertia_exact,
 )
-from .patterns import SignPattern, family_pattern
+from .patterns import SignPattern, _family_signs, family_pattern
 from .ratpoly import _lowest, _shifted
 from .realization import (
     ArrowMatrix,
@@ -43,11 +44,12 @@ from .realization import (
     _arrow_rows,
     _draw_rows,
     _family_draw,
+    _family_draw_signs,
     _redraw_tied_diagonal,
     _signed_draws,
     _signs,
     _spoke_char_poly,
-    _spoke_expansion,
+    _spoke_expansions,
     arrow_char_poly,
     embed_witness,
     family_index,
@@ -240,18 +242,28 @@ def _sample_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _exact_inertia(num: Sequence[int]) -> tuple[int, int, int, int]:
-    """Inertia counts of a falsifier sample or shrink candidate, as a 4-tuple.
+# Falsifier samples classified together: a chunk draws up to BLOCK of them,
+# then builds and counts their polynomials in lockstep.  Over 512-sample
+# chunks of families 1-3 at orders 4..10, the time per sample falls until
+# about 64 and is flat from there to 512; 128 sits on that plateau and
+# bounds what a long chunk holds at once.
+BLOCK = 128
 
-    num holds the integer coefficients, low to high, of a polynomial whose
-    roots are a positive multiple of the eigenvalues, which keeps every
-    count.  This is how the falsifier classifies every one: _falsify_chunk
-    builds a sample's from its integer draws, and _shrink_counterexample a
-    candidate's from its integer rows by Berkowitz, with no RationalPoly
-    built for either.  An internal-check failure names num over 1, a
-    polynomial that reproduces it through refined_inertia_exact.
+
+def _exact_inertia(block: Sequence[Sequence[int]]) -> list[tuple[int, int, int, int]]:
+    """Inertia counts of a block of falsifier samples, as 4-tuples in block order.
+
+    Each entry holds the integer coefficients, low to high, of a
+    polynomial whose roots are a positive multiple of a sample's
+    eigenvalues, which keeps every count.  This is how the falsifier
+    classifies every sample, family or generic: _falsify_chunk builds the
+    block from the samples' integer draws, with no RationalPoly built.
+    The chains run in lockstep (engine._inertia_counts_many) and give
+    engine._inertia_counts' counts, exactly.  An internal-check failure
+    names the polynomial over 1, which reproduces it through
+    refined_inertia_exact.
     """
-    return _inertia_counts(num)
+    return _inertia_counts_many(block)
 
 
 def _falsify_chunk(task) -> dict[tuple[int, int, int, int], list[int]]:
@@ -262,36 +274,41 @@ def _falsify_chunk(task) -> dict[tuple[int, int, int, int], list[int]]:
     pattern's nonzero signs are read, and one generator made, once per
     call; each sample reseeds that generator with its own seed and draws
     from it (realization._signed_draws), so chunks that run at the same
-    time never share one.  Each sample goes from its integer draws to the
-    integer coefficients of a polynomial with its eigenvalues' refined
-    inertia and on to its four counts, a plain 4-tuple, which keys the
-    result.  The chunk never reads the target set: _falsify_report does.
-    For a family pattern, the draws are read as the arrow's integers
-    (realization._family_draw) and the polynomial is the spoke expansion's
-    G(y), whose roots are b_den > 0 times the eigenvalues
-    (realization._spoke_expansion).  Otherwise the draws are laid out as
-    integer rows A over common (realization._draw_rows) and the polynomial
-    is det(yI - A) from Berkowitz (_char_poly_ints with common 1), whose
-    roots are common > 0 times the eigenvalues.  Neither route builds an
-    ArrowMatrix, RationalPoly or RefinedInertia, and no sample becomes a
-    Fraction.
+    time never share one, and the stream is the one a sample drawn alone
+    reads.  The samples go in blocks of up to BLOCK, in index order: each
+    block's integer draws become the integer coefficients of polynomials
+    with their eigenvalues' refined inertia, and _exact_inertia counts
+    them; each sample's four counts, a plain 4-tuple, key the result.  The
+    chunk never reads the target set: _falsify_report does.  For a family
+    pattern, the draws are read as the arrows' integers
+    (realization._family_draw) and the polynomials are the spoke
+    expansions' G(y), whose roots are b_den > 0 times the eigenvalues,
+    built for the block in lockstep (realization._spoke_expansions).
+    Otherwise each sample's draws are laid out as integer rows A over
+    common (realization._draw_rows) and its polynomial is det(yI - A) from
+    Berkowitz (_char_poly_ints with common 1), whose roots are common > 0
+    times the eigenvalues.  Neither route builds an ArrowMatrix,
+    RationalPoly or RefinedInertia, and no sample becomes a Fraction.  The
+    lockstep routines compute the integers the one-sample routines do, so
+    the result does not depend on BLOCK.
     """
     _, seed, start, count, (pattern, family) = task
     signs, rng = _signs(pattern), random.Random(seed)  # seeded to skip an OS entropy read
     found: dict[tuple[int, int, int, int], list[int]] = {}
-    for k in range(start, start + count):
-        rng.seed(_sample_seed(seed, k))
-        draws = _signed_draws(signs, rng)
+    for first in range(start, start + count, BLOCK):
+        drawn = []
+        for k in range(first, min(first + BLOCK, start + count)):
+            rng.seed(_sample_seed(seed, k))
+            drawn.append(_signed_draws(signs, rng))
         if family is not None:
-            num = _spoke_expansion(*_family_draw(draws))
+            block = _spoke_expansions([_family_draw(draws) for draws in drawn])
         else:
-            rows, _ = _draw_rows(pattern, draws)
-            num, _ = _char_poly_ints(rows, 1)
-        counts = _exact_inertia(num)
-        if counts in found:
-            found[counts][0] += 1
-        else:
-            found[counts] = [1, k]
+            block = [_char_poly_ints(_draw_rows(pattern, draws)[0], 1)[0] for draws in drawn]
+        for k, counts in enumerate(_exact_inertia(block), first):
+            if counts in found:
+                found[counts][0] += 1
+            else:
+                found[counts] = [1, k]
     return found
 
 
@@ -300,14 +317,15 @@ def _shrink_counterexample(matrix: RationalMatrix, members) -> RationalMatrix:
 
     Every move keeps each entry's sign, so every candidate stays in the
     qualitative class of matrix.  Each candidate is classified as a matrix,
-    whatever its pattern: Berkowitz's integers for det(xI - B), read by
-    rational_rows and rescaled by _char_poly_ints but not reduced, so
-    -num[-2] / num[-1] is the candidate's trace.  It is outside while its
-    counts are not in members.
+    whatever its pattern, one at a time (engine._inertia_counts, since the
+    next candidate depends on this one's verdict): Berkowitz's integers
+    for det(xI - B), read by rational_rows and rescaled by _char_poly_ints
+    but not reduced, so -num[-2] / num[-1] is the candidate's trace.  It
+    is outside while its counts are not in members.
     """
 
     def still_outside(rows) -> bool:
-        return _exact_inertia(_char_poly_ints(*rational_rows(rows))[0]) not in members
+        return _inertia_counts(_char_poly_ints(*rational_rows(rows))[0]) not in members
 
     work = [list(row) for row in matrix]
     n = len(work)
@@ -701,14 +719,15 @@ def _lemma_chunk(task) -> tuple[list[tuple[int, str]], dict]:
     """Failures (k, check), in k order, and counts by (check, passed) of lemma samples start..start+count-1.
 
     The task is (n, seed, start, count, i), plain ints, laid out by
-    _tasks.  The family pattern's signs are read, and one generator made,
-    once per call; sample k reseeds it with _sample_seed(seed, k), draws
+    _tasks.  The family pattern's signs are read in O(n), with no n x n
+    pattern built (realization._family_draw_signs), and one generator
+    made, once per call; sample k reseeds it with _sample_seed(seed, k), draws
     (realization._signed_draws), redraws a tied b_j
     (realization._redraw_tied_diagonal) and goes to _lemma_checks as the
     arrow's integers (realization._family_draw).
     """
     n, seed, start, count, i = task
-    signs, rng = _signs(family_pattern(i, n)), random.Random(seed)  # seeded to skip an OS entropy read
+    signs, rng = _family_draw_signs(i, n), random.Random(seed)  # seeded to skip an OS entropy read
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()
     for k in range(start, start + count):
@@ -746,7 +765,7 @@ def run_lemma_suite(
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    family_pattern(i, n)  # checks i and n before a worker starts
+    _family_signs(i, n)  # checks i and n before a worker starts
     [results] = _run_chunks(_lemma_chunk, [[task] for task in _tasks(n, cfg.seed, samples, jobs, i)])
     failures: list[tuple[int, str]] = []
     counts: Counter = Counter()

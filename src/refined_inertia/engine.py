@@ -3,7 +3,8 @@
 Exact path, no floating point: char_poly reads a matrix by
 realization.rational_rows and runs Berkowitz on its integers
 (_integer_char_poly), and refined_inertia_exact counts the roots by
-_inertia_counts, whose docstring holds the argument.
+_inertia_counts, whose docstring holds the argument; _inertia_counts_many
+gives the same counts for a block of polynomials, its chains in lockstep.
 
 Numeric path: refined_inertia_numeric, a dense eigensolve with a relative
 axis tolerance, for float entries and the exact/numeric cross-validation.
@@ -25,6 +26,7 @@ from .ratpoly import (
     _shifted,
     as_ratio,
     cauchy_index_line,
+    cauchy_index_lines,
 )
 from .realization import ArrowMatrix, rational_rows
 
@@ -204,18 +206,73 @@ def _inertia_counts(num: Sequence[int], den: int = 1) -> tuple[int, int, int, in
     running it down to a constant tail adds each root once per level.
     The axis-free degree m has the parity of deg q, which therefore
     decides whether Re or Im sits in the denominator.
+
+    This is the path for one polynomial: a certificate, a witness, a
+    shrink candidate, a lemma check.  A falsifier block of many goes to
+    _inertia_counts_many, which gives the same counts.
     """
     n_zero = next(k for k, c in enumerate(num) if c)
-    q = num[n_zero:]
+    return _axis_counts(num, den, n_zero, *_half_plane_chain(num[n_zero:]))
+
+
+def _half_plane_chain(q: Sequence[int]) -> tuple[int, int, list[int]]:
+    """(degree, diff, tail) of q, with q(0) != 0: one remainder chain of its parity parts (_inertia_counts)."""
     even, odd = list(q[0::2]), list(q[1::2])
     even[1::2] = [-c for c in even[1::2]]
     odd[1::2] = [-c for c in odd[1::2]]
     degree = len(q) - 1
     if degree % 2 == 0:
         index, tail = cauchy_index_line(even, odd, False)
-        diff = -index
-    else:
-        diff, tail = cauchy_index_line(odd, even, True)
+        return degree, -index, tail
+    return degree, *cauchy_index_line(odd, even, True)
+
+
+def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, int, int]]:
+    """[_inertia_counts(num) for num in nums], with the remainder chains of a block run in lockstep.
+
+    Each num's zero roots are stripped, and the block is grouped by the
+    length of what remains, q.  A group's q are laid out column by
+    column, one list per coefficient position across the group, so the
+    parity parts come out as every other column, with every other one
+    negated, and ratpoly.cauchy_index_lines runs their chains together; a
+    pair it cannot keep in step runs alone in ratpoly.cauchy_index_line,
+    and so does a group of one, which is faster alone.  Then, in block
+    order, each chain's index and tail go through _inertia_counts' tail
+    levels and its two internal checks, so the first polynomial that
+    fails one is the one named, as num over 1.  Every chain element is
+    the integer the scalar chain computes, so every count is
+    _inertia_counts'.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for s, num in enumerate(nums):
+        groups.setdefault((next(k for k, c in enumerate(num) if c), len(num)), []).append(s)
+    found: list = [None] * len(nums)  # (n_zero, degree, diff, tail) of each num
+    for (n_zero, length), members in groups.items():
+        if len(members) == 1:
+            found[members[0]] = (n_zero, *_half_plane_chain(nums[members[0]][n_zero:]))
+            continue
+        columns = list(zip(*(nums[s] for s in members)))[n_zero:]
+        even, odd = columns[0::2], columns[1::2]
+        even[1::2] = [[-c for c in col] for col in even[1::2]]
+        odd[1::2] = [[-c for c in col] for col in odd[1::2]]
+        degree = length - 1 - n_zero
+        if degree % 2 == 0:
+            chains, sign = cauchy_index_lines(even, odd, False), -1
+        else:
+            chains, sign = cauchy_index_lines(odd, even, True), 1
+        for s, (index, tail) in zip(members, chains):
+            found[s] = (n_zero, degree, sign * index, tail)
+    return [_axis_counts(num, 1, *chain) for num, chain in zip(nums, found)]
+
+
+def _axis_counts(
+    num: Sequence[int], den: int, n_zero: int, degree: int, diff: int, tail: list[int]
+) -> tuple[int, int, int, int]:
+    """_inertia_counts' counts from the half-plane difference diff and the tail of q's chain.
+
+    The tail levels count the imaginary pairs, and the two internal checks
+    name num / den.
+    """
     two_n_p = 0
     while len(tail) > 1:
         distinct, tail = cauchy_index_line(tail, _derivative(tail), False)

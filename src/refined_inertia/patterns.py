@@ -109,21 +109,20 @@ def parse_pattern(text: str) -> SignPattern:
     return SignPattern(rows)
 
 
-@cache
-def family_pattern(i: int, n: int) -> SignPattern:
-    """The i-th arrowhead family pattern of order n (i in {1, 2, 3}, n >= 4).
+def _family_signs(i: int, n: int) -> tuple[Sign, list[Sign], list[Sign]]:
+    """(head, column, diagonal): the signs that tell family i's order-n pattern apart, in O(n).
 
-    All three share the shape: dense first row and first column, diagonal
-    (d, 0, -, ..., -), and zeros elsewhere.  They differ in the sign d of
-    the (1,1) entry, the signs down the first column, and (for i = 3) a +
-    in the trailing diagonal position.  Patterns are immutable, so each
-    (i, n) is built once and then served from a cache.
+    head is the (1,1) entry, column the n - 1 entries below it, and
+    diagonal the n - 2 entries from (3,3) on.  The rest is the same in all
+    three families: + along the first row after the head, and 0 at (2,2)
+    and off the first row, the first column and the diagonal.  Raises
+    ValueError unless i is 1, 2 or 3 and n >= 4.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"family index must be 1, 2 or 3, got {i}")
     if n < 4:
         raise ValueError(f"family patterns start at order 4, got {n}")
-    P, M, Z = Sign.PLUS, Sign.MINUS, Sign.ZERO
+    P, M = Sign.PLUS, Sign.MINUS
     head = P if i == 1 else M
     if i == 1:
         column = [M] * (n - 1)
@@ -131,15 +130,31 @@ def family_pattern(i: int, n: int) -> SignPattern:
         column = [M] + [P] * (n - 2)
     else:
         column = [P] * (n - 2) + [M]
-    rows = [[head] + [P] * (n - 1)]
+    diagonal = [M] * (n - 2)
+    if i == 3:
+        diagonal[-1] = P
+    return head, column, diagonal
+
+
+@cache
+def family_pattern(i: int, n: int) -> SignPattern:
+    """The i-th arrowhead family pattern of order n (i in {1, 2, 3}, n >= 4).
+
+    All three share the shape: dense first row and first column, diagonal
+    (d, 0, -, ..., -), and zeros elsewhere.  They differ in the sign d of
+    the (1,1) entry, the signs down the first column, and (for i = 3) a +
+    in the trailing diagonal position: _family_signs, which the lemma
+    path reads without building the n x n pattern.  Patterns are
+    immutable, so each (i, n) is built once and then served from a cache.
+    """
+    head, column, diagonal = _family_signs(i, n)
+    rows = [[head] + [Sign.PLUS] * (n - 1)]
     for k in range(1, n):
-        row = [Z] * n
+        row = [Sign.ZERO] * n
         row[0] = column[k - 1]
         if k >= 2:
-            row[k] = M
+            row[k] = diagonal[k - 2]
         rows.append(row)
-    if i == 3:
-        rows[n - 1][n - 1] = P
     return SignPattern(rows)
 
 

@@ -7,7 +7,8 @@ over_common is the one reader of ints and Fractions as integers over their
 lcm denominator.  The integer kernels are the Taylor shift _shifted, the
 Horner value _homogeneous_value, and cauchy_index_line, the engine's one
 root-counting routine: a fraction-free Routh chain whose docstring holds
-the argument.
+the argument.  cauchy_index_lines runs that chain for a block of pairs in
+lockstep, with the same integers.
 """
 
 from __future__ import annotations
@@ -319,3 +320,79 @@ def cauchy_index_line(
         a, b = b, rem
         odd_divisor = not odd_divisor
     return index, _primitive(a)
+
+
+def cauchy_index_lines(
+    f0_columns: Sequence[Sequence[int]], f1_columns: Sequence[Sequence[int]], f0_odd: bool
+) -> list[tuple[int, list[int]]]:
+    """[cauchy_index_line(f0, f1, f0_odd) for each pair (f0, f1) of a block], in lockstep.
+
+    The block comes column by column: f0_columns[k][s] is coefficient k of
+    the s-th f0, and f1_columns[k][s] of the s-th f1, so every f0 has one
+    length, at least 1, and every f1 one length.  The state is kept the
+    same way, one list across the block per coefficient position, and
+    each step of cauchy_index_line's fraction-free chain is one
+    comprehension over the block per position.  Each pair's elements are
+    cauchy_index_line's integers: the same primitive start, the same
+    one-degree formula on the same operands, the same divisors.  That
+    holds while every step is a one-degree step: when F1 starts one
+    degree below F0 and every remainder keeps its top coefficient.  So a
+    pair whose f0 or f1 starts short, or whose next remainder loses its
+    top coefficient (a degree gap, or a remainder that vanishes early,
+    which leaves a tail of positive degree), leaves the block and is run
+    by cauchy_index_line on its own coefficients.  The rest end their d
+    one-degree steps, d the degree of F0, in a nonzero constant, whose
+    primitive part is its sign.  A block of one runs cauchy_index_line.
+    """
+    size = len(f0_columns[0]) if f0_columns else 0
+    odd_divisor = not f0_odd
+
+    def alone(s: int) -> tuple[int, list[int]]:
+        return cauchy_index_line([c[s] for c in f0_columns], [c[s] for c in f1_columns], f0_odd)
+
+    if size < 2 or not f1_columns or len(f0_columns) != len(f1_columns) + odd_divisor:
+        return [alone(s) for s in range(size)]
+    results: list = [None] * size
+    slots = []  # where each pair still in the block sits in f0_columns
+    for s, tops in enumerate(zip(f0_columns[-1], f1_columns[-1])):
+        if all(tops):
+            slots.append(s)
+        else:
+            results[s] = alone(s)
+    a, b = f0_columns, f1_columns
+    if len(slots) < size:
+        a, b = ([[c[s] for s in slots] for c in cols] for cols in (a, b))
+    a, b = _primitive_columns(a), _primitive_columns(b)
+    index = [0] * len(slots)
+    delta = delta_next = [1] * len(slots)
+    zero = [0] * len(slots)
+    while b and slots:
+        lead_a, lead_b = a[-1], b[-1]
+        index = [i + 1 if (x > 0) == (y > 0) else i - 1 for i, x, y in zip(index, lead_a, lead_b)]
+        scale = [d if y > 0 else -d for d, y in zip(delta, lead_b)]
+        rem = [
+            [(x * v - y * c) // d for x, v, y, c, d in zip(lead_a, vs, lead_b, cs, scale)]
+            for vs, cs in zip([zero, *b] if odd_divisor else b, a[:-1])
+        ]
+        delta, delta_next = delta_next, list(map(abs, lead_b))
+        if rem and not all(rem[-1]):
+            keep = [j for j, x in enumerate(rem[-1]) if x]
+            for j, x in enumerate(rem[-1]):
+                if not x:
+                    results[slots[j]] = alone(slots[j])
+            b, rem = ([[c[j] for j in keep] for c in cols] for cols in (b, rem))
+            index, delta, delta_next, slots = ([x[j] for j in keep] for x in (index, delta, delta_next, slots))
+            zero = [0] * len(slots)
+        a, b = b, rem
+        odd_divisor = not odd_divisor
+    for s, i, x in zip(slots, index, a[0]):
+        results[s] = (i, [1 if x > 0 else -1])
+    return results
+
+
+def _primitive_columns(columns: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """_primitive of each polynomial of a block given column by column, whose top column has no zero."""
+    contents = list(map(gcd, *columns))
+    if all(g == 1 for g in contents):
+        return columns
+    return [[c // g for c, g in zip(col, contents)] for col in columns]

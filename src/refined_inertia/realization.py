@@ -3,7 +3,8 @@
 rational_rows is the one exact matrix reader and _fraction_rows its one
 Fraction view.  ArrowMatrix holds the arrowhead parameters as integers;
 arrow_char_poly rescales _spoke_expansion's G(y), whose docstring holds
-the falsifier's argument.  A sample of Q(P) is its integer seed:
+the falsifier's argument, and _spoke_expansions builds a block's G(y)s in
+lockstep.  A sample of Q(P) is its integer seed:
 _signed_draws draws it, and _dyadic reads the draws as matrix rows
 (_draw_rows) or a family arrow (_family_draw).  Also here: the arrowhead
 normal form, the witness embedding, deflation of a repeated diagonal
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .patterns import SignPattern, family_pattern, sgn_of_matrix
+from .patterns import SignPattern, _family_signs, family_pattern, sgn_of_matrix
 from .ratpoly import RationalPoly, over_common
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
@@ -139,11 +140,12 @@ def _arrow_in_family(a: Sequence[int], b: Sequence[int], i: int) -> bool:
     row, a zero (2, 2) entry, and zeros off the first row, the first
     column and the diagonal.  So membership reads only the signs of
     the a_k, against the first column, and of the -b_j, against the
-    diagonal.  Raises ValueError when i is not a family index.
+    diagonal, in O(n) (patterns._family_signs).  Raises ValueError when i
+    is not a family index.
     """
-    signs = family_pattern(i, len(a)).rows
-    return all((x > 0) - (x < 0) == signs[k][0] for k, x in enumerate(a)) and all(
-        (x < 0) - (x > 0) == signs[k][k] for k, x in enumerate(b, start=2)
+    head, column, diagonal = _family_signs(i, len(a))
+    return all((x > 0) - (x < 0) == s for x, s in zip(a, [head, *column])) and all(
+        (x < 0) - (x > 0) == s for x, s in zip(b, diagonal)
     )
 
 
@@ -213,6 +215,43 @@ def _spoke_expansion(a: Sequence[int], c: int, b: Sequence[int], q: int) -> list
     return g
 
 
+def _spoke_expansions(arrows: Sequence[tuple[Sequence[int], int, Sequence[int], int]]) -> list[list[int]]:
+    """[_spoke_expansion(*arrow) for arrow in arrows], for a block of arrows of one order, in lockstep.
+
+    Each list below holds one coefficient position across the block, so
+    every comprehension runs over the arrows, not over one arrow's
+    coefficients, and the interpreter's cost per comprehension and per
+    call is paid once per block.  F and H grow by the same product rule,
+    and G_k = c F_{k-2} - q A_1 F_{k-1} - q^2 A_2 F_k - q^2 H_{k-1} sums
+    the four terms _spoke_expansion subtracts one at a time: the same
+    integers in another order, so every G is _spoke_expansion's, exactly.
+    The falsifier's chunks call this; one arrow goes to _spoke_expansion,
+    which is faster alone.  Raises ValueError if the orders differ.
+    """
+    if len(arrows) < 2:
+        return [_spoke_expansion(*arrow) for arrow in arrows]
+    heads, dens, diagonals, qs = zip(*arrows)
+    if len(set(map(len, heads))) > 1:
+        raise ValueError("a block of spoke expansions needs arrows of one order")
+    columns = list(zip(*heads))  # columns[k][s]: a_{k+1} of arrow s
+    zero = [0] * len(arrows)
+    full, spokes = [[1] * len(arrows)], []  # F and H, low to high, a list over the block per coefficient
+    for weights, ps in zip(columns[2:], zip(*diagonals)):
+        spokes = [
+            [p * lo + hi + w * f for p, lo, hi, w, f in zip(ps, los, his, weights, fs)]
+            for los, his, fs in zip([*spokes, zero], [zero, *spokes], full)
+        ]
+        full = [[p * lo + hi for p, lo, hi in zip(ps, los, his)] for los, his in zip([*full, zero], [zero, *full])]
+    q2 = [q * q for q in qs]
+    qa1 = [q * x for q, x in zip(qs, columns[0])]
+    q2a2 = [s * x for s, x in zip(q2, columns[1])]
+    g = [
+        [c * f2 - u * f1 - v * f0 - w * h for c, u, v, w, f2, f1, f0, h in zip(dens, qa1, q2a2, q2, *terms)]
+        for terms in zip([zero, zero, *full], [zero, *full, zero], [*full, zero, zero], [zero, *spokes, zero, zero])
+    ]
+    return [list(coeffs) for coeffs in zip(*g)]
+
+
 def family_index(matrix: Sequence[Sequence]) -> int | None:
     """Index i with sgn(matrix) equal to the order-n family pattern, else None."""
     pattern = sgn_of_matrix(matrix)
@@ -237,6 +276,19 @@ class RealizationConfig:
 def _signs(pattern: SignPattern) -> list[int]:
     """The nonzero signs of pattern, row-major, as plain ints: what _signed_draws reads."""
     return [int(s) for row in pattern.rows for s in row if s]
+
+
+def _family_draw_signs(i: int, n: int) -> list[int]:
+    """_signs(family_pattern(i, n)), read from patterns._family_signs in O(n), with no n x n pattern built.
+
+    Row-major, the nonzero entries are the first row (the head, then n - 1
+    pluses), then B_21, then B_k1 and B_kk for each row k from 3 on.
+    """
+    head, column, diagonal = _family_signs(i, n)
+    signs = [head, *[1] * (n - 1), column[0]]
+    for pair in zip(column[1:], diagonal):
+        signs += pair
+    return [int(s) for s in signs]
 
 
 def _signed_draws(signs: Sequence[int], rng: random.Random) -> list[tuple[int, int]]:

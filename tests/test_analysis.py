@@ -467,10 +467,11 @@ class TestFalsifier:
 
     def test_family_counterexample_is_the_shrunk_first_outside_sample(self, monkeypatch, thread_processes):
         # Samples 13 and 27 are forced outside the target set.  The falsifier
-        # classifies a family sample by its spoke expansion G(y), which
-        # recognises them; a shrink candidate goes through char_poly and is
-        # recognised by its trace, which a shrink move keeps exactly when it
-        # leaves the diagonal alone.  No sample's G reads as a forced trace.
+        # classifies a family sample, in a block, by its spoke expansion
+        # G(y), which recognises them; a shrink candidate is counted alone
+        # on its Berkowitz polynomial and is recognised by its trace, which
+        # a shrink move keeps exactly when it leaves the diagonal alone.  No
+        # sample's G reads as a forced trace.
         pattern, n, budget = family_pattern(2, 6), 6, 40
         cfg = RealizationConfig(seed=17)
         drawn = [
@@ -487,14 +488,16 @@ class TestFalsifier:
             spokes.append(realization._spoke_expansion(*draw))
         forced_spokes = [spokes[13], spokes[27]]
         assert not any(Fraction(-g[-2], g[-1]) in forced for g in spokes)
-        exact = analysis._exact_inertia
+        exact, alone = analysis._exact_inertia, analysis._inertia_counts
 
-        def classify(num):
-            if num in forced_spokes or Fraction(-num[-2], num[-1]) in forced:
-                return (n, 0, 0, 0)
-            return exact(num)
+        def classify(block):
+            return [(n, 0, 0, 0) if num in forced_spokes else counts for num, counts in zip(block, exact(block))]
+
+        def classify_candidate(num):
+            return (n, 0, 0, 0) if Fraction(-num[-2], num[-1]) in forced else alone(num)
 
         monkeypatch.setattr(analysis, "_exact_inertia", classify)
+        monkeypatch.setattr(analysis, "_inertia_counts", classify_candidate)
         # A worker thread shares the patched classifier on every platform;
         # it samples 20..39, so sample 27 is classified there.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -529,11 +532,11 @@ class TestFalsifier:
         assert all(spokes.count(spokes[k]) == 1 for k in forced)
         exact = analysis._exact_inertia
 
-        def classify(num):
-            for k, counts in forced.items():
-                if num == spokes[k]:
-                    return counts
-            return exact(num)
+        def classify(block):
+            return [
+                next((counts for k, counts in forced.items() if num == spokes[k]), found)
+                for num, found in zip(block, exact(block))
+            ]
 
         monkeypatch.setattr(analysis, "_exact_inertia", classify)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -545,6 +548,33 @@ class TestFalsifier:
         assert reports[0].counterexample == drawn == analysis._shrink_counterexample(drawn, hn_set(n))
         text = canonical_dumps(reports[0].to_json_dict())
         assert [canonical_dumps(report.to_json_dict()) for report in reports[1:]] == [text, text]
+
+
+def _per_sample_chunk(task):
+    """_falsify_chunk's result with each sample drawn alone and counted alone, by engine._inertia_counts."""
+    _, seed, start, count, (pattern, family) = task
+    found = {}
+    for k in range(start, start + count):
+        draws = realization._signed_draws(realization._signs(pattern), random.Random(_sample_seed(seed, k)))
+        if family is not None:
+            num = realization._spoke_expansion(*realization._family_draw(draws))
+        else:
+            num = engine._char_poly_ints(realization._draw_rows(pattern, draws)[0], 1)[0]
+        found.setdefault(engine._inertia_counts(num), [0, k])[0] += 1
+    return found
+
+
+@pytest.mark.parametrize("count", [1, analysis.BLOCK - 1, analysis.BLOCK, analysis.BLOCK + 1, 2 * analysis.BLOCK + 3])
+@pytest.mark.parametrize("pattern", [family_pattern(3, 6), ALL_PLUS_4], ids=["family-3-order-6", "all-plus-4"])
+def test_chunk_in_blocks_is_the_per_sample_chunk(monkeypatch, pattern, count):
+    # Blocks of BLOCK, a short last block, and blocks of 1 and 7 all give
+    # the counts and first indices of one sample at a time.
+    task = (pattern.n, 11, 5, count, (pattern, family_index(pattern.rows)))
+    expected = _per_sample_chunk(task)
+    assert analysis._falsify_chunk(task) == expected
+    for block in (1, 7):
+        monkeypatch.setattr(analysis, "BLOCK", block)
+        assert analysis._falsify_chunk(task) == expected
 
 
 class TestWorkerLifetime:
@@ -641,7 +671,8 @@ def test_check_fixtures_script_reproduces_every_report():
     argv = [sys.executable, "-W", "error::DeprecationWarning", str(CHECK_FIXTURES)]
     result = subprocess.run(argv, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines()[-1].startswith("16/16 reports match")
+    version = ".".join(map(str, sys.version_info[:3]))
+    assert result.stdout.splitlines()[-1] == f"16/16 reports match and 80/80 checks pass on Python {version}"
     assert not [line for line in result.stdout.splitlines() if line.startswith(("FAIL", "DIFF"))]
 
 

@@ -284,9 +284,15 @@ def _fake_cauchy_index(index):
     return lambda *args: (index, [1])
 
 
+def _fake_cauchy_indices(index):
+    """A stand-in for the block chain, cauchy_index_lines: a fixed index and a constant tail for each pair."""
+    return lambda f0_columns, f1_columns, f0_odd: [(index, [1])] * len(f0_columns[0])
+
+
 def test_falsify_internal_check_failure_exits_4(all_plus_file, capsys, monkeypatch):
-    # A Cauchy index off by one breaks the half-plane parity identity.
-    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(1))
+    # A Cauchy index off by one breaks the half-plane parity identity.  The
+    # falsifier counts its samples in blocks, so the fault is in the block chain.
+    monkeypatch.setattr(engine, "cauchy_index_lines", _fake_cauchy_indices(1))
     argv = ["falsify", "--pattern", all_plus_file, "--budget", "10", "--seed", "0", "--jobs", "1"]
     assert main(argv) == EXIT_INTERNAL
     captured = capsys.readouterr()
@@ -299,7 +305,7 @@ def test_falsify_index_beyond_degree_exits_4(tmp_path, capsys, monkeypatch):
     # An index of the right parity but larger than the axis-free degree 4.
     path = tmp_path / "a1_4.sp"
     path.write_text(family_pattern(1, 4).render())
-    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(6))
+    monkeypatch.setattr(engine, "cauchy_index_lines", _fake_cauchy_indices(6))
     argv = ["falsify", "--pattern", str(path), "--budget", "5", "--seed", "0", "--jobs", "1"]
     assert main(argv) == EXIT_INTERNAL
     captured = capsys.readouterr()
@@ -320,7 +326,7 @@ def test_inertia_exact_internal_check_failure_exits_4(tmp_path, capsys, monkeypa
 
 
 def test_analyze_internal_check_failure_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "cauchy_index_line", _fake_cauchy_index(1))
+    monkeypatch.setattr(engine, "cauchy_index_lines", _fake_cauchy_indices(1))
     argv = ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "10", "--seed", "0"]
     argv += ["--jobs", "1"]
     assert main(argv) == EXIT_INTERNAL
@@ -381,22 +387,25 @@ _ANALYZE_HEADER = (
 
 
 @pytest.mark.parametrize(
-    "argv, out, err",
+    "chain, argv, out, err",
     [
         (
+            "cauchy_index_lines",
             ["falsify", "--pattern", "{pattern}", "--budget", "5", "--seed", "0", "--jobs", "1"],
             "",
             "internal error: ",
         ),
-        (["witness", "-i", "1", "-n", "4"], "", "internal error: "),
-        (["lemmas", "-i", "1", "-n", "5", "--samples", "2", "--seed", "0"], "", "internal error: "),
+        ("cauchy_index_line", ["witness", "-i", "1", "-n", "4"], "", "internal error: "),
+        ("cauchy_index_line", ["lemmas", "-i", "1", "-n", "5", "--samples", "2", "--seed", "0"], "", "internal error: "),
         (
+            "cauchy_index_lines",
             ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "5", "--seed", "0"],
             _ANALYZE_HEADER,
             "internal error at order 4: ",
         ),
         (
             # With no samples drawn, the witness certification is the first to fail.
+            "cauchy_index_line",
             ["analyze", "-i", "1", "--n-range", "4..4", "--budget", "0", "--seed", "0"],
             _ANALYZE_HEADER.replace("budget 5", "budget 0"),
             "internal error at order 4: ",
@@ -404,10 +413,12 @@ _ANALYZE_HEADER = (
     ],
     ids=["falsify", "witness", "lemmas", "analyze", "analyze-witness"],
 )
-def test_value_error_inside_pipeline_exits_4(pattern_file, capsys, monkeypatch, argv, out, err):
+def test_value_error_inside_pipeline_exits_4(pattern_file, capsys, monkeypatch, chain, argv, out, err):
     # Usage is checked before the pipeline runs, so a ValueError raised
-    # inside refined_inertia_exact is an internal failure, not bad usage.
-    monkeypatch.setattr(engine, "cauchy_index_line", _deep_value_error)
+    # inside the exact engine is an internal failure, not bad usage.  The
+    # falsifier's samples are counted by the block chain, cauchy_index_lines,
+    # and a single polynomial by cauchy_index_line.
+    monkeypatch.setattr(engine, chain, _deep_value_error)
     assert main([arg.format(pattern=pattern_file) for arg in argv]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == out
@@ -473,10 +484,10 @@ def test_analyze_failure_at_second_order_shuts_the_pool(capsys, monkeypatch, thr
     # orders 5..7 and is killed.
     exact = analysis._exact_inertia
 
-    def broken_at_order_5(num):
-        if len(num) - 1 == 5:
+    def broken_at_order_5(block):
+        if any(len(num) - 1 == 5 for num in block):
             raise InternalCheckError("forced failure at degree 5")
-        return exact(num)
+        return exact(block)
 
     monkeypatch.setattr(analysis, "_exact_inertia", broken_at_order_5)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -509,10 +520,10 @@ def test_worker_check_failure_is_reported_as_at_jobs_1(capsys, monkeypatch, thre
     _, target = _analyze_order_5_sample_13()
     exact = analysis._exact_inertia
 
-    def broken_at_sample_13(num):
-        if num == target:
+    def broken_at_sample_13(block):
+        if target in block:
             raise InternalCheckError("forced failure at sample 13")
-        return exact(num)
+        return exact(block)
 
     monkeypatch.setattr(analysis, "_exact_inertia", broken_at_sample_13)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -534,12 +545,15 @@ def test_falsifier_check_failure_names_a_polynomial_that_reproduces_it(capsys, m
     # spoke expansion G(y) as it comes, so its one line names G, which
     # rescales to the sample's characteristic polynomial and on which
     # refined_inertia_exact fails the same check; --jobs 2 meets the
-    # sample in the worker and prints the same line.
+    # sample in the worker and prints the same line.  The falsifier counts
+    # the sample in a block and refined_inertia_exact alone, so both the
+    # block chain and the one-pair chain miscount its pair.
     (a, c, b, q), target = _analyze_order_5_sample_13()
-    chain = engine.cauchy_index_line
+    chain, chains = engine.cauchy_index_line, engine.cauchy_index_lines
     first_calls = []
     monkeypatch.setattr(engine, "cauchy_index_line", lambda *args: first_calls.append(args) or chain(*args))
     engine._inertia_counts(target)
+    monkeypatch.undo()
     f0, f1, _ = first_calls[0]
     miscounted = (_primitive(f0), _primitive(f1))
 
@@ -547,7 +561,15 @@ def test_falsifier_check_failure_names_a_polynomial_that_reproduces_it(capsys, m
         index, tail = chain(f0, f1, f0_odd)
         return index + ((_primitive(f0), _primitive(f1)) == miscounted), tail
 
+    def miscounting_block(f0_columns, f1_columns, f0_odd):
+        pairs = zip(zip(*f0_columns), zip(*f1_columns))
+        return [
+            (index + ((_primitive(f0), _primitive(f1)) == miscounted), tail)
+            for (index, tail), (f0, f1) in zip(chains(f0_columns, f1_columns, f0_odd), pairs)
+        ]
+
     monkeypatch.setattr(engine, "cauchy_index_line", miscounting)
+    monkeypatch.setattr(engine, "cauchy_index_lines", miscounting_block)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["analyze", "-i", "2", "--n-range", "4..7", "--budget", "20", "--seed", "0"]
     outputs = []
@@ -730,6 +752,27 @@ def test_lemmas_has_no_order_bound(capsys):
     captured = capsys.readouterr()
     assert captured.out == "family 1, order 2000, samples 0\nall lemma checks passed\n"
     assert captured.err == ""
+
+
+def test_lemmas_at_a_large_order_build_no_n_by_n_pattern():
+    # The lemma path reads the family's signs in O(n) (patterns._family_signs):
+    # building the 2000 x 2000 pattern raised the peak by 30-60 MB.
+    pytest.importorskip("resource")
+    script = (
+        "import resource, sys\n"
+        "from refined_inertia.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main(['lemmas', '-i', '1', '-n', '2000', '--samples', '0', '--seed', '1'])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, (after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *_, last = done.stdout.splitlines()
+    code, grown = map(int, last.split())
+    assert code == EXIT_OK
+    assert grown < 16 * 2**20
 
 
 MALFORMED_MATRICES = {

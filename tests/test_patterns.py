@@ -8,6 +8,7 @@ from refined_inertia.patterns import (
     PatternParseError,
     Sign,
     SignPattern,
+    _family_signs,
     family_pattern,
     parse_pattern,
     sgn_of_matrix,
@@ -87,6 +88,18 @@ def test_family_rejects_small_orders():
         family_pattern(1, 3)
     with pytest.raises(ValueError):
         family_pattern(4, 5)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_family_signs_are_the_head_column_and_diagonal(i):
+    # The lemma path reads these O(n) signs in place of the n x n pattern.
+    for n in range(4, 13):
+        rows = family_pattern(i, n).rows
+        column, diagonal = [rows[k][0] for k in range(1, n)], [rows[k][k] for k in range(2, n)]
+        assert _family_signs(i, n) == (rows[0][0], column, diagonal)
+    for bad in ((4, 5), (i, 3)):
+        with pytest.raises(ValueError):
+            _family_signs(*bad)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])

@@ -9,11 +9,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from refined_inertia import ratpoly
-from refined_inertia.analysis import _sample_seed
+from refined_inertia.analysis import BLOCK, _exact_inertia, _sample_seed
 from refined_inertia.engine import _inertia_counts, refined_inertia_exact
 from refined_inertia.patterns import Sign, family_pattern
 from refined_inertia.ratpoly import (
@@ -24,6 +24,7 @@ from refined_inertia.ratpoly import (
     _pseudo_rem,
     _shifted,
     cauchy_index_line,
+    cauchy_index_lines,
     over_common,
     poly_gcd,
     squarefree_decomposition,
@@ -452,3 +453,97 @@ def test_falsifier_order_10_chains_take_no_gap_step(monkeypatch, i):
         polys.append(_spoke_expansion(*_family_draw(_signed_draws(signs, rng))))
     assert _gap_steps(monkeypatch, polys) == 0
     assert [_inertia_counts(g) for g in polys] == [full_length_counts(g) for g in polys]
+
+
+# -- the lockstep chain ----------------------------------------------------
+
+
+def _falsifier_polys(orders, count):
+    """The spoke expansions G(y) of samples 0..count-1 of each family at each order, seed 7075."""
+    rng, polys = random.Random(), []
+    for i in (1, 2, 3):
+        for n in orders:
+            signs = _signs(family_pattern(i, n))
+            for k in range(count):
+                rng.seed(_sample_seed(7075, k))
+                polys.append(_spoke_expansion(*_family_draw(_signed_draws(signs, rng))))
+    return polys
+
+
+REGULAR = _falsifier_polys((4, 5, 6), 12)
+
+
+@st.composite
+def block_polys(draw):
+    """A polynomial for a block: mostly falsifier G(y)s, which share lengths, and every kind that leaves a block.
+
+    A zero second coefficient makes F1 start short; zero roots are
+    stripped before the chain; axis_polys gives gaps, imaginary pairs and
+    even polynomials, whose chains vanish early; and the three fixed ones
+    take a gap mid-chain, a gap then a tail, or need Delta_0 = 1.
+    """
+    kind = draw(st.sampled_from(["regular"] * 4 + ["fixed", "zero roots", "short", "axis"]))
+    if kind == "fixed":
+        return list(draw(st.sampled_from([WRONG_DIVISOR, AFTER_A_GAP, GAP_THEN_TAIL, SYMMETRIC_FACTORS])))
+    q = list(draw(st.sampled_from(REGULAR)))
+    if kind == "zero roots":
+        return [0] * draw(st.integers(1, 3)) + q
+    if kind == "short":
+        q[-2] = 0
+        return q
+    return draw(axis_polys()) if kind == "axis" else q
+
+
+@st.composite
+def blocks(draw):
+    size = draw(st.sampled_from([0, 1, 2, BLOCK, BLOCK + 1]))
+    return draw(st.lists(block_polys(), min_size=size, max_size=size))
+
+
+def _parity_parts(q):
+    """(f0, f1, f0_odd) of q with q(0) != 0, as _inertia_counts hands them to the chain."""
+    even, odd = q[0::2], q[1::2]
+    even[1::2] = [-c for c in even[1::2]]
+    odd[1::2] = [-c for c in odd[1::2]]
+    return (even, odd, False) if (len(q) - 1) % 2 == 0 else (odd, even, True)
+
+
+@seed(7075)
+@settings(max_examples=40, deadline=None)
+@given(blocks())
+def test_block_counts_are_the_one_polynomial_counts(block):
+    assert _exact_inertia(block) == [_inertia_counts(p) for p in block]
+    groups = {}
+    for p in block:
+        q = p[next(k for k, c in enumerate(p) if c) :]
+        groups.setdefault(len(q), []).append(_parity_parts(q))
+    for parts in groups.values():
+        f0s, f1s, [f0_odd, *_] = zip(*parts)
+        alone = [cauchy_index_line(f0, f1, f0_odd) for f0, f1, _ in parts]
+        assert cauchy_index_lines(list(zip(*f0s)), list(zip(*f1s)), f0_odd) == alone
+
+
+def test_block_chain_keeps_regular_pairs_in_step(monkeypatch):
+    # Falsifier G(y)s of one order never leave the block; a zero second
+    # coefficient, a gap and an early zero remainder each send their own
+    # pair to cauchy_index_line and no other.
+    calls = []
+    monkeypatch.setattr(ratpoly, "cauchy_index_line", lambda *args: calls.append(args) or cauchy_index_line(*args))
+    regular = _falsifier_polys((7,), 10)
+    assert len({len(p) for p in regular}) == 1
+    assert [_inertia_counts(p) for p in regular] == _exact_inertia(regular)
+    assert calls == []
+    short = [*regular[:5], list(regular[5]), *regular[6:]]
+    short[5][-2] = 0
+    symmetric = list(mul(poly(*regular[0][:-2]), poly(-7, 0, 1)).num)  # (x^2 - 7) makes Re and Im share a factor
+    pairs = list(mul(poly(*regular[0][:-2]), poly(6, 0, 1)).num)  # an imaginary pair: a tail of degree 1
+    block = [*short, symmetric, pairs]
+    assert len({len(p) for p in block}) == 1
+    assert _exact_inertia(block) == [_inertia_counts(p) for p in block]
+    assert len(calls) == 3
+    assert _inertia_counts(pairs)[3] == 2
+
+
+def test_empty_block():
+    assert _exact_inertia([]) == []
+    assert cauchy_index_lines([], [], False) == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from refined_inertia.analysis import _falsify_chunk, _sample_seed, witness_suite
+from refined_inertia.analysis import BLOCK, _falsify_chunk, _sample_seed, witness_suite
 from refined_inertia.engine import (
     _inertia_counts,
     _integer_char_poly,
@@ -24,9 +24,11 @@ from refined_inertia.realization import (
     _draw_rows,
     _dyadic,
     _family_draw,
+    _family_draw_signs,
     _signed_draws,
     _signs,
     _spoke_expansion,
+    _spoke_expansions,
     arrow_char_poly,
     deflate_repeated,
     embed_witness,
@@ -126,6 +128,33 @@ def test_spoke_expansion_rescaled_is_berkowitz():
         rescaled = RationalPoly.from_ints([gk * q**k for k, gk in enumerate(g)], arrow.a_den * q**n)
         assert rescaled == _integer_char_poly(*arrow.integer_rows()), (n, arrow.to_json())
         assert rescaled == arrow_char_poly(arrow)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, BLOCK, BLOCK + 1])
+def test_block_spoke_expansions_are_the_one_arrow_ones(size):
+    # _spoke_arrows' repeated factors and equal weights, and falsifier
+    # draws, in blocks of one order.
+    rng = random.Random()
+    for n in (4, 5, 7, 12, 40):
+        pool = [(a.a_num, a.a_den, a.b_num, a.b_den) for a in _spoke_arrows() if a.n == n]
+        signs = _signs(family_pattern(1 + n % 3, n))
+        for k in range(6):
+            rng.seed(_sample_seed(5, k))
+            pool.append(_family_draw(_signed_draws(signs, rng)))
+        arrows = [pool[k % len(pool)] for k in range(size)]
+        assert _spoke_expansions(arrows) == [_spoke_expansion(*arrow) for arrow in arrows], (n, size)
+
+
+def test_block_spoke_expansions_refuse_mixed_orders():
+    a4, a5 = (([1] * n, 1, [1] * (n - 2), 1) for n in (4, 5))
+    with pytest.raises(ValueError, match="one order"):
+        _spoke_expansions([a4, a5])
+
+
+@pytest.mark.parametrize("i", (1, 2, 3))
+def test_family_draw_signs_are_the_pattern_signs(i):
+    for n in range(4, 13):
+        assert _family_draw_signs(i, n) == _signs(family_pattern(i, n))
 
 
 def test_falsifier_counts_on_g_are_the_characteristic_polynomials():

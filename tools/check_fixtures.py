@@ -11,6 +11,9 @@ per check, ``ok``, ``FAIL`` or, where two outputs must be the same bytes,
   construction (x, t x - s, (x^2 + c)^m for m <= 4, x^2 - c, a complex
   pair and an opposite quadruple, under a lead of either sign): the
   refined inertia refined_inertia_exact gives each must be its roots'.
+  So must the counts of the falsifier's block entry, _exact_inertia, on
+  the same products shuffled into blocks of analysis.BLOCK, which mix
+  degrees, zero roots, imaginary tails and chains that leave the lockstep.
 * Two inputs those products miss.  AFTER_A_GAP's remainder chain takes a
   run of one-degree steps after a gap, which must restart its divisors
   at 1; its counts (4, 5, 0, 0) are those of the full-length reference
@@ -67,7 +70,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from refined_inertia import cli  # noqa: E402
-from refined_inertia.analysis import hn_set  # noqa: E402
+from refined_inertia.analysis import BLOCK, _exact_inertia, hn_set  # noqa: E402
 from refined_inertia.engine import InternalCheckError, RefinedInertia, refined_inertia_exact  # noqa: E402
 from refined_inertia.patterns import (  # noqa: E402
     Sign,
@@ -170,11 +173,11 @@ def known_root_product(rng: random.Random) -> tuple[list[int], tuple[int, int, i
 
 
 def check_known_roots() -> Iterator[bool]:
-    """Whether refined_inertia_exact gives every known-root product the counts of its roots."""
+    """Whether refined_inertia_exact, and _exact_inertia in shuffled blocks, give every known-root product its roots' counts."""
     rng = random.Random(SEED)
+    products = [known_root_product(rng) for _ in range(KNOWN_ROOT_PRODUCTS)]
     failures = 0
-    for k in range(KNOWN_ROOT_PRODUCTS):
-        num, counts = known_root_product(rng)
+    for k, (num, counts) in enumerate(products):
         try:
             got = refined_inertia_exact(RationalPoly.from_ints(num))
         except (InternalCheckError, ValueError) as exc:  # ValueError: a negative count
@@ -184,6 +187,22 @@ def check_known_roots() -> Iterator[bool]:
             print(f"FAIL known-root product {k} {num}: counted {got}, its roots give {counts}")
     passed = KNOWN_ROOT_PRODUCTS - failures
     yield check(not failures, f"{passed}/{KNOWN_ROOT_PRODUCTS} known-root products counted exactly")
+    order = list(range(KNOWN_ROOT_PRODUCTS))
+    rng.shuffle(order)
+    failures = 0
+    for start in range(0, KNOWN_ROOT_PRODUCTS, BLOCK):
+        block = order[start : start + BLOCK]
+        try:
+            found = _exact_inertia([products[k][0] for k in block])
+        except (InternalCheckError, ValueError) as exc:
+            found = [exc] * len(block)
+        for k, got in zip(block, found):
+            num, counts = products[k]
+            if got != counts:
+                failures += 1
+                print(f"FAIL known-root product {k} {num} in a block: counted {got}, its roots give {counts}")
+    passed = KNOWN_ROOT_PRODUCTS - failures
+    yield check(not failures, f"{passed}/{KNOWN_ROOT_PRODUCTS} known-root products counted exactly in blocks of {BLOCK}")
 
 
 def check_kernel_inputs(path: Path) -> Iterator[bool]:
