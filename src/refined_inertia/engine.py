@@ -208,23 +208,22 @@ def _inertia_counts(num: Sequence[int], den: int = 1) -> tuple[int, int, int, in
     decides whether Re or Im sits in the denominator.
 
     This is the path for one polynomial: a certificate, a witness, a
-    shrink candidate, a lemma check.  A falsifier block of many goes to
-    _inertia_counts_many, which gives the same counts.
+    shrink candidate, a lemma check, count_eigen_re_leq.  A falsifier
+    block of many goes to _inertia_counts_many, which gives the same
+    counts; for one polynomial the lockstep bookkeeping only costs time.
     """
     n_zero = next(k for k, c in enumerate(num) if c)
-    return _axis_counts(num, den, n_zero, *_half_plane_chain(num[n_zero:]))
-
-
-def _half_plane_chain(q: Sequence[int]) -> tuple[int, int, list[int]]:
-    """(degree, diff, tail) of q, with q(0) != 0: one remainder chain of its parity parts (_inertia_counts)."""
+    q = num[n_zero:]
     even, odd = list(q[0::2]), list(q[1::2])
     even[1::2] = [-c for c in even[1::2]]
     odd[1::2] = [-c for c in odd[1::2]]
     degree = len(q) - 1
     if degree % 2 == 0:
         index, tail = cauchy_index_line(even, odd, False)
-        return degree, -index, tail
-    return degree, *cauchy_index_line(odd, even, True)
+        diff = -index
+    else:
+        diff, tail = cauchy_index_line(odd, even, True)
+    return _axis_counts(num, den, n_zero, degree, diff, tail)
 
 
 def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, int, int]]:
@@ -235,8 +234,8 @@ def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, 
     column, one list per coefficient position across the group, so the
     parity parts come out as every other column, with every other one
     negated, and ratpoly.cauchy_index_lines runs their chains together; a
-    pair it cannot keep in step runs alone in ratpoly.cauchy_index_line,
-    and so does a group of one, which is faster alone.  Then, in block
+    pair it cannot keep in step, or a group of one, runs alone in
+    ratpoly.cauchy_index_line, the scalar chain.  Then, in block
     order, each chain's index and tail go through _inertia_counts' tail
     levels and its two internal checks, so the first polynomial that
     fails one is the one named, as num over 1.  Every chain element is
@@ -248,9 +247,6 @@ def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, 
         groups.setdefault((next(k for k, c in enumerate(num) if c), len(num)), []).append(s)
     found: list = [None] * len(nums)  # (n_zero, degree, diff, tail) of each num
     for (n_zero, length), members in groups.items():
-        if len(members) == 1:
-            found[members[0]] = (n_zero, *_half_plane_chain(nums[members[0]][n_zero:]))
-            continue
         columns = list(zip(*(nums[s] for s in members)))[n_zero:]
         even, odd = columns[0::2], columns[1::2]
         even[1::2] = [[-c for c in col] for col in even[1::2]]

@@ -756,7 +756,10 @@ def test_lemmas_has_no_order_bound(capsys):
 
 def test_lemmas_at_a_large_order_build_no_n_by_n_pattern():
     # The lemma path reads the family's signs in O(n) (patterns._family_signs):
-    # building the 2000 x 2000 pattern raised the peak by 30-60 MB.
+    # building the 2000 x 2000 pattern raised the peak by about 60 MB, to
+    # 77 MB in all.  The draws read the same signs in the same order
+    # (test_family_draw_signs_are_the_pattern_signs), so the stream and
+    # the printed lines do not change.
     pytest.importorskip("resource")
     script = (
         "import resource, sys\n"
@@ -769,9 +772,10 @@ def test_lemmas_at_a_large_order_build_no_n_by_n_pattern():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    *_, last = done.stdout.splitlines()
+    *printed, last = done.stdout.splitlines()
     code, grown = map(int, last.split())
     assert code == EXIT_OK
+    assert printed == ["family 1, order 2000, samples 0", "all lemma checks passed"]
     assert grown < 16 * 2**20
 
 

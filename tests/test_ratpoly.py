@@ -494,12 +494,6 @@ def block_polys(draw):
     return draw(axis_polys()) if kind == "axis" else q
 
 
-@st.composite
-def blocks(draw):
-    size = draw(st.sampled_from([0, 1, 2, BLOCK, BLOCK + 1]))
-    return draw(st.lists(block_polys(), min_size=size, max_size=size))
-
-
 def _parity_parts(q):
     """(f0, f1, f0_odd) of q with q(0) != 0, as _inertia_counts hands them to the chain."""
     even, odd = q[0::2], q[1::2]
@@ -508,10 +502,12 @@ def _parity_parts(q):
     return (even, odd, False) if (len(q) - 1) % 2 == 0 else (odd, even, True)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, BLOCK, BLOCK + 1])
 @seed(7075)
-@settings(max_examples=40, deadline=None)
-@given(blocks())
-def test_block_counts_are_the_one_polynomial_counts(block):
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_block_counts_are_the_one_polynomial_counts(size, data):
+    block = data.draw(st.lists(block_polys(), min_size=size, max_size=size))
     assert _exact_inertia(block) == [_inertia_counts(p) for p in block]
     groups = {}
     for p in block:
