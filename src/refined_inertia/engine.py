@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import mul, neg
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TypeVar
 
 from .ratpoly import (
     RationalPoly,
@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 
 # Relative axis tolerance of the numeric classifier.
 _AXIS_EPS = 1e-9
+
+_T = TypeVar("_T")
 
 
 class EigenSolverError(RuntimeError):
@@ -214,16 +216,28 @@ def _inertia_counts(num: Sequence[int], den: int = 1) -> tuple[int, int, int, in
     """
     n_zero = next(k for k, c in enumerate(num) if c)
     q = num[n_zero:]
+    f0, f1, f0_odd, sign = _parity_parts(q, neg)
+    index, tail = cauchy_index_line(f0, f1, f0_odd)
+    return _axis_counts(num, den, n_zero, len(q) - 1, sign * index, tail)
+
+
+def _parity_parts(q: Sequence[_T], negate: Callable[[_T], _T]) -> tuple[list[_T], list[_T], bool, int]:
+    """(f0, f1, f0_odd, sign): the chain's pair for q(i*w), and the sign that makes its index diff.
+
+    q holds the coefficients of q, low to high, with q(0) != 0: each one an
+    int for _inertia_counts, or a column over a block for
+    _inertia_counts_many, with negate to match.  Re = E(w**2) and Im =
+    w*O(w**2) take q's even and odd coefficients, every other one negated.
+    The one of the degree's parity is f0, the denominator, and diff, the
+    number of roots in the left half-plane minus those in the right, is
+    sign times the chain's index.
+    """
     even, odd = list(q[0::2]), list(q[1::2])
-    even[1::2] = [-c for c in even[1::2]]
-    odd[1::2] = [-c for c in odd[1::2]]
-    degree = len(q) - 1
-    if degree % 2 == 0:
-        index, tail = cauchy_index_line(even, odd, False)
-        diff = -index
-    else:
-        diff, tail = cauchy_index_line(odd, even, True)
-    return _axis_counts(num, den, n_zero, degree, diff, tail)
+    even[1::2] = map(negate, even[1::2])
+    odd[1::2] = map(negate, odd[1::2])
+    if (len(q) - 1) % 2 == 0:
+        return even, odd, False, -1
+    return odd, even, True, 1
 
 
 def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, int, int]]:
@@ -231,10 +245,10 @@ def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, 
 
     Each num's zero roots are stripped, and the block is grouped by the
     length of what remains, q.  A group's q are laid out column by
-    column, one list per coefficient position across the group, so the
-    parity parts come out as every other column, with every other one
-    negated, and ratpoly.cauchy_index_lines runs their chains together; a
-    pair it cannot keep in step, or a group of one, runs alone in
+    column, one list per coefficient position across the group, so
+    _parity_parts splits them as it splits one polynomial's, taking
+    columns for coefficients, and ratpoly.cauchy_index_lines runs their
+    chains together; a pair it cannot keep in step runs alone in
     ratpoly.cauchy_index_line, the scalar chain.  Then, in block
     order, each chain's index and tail go through _inertia_counts' tail
     levels and its two internal checks, so the first polynomial that
@@ -248,16 +262,9 @@ def _inertia_counts_many(nums: Sequence[Sequence[int]]) -> list[tuple[int, int, 
     found: list = [None] * len(nums)  # (n_zero, degree, diff, tail) of each num
     for (n_zero, length), members in groups.items():
         columns = list(zip(*(nums[s] for s in members)))[n_zero:]
-        even, odd = columns[0::2], columns[1::2]
-        even[1::2] = [[-c for c in col] for col in even[1::2]]
-        odd[1::2] = [[-c for c in col] for col in odd[1::2]]
-        degree = length - 1 - n_zero
-        if degree % 2 == 0:
-            chains, sign = cauchy_index_lines(even, odd, False), -1
-        else:
-            chains, sign = cauchy_index_lines(odd, even, True), 1
-        for s, (index, tail) in zip(members, chains):
-            found[s] = (n_zero, degree, sign * index, tail)
+        f0, f1, f0_odd, sign = _parity_parts(columns, lambda column: [-c for c in column])
+        for s, (index, tail) in zip(members, cauchy_index_lines(f0, f1, f0_odd)):
+            found[s] = (n_zero, length - 1 - n_zero, sign * index, tail)
     return [_axis_counts(num, 1, *chain) for num, chain in zip(nums, found)]
 
 

@@ -342,7 +342,7 @@ def cauchy_index_lines(
     which leaves a tail of positive degree), leaves the block and is run
     by cauchy_index_line on its own coefficients.  The rest end their d
     one-degree steps, d the degree of F0, in a nonzero constant, whose
-    primitive part is its sign.  A block of one runs cauchy_index_line.
+    primitive part is its sign.
     """
     size = len(f0_columns[0]) if f0_columns else 0
     odd_divisor = not f0_odd
@@ -350,7 +350,7 @@ def cauchy_index_lines(
     def alone(s: int) -> tuple[int, list[int]]:
         return cauchy_index_line([c[s] for c in f0_columns], [c[s] for c in f1_columns], f0_odd)
 
-    if size < 2 or not f1_columns or len(f0_columns) != len(f1_columns) + odd_divisor:
+    if not f1_columns or len(f0_columns) != len(f1_columns) + odd_divisor:
         return [alone(s) for s in range(size)]
     results: list = [None] * size
     slots = []  # where each pair still in the block sits in f0_columns

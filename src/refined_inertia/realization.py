@@ -225,11 +225,12 @@ def _spoke_expansions(arrows: Sequence[tuple[Sequence[int], int, Sequence[int], 
     and G_k = c F_{k-2} - q A_1 F_{k-1} - q^2 A_2 F_k - q^2 H_{k-1} sums
     the four terms _spoke_expansion subtracts one at a time: the same
     integers in another order, so every G is _spoke_expansion's, exactly.
-    The falsifier's chunks call this; one arrow goes to _spoke_expansion,
-    which is faster alone.  Raises ValueError if the orders differ.
+    The falsifier's chunks call this, whatever their size; a caller with
+    one arrow, outside a chunk, calls _spoke_expansion.  Raises ValueError
+    if the orders differ.
     """
-    if len(arrows) < 2:
-        return [_spoke_expansion(*arrow) for arrow in arrows]
+    if not arrows:
+        return []
     heads, dens, diagonals, qs = zip(*arrows)
     if len(set(map(len, heads))) > 1:
         raise ValueError("a block of spoke expansions needs arrows of one order")
